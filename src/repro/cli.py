@@ -458,13 +458,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the scenario matrix (count or 'auto')",
     )
 
+    from .experiments.bench import CASES as _BENCH_CASES
+
     bench = sub.add_parser(
         "bench",
         help="simulator throughput smoke benchmark (JSON record + gate)",
-        description="Time the four simulator hot-path cases of "
-        "benchmarks/bench_simulator_throughput.py with plain wall clocks, "
-        "write a JSON record, and optionally fail on regression against a "
-        "committed baseline.  See docs/PERFORMANCE.md.",
+        description=f"Time the {len(_BENCH_CASES)} simulator cases of "
+        "repro.experiments.bench with plain wall clocks, write a JSON "
+        "record, and optionally fail on regression against a committed "
+        "baseline.  See docs/PERFORMANCE.md.",
     )
     bench.add_argument(
         "--repeats", type=int, default=5, help="timed runs per case (best-of)"
@@ -569,8 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trun = trace_sub.add_parser(
         "run", help="run one bench case or (kernel, mb, scheme) cell traced"
     )
-    from .experiments.bench import CASES as _BENCH_CASES
-
     trun.add_argument(
         "--case",
         choices=tuple(_BENCH_CASES),

@@ -3,6 +3,8 @@
 Links default to the config's shared :class:`NetworkSpec`; ``link_specs``
 replaces individual links (keyed by either endpoint order) for
 heterogeneous topologies — e.g. a slow WAN hop in a migration path.
+Each link is created on first use (:class:`repro.net.network.Network`),
+so a 300-node fleet holds only the links its traffic actually crosses.
 
 The paper's testbed (HKU Gideon 300) is a Fast-Ethernet switched cluster;
 for the two- and three-node experiments a full mesh of point-to-point
@@ -38,19 +40,12 @@ class Cluster:
             raise ConfigurationError(f"duplicate node names: {node_names}")
         self.sim = sim
         self.config = config
-        self.network = Network(sim)
+        self.network = Network(
+            sim, node_names, spec=config.network, link_specs=link_specs
+        )
         self.nodes: dict[str, Node] = {
             name: Node(name, config.hardware) for name in node_names
         }
-        names = list(node_names)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                spec = config.network
-                if link_specs:
-                    override = link_specs.get((a, b)) or link_specs.get((b, a))
-                    if override is not None:
-                        spec = override
-                self.network.connect(a, b, spec)
 
     def node(self, name: str) -> Node:
         try:

@@ -79,6 +79,7 @@ class GossipLoadMap:
         self._names = sorted(cluster.nodes)
         if len(self._names) < 2:
             raise ConfigurationError("gossip needs at least two nodes")
+        self._index = {name: i for i, name in enumerate(self._names)}
         self._rng = child_rng(seed, "gossip")
         #: views[node][other] -> LoadEntry
         self.views: dict[str, dict[str, LoadEntry]] = {n: {} for n in self._names}
@@ -105,8 +106,10 @@ class GossipLoadMap:
             # peers' views of it go stale — that staleness IS the failure
             # signal picked up by _evaluate_suspicions.
             return
-        peers = [n for n in self._names if n != sender]
-        target = peers[int(self._rng.integers(0, len(peers)))]
+        # Uniform over the other nodes: index k of the peer list (the
+        # sorted names minus the sender), mapped without building it.
+        k = int(self._rng.integers(0, len(self._names) - 1))
+        target = self._names[k if k < self._index[sender] else k + 1]
         # Own fresh sample plus a random subset of known entries.
         payload: dict[str, LoadEntry] = {
             sender: LoadEntry(self.load_of(sender), self.sim.now)

@@ -59,7 +59,9 @@ class MigrationPolicy(ABC):
 
     ``select_target`` sees only what the deciding node can see: its own
     load and its (possibly partial, possibly stale) ``view`` of peers.
-    Returning ``None`` means "keep the process here".
+    Returning ``None`` means "keep the process here".  It must have no
+    side effects: the scheduler does not consult it for a node with no
+    live task, since such a node has nothing to offload anyway.
     """
 
     name = "?"

@@ -148,6 +148,12 @@ class ClusterScheduler:
         for task in tasks:
             if task.node not in cluster.nodes:
                 raise ConfigurationError(f"task {task.name!r} on unknown node {task.node!r}")
+        #: Per-node count of admitted, unfinished tasks.  Arrivals are
+        #: admitted lazily on read (``_admit``), from a cursor over the
+        #: tasks in arrival order; finishing and migrating adjust it.
+        self._live: dict[str, int] = {name: 0 for name in cluster.nodes}
+        self._by_arrival = sorted(tasks, key=lambda t: t.arrival_s)
+        self._admitted = 0
 
     # ------------------------------------------------------------------
     # cost model
@@ -170,13 +176,27 @@ class ClusterScheduler:
         )
 
     # ------------------------------------------------------------------
-    def _loads(self) -> dict[str, int]:
-        loads = {name: 0 for name in self.cluster.nodes}
+    def _admit(self) -> None:
+        """Count every task whose arrival time has been reached.  Runs
+        before every count adjustment, so a finish or move always undoes
+        an arrival that was already counted."""
+        pending = self._by_arrival
+        i = self._admitted
         now = self.sim.now
-        for task in self.tasks:
-            if task.finished_at is None and task.arrival_s <= now:
-                loads[task.node] += 1
-        return loads
+        while i < len(pending) and pending[i].arrival_s <= now:
+            self._live[pending[i].node] += 1
+            i += 1
+        self._admitted = i
+
+    def _loads(self) -> dict[str, int]:
+        """Arrived, unfinished tasks per node (a fresh dict per call)."""
+        self._admit()
+        return dict(self._live)
+
+    def load(self, name: str) -> int:
+        """Arrived, unfinished tasks on node ``name``."""
+        self._admit()
+        return self._live[name]
 
     def _task_process(self, task: Task):
         if task.arrival_s > 0.0:
@@ -194,6 +214,8 @@ class ClusterScheduler:
             node.cpu.charge(work)
             node.cpu.release()
             task.remaining -= work
+        self._admit()
+        self._live[task.node] -= 1
         task.finished_at = self.sim.now
 
     def _migrate(self, task: Task, dest: str, view: dict | None = None) -> None:
@@ -204,6 +226,9 @@ class ClusterScheduler:
         self.decisions.append(decision)
         if self.on_decision is not None:
             self.on_decision(decision, view)
+        self._admit()
+        self._live[task.node] -= 1
+        self._live[dest] += 1
         task.node = dest
         task.migrations += 1
         task.frozen_time += freeze
@@ -268,7 +293,12 @@ class ClusterScheduler:
                 load_gap_threshold=self.load_gap_threshold
             )
         loads = self._loads()
+        live = self._live
         for node in sorted(self.cluster.nodes):
+            if not live[node]:
+                # Nothing to offload.  The live count, not the snapshot:
+                # a task received earlier this round is eligible.
+                continue
             if self.node_plan is not None and self.node_plan.down(node, self.sim.now):
                 continue  # a dead node takes no decisions
             view = self.gossip.view(node)
@@ -451,7 +481,7 @@ class SchedulerDriver:
             own_gossip = GossipLoadMap(
                 sim,
                 cluster,
-                load_of=lambda name: scheduler._loads()[name],
+                load_of=lambda name: scheduler.load(name),
                 interval=self.gossip_interval_s,
                 seed=self.config.seed,
                 node_plan=node_plan,

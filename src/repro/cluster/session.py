@@ -1,8 +1,9 @@
 """ScenarioRuntime: executes a declarative :class:`ScenarioSpec`.
 
-One runtime owns the simulator, the cluster (nodes + full-mesh network
-with per-link overrides), the shared fault plan, and every migrant
-process.  Each migrant walks its :class:`MigrantSpec.path`:
+One runtime owns the simulator, the cluster (nodes + a full-mesh
+network whose links are created on first use, with per-link overrides),
+the shared fault plan, and every migrant process.  Each migrant walks
+its :class:`MigrantSpec.path`:
 
 * the first hop is a normal migration (``strategy.perform``);
 * every further hop preempts the executor between trace events, quiesces

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from ..config import NetworkSpec
 from ..errors import NetworkError
@@ -17,12 +17,30 @@ class Network:
     The experiments of the paper only need the origin<->destination pair
     (plus a file server for the FFA baseline), but the registry supports an
     arbitrary topology for the cluster/scheduler layer.
+
+    Given ``nodes`` and a default ``spec``, the registry is a lazy full
+    mesh: the link between two of those nodes is created (through
+    :meth:`connect`) the first time it is looked up, with ``spec`` or its
+    ``link_specs`` override.  An override keyed in ``nodes`` order wins
+    over the reversed key.  A link that has carried nothing is in the same
+    state as a new one, so when it is created cannot change a result, and
+    a fleet pays only for the pairs that talk.
     """
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        nodes: Sequence[str] = (),
+        spec: NetworkSpec | None = None,
+        link_specs: Mapping[tuple[str, str], NetworkSpec] | None = None,
+    ) -> None:
         self.sim = sim
-        self._nodes: set[str] = set()
+        self._nodes: set[str] = set(nodes)
         self._links: dict[tuple[str, str], Link] = {}
+        #: Lazy-mesh members -> position in ``nodes`` (override precedence).
+        self._mesh = {name: i for i, name in enumerate(nodes)} if spec is not None else {}
+        self._spec = spec
+        self._link_specs = dict(link_specs or {})
 
     # ------------------------------------------------------------------
     # topology
@@ -46,11 +64,20 @@ class Network:
         return link
 
     def link_between(self, a: str, b: str) -> Link:
+        """The ``a``<->``b`` link; between mesh nodes, made on first use."""
         key = (a, b) if a < b else (b, a)
         try:
             return self._links[key]
         except KeyError:
+            pass
+        mesh = self._mesh
+        if a not in mesh or b not in mesh:
             raise NetworkError(f"no link between {a!r} and {b!r}")
+        if mesh[a] > mesh[b]:
+            a, b = b, a
+        overrides = self._link_specs
+        spec = overrides.get((a, b)) or overrides.get((b, a)) or self._spec
+        return self.connect(a, b, spec)
 
     def direction(self, src: str, dst: str) -> Direction:
         """The one-way channel for ``src`` -> ``dst`` traffic."""

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.config import SimulationConfig
+from repro.cluster.sustained import run_sustained
+from repro.cluster.topology import build_preset
+from repro.config import FaultSpec, SimulationConfig
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, LossyDirection, install_lossy_link
 from repro.sim import Simulator
 
 
@@ -46,3 +49,30 @@ def test_shaper_access(sim, sim_config):
     shaper = cluster.shaper("home", "dest")
     shaper.apply(1e6, 0.002)
     assert cluster.network.direction("home", "dest").bandwidth_bps == 1e6
+
+
+# ----------------------------------------------------------------------
+# links are created on first use, so fleets pay for traffic, not size
+# ----------------------------------------------------------------------
+def test_thousand_node_cluster_holds_no_links(sim, sim_config, connects):
+    cluster = Cluster(sim, sim_config, node_names=[f"n{i:04d}" for i in range(1000)])
+    assert len(cluster.network.nodes) == 1000
+    assert connects == []
+
+
+def test_lossy_link_on_untouched_pair(sim, sim_config):
+    cluster = Cluster(sim, sim_config, node_names=["a", "b", "c"])
+    install_lossy_link(
+        cluster.network, "c", "a", FaultPlan(FaultSpec(loss_rate=0.5), seed=0)
+    )
+    assert isinstance(cluster.network.direction("a", "c"), LossyDirection)
+    assert isinstance(cluster.network.direction("c", "a"), LossyDirection)
+
+
+def test_cluster_300_connects_only_pairs_that_talk(connects):
+    """A seeded ``cluster_300`` run links only the pairs its gossip and
+    migrations use, across both phases; an eager mesh would make
+    2 x 44,850 = 89,700 connects."""
+    result = run_sustained(build_preset("cluster_300", seed=0), jobs=1)
+    assert result.report.completed == result.report.arrivals
+    assert 0 < len(connects) < 5000

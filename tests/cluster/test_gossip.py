@@ -102,6 +102,40 @@ class TestDissemination:
             GossipLoadMap(sim, cluster, load_of=lambda n: 0, fanout_entries=0)
 
 
+class _ChosenDraw:
+    """RNG stand-in: ``integers`` returns the index the test chose."""
+
+    def __init__(self) -> None:
+        self.k = 0
+        self.bounds: set[tuple[int, int]] = set()
+
+    def integers(self, low, high):
+        self.bounds.add((low, high))
+        return self.k
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 300])
+def test_peer_pick_matches_peer_list(n_nodes):
+    """Draw ``k`` selects ``peers[k]`` of the sorted names minus the
+    sender, for every sender and every ``k``, from one ``integers(0,
+    n - 1)`` draw — the peer list is never built."""
+    sim = Simulator()
+    names = sorted(f"n{i:03d}" for i in range(n_nodes))
+    cluster = Cluster(sim, SimulationConfig(), node_names=names[::-1])
+    gossip = GossipLoadMap(sim, cluster, load_of=lambda n: 0)
+    draw = gossip._rng = _ChosenDraw()
+    targets = []
+    cluster.network.send = lambda message, _deliver: targets.append(message.dst)
+    for sender in names:
+        peers = [n for n in names if n != sender]
+        for k, peer in enumerate(peers):
+            draw.k = k
+            gossip._send_update(sender)
+            assert targets[-1] == peer
+    assert len(targets) == n_nodes * (n_nodes - 1)
+    assert draw.bounds == {(0, n_nodes - 1)}
+
+
 class TestGossipBalancing:
     def run_scheduler(self, gossip_enabled: bool, n_tasks=8, seed=0):
         sim = Simulator()
@@ -122,7 +156,7 @@ class TestGossipBalancing:
         )
         if gossip_enabled:
             sched.gossip = GossipLoadMap(
-                sim, cluster, load_of=lambda n: sched._loads()[n], interval=0.5, seed=seed
+                sim, cluster, load_of=sched.load, interval=0.5, seed=seed
             )
         report = sched.run()
         if sched.gossip is not None:

@@ -148,7 +148,7 @@ def _run_pileup(view: str, n_tasks=4, seed=0):
         sched.gossip = ConvergedView(sched)
     elif view == "gossip":
         sched.gossip = GossipLoadMap(
-            sim, cluster, load_of=lambda n: sched._loads()[n], interval=0.5, seed=seed
+            sim, cluster, load_of=sched.load, interval=0.5, seed=seed
         )
     report = sched.run()
     if view == "gossip":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import AMPoMConfig, HardwareSpec, NetworkSpec, SimulationConfig
+from repro.net.network import Network
 from repro.sim import Simulator
 
 
@@ -31,3 +32,17 @@ def ampom_config() -> AMPoMConfig:
 @pytest.fixture
 def sim_config() -> SimulationConfig:
     return SimulationConfig()
+
+
+@pytest.fixture
+def connects(monkeypatch) -> list[tuple[str, str, NetworkSpec]]:
+    """Every ``Network.connect(a, b, spec)`` made while the test runs."""
+    calls: list[tuple[str, str, NetworkSpec]] = []
+    connect = Network.connect
+
+    def recording(self, a, b, spec):
+        calls.append((a, b, spec))
+        return connect(self, a, b, spec)
+
+    monkeypatch.setattr(Network, "connect", recording)
+    return calls

@@ -362,6 +362,15 @@ def test_invalid_kernel_rejected():
         main(["run", "--kernel", "HPL", "--mb", "100", "--scheme", "AMPoM"])
 
 
+def test_bench_help_counts_the_cases(capsys):
+    from repro.experiments.bench import CASES
+
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"Time the {len(CASES)} simulator cases" in text
+
+
 def test_cluster_run_preset(capsys):
     rc = main(["cluster", "run", "--preset", "three-hop", "--scale", SMALL])
     out = capsys.readouterr().out

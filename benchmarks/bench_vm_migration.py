@@ -58,7 +58,7 @@ def _run(variant: str):
         strategy, config = AmpomMigration(), _config(0)
     elif variant == "VM-AMPoM (eq.3 only)":
         # Boundaries only the workload knows: register a closure under a
-        # registry name instead of the deprecated policy_factory hook.
+        # registry name so the strategy resolves it like any other policy.
         POLICIES["vm-ampom"] = lambda ctx, w=workload: VmAmpomPrefetcher(
             ctx.ampom, ctx.hardware, w.process_boundaries()
         )

@@ -93,9 +93,17 @@ def ref_zone_size(
     max_pages: int,
     min_pages: int,
 ) -> int:
-    """Eq. 2/3: ``N = (c'/c) * S * r * t`` clamped to the configured band."""
+    """Eq. 2/3: ``N = (c'/c) * S * r * t`` clamped to the configured band.
+
+    Out-of-band values never reach ``int()``: ``+inf`` clamps to
+    ``max_pages``, ``-inf`` and ``NaN`` to ``min_pages``.
+    """
     n = cpu_ratio * score * paging_rate * horizon
-    return max(min_pages, min(int(n), max_pages))
+    if not n >= min_pages:
+        return min_pages
+    if n >= max_pages:
+        return max_pages
+    return int(n)
 
 
 def ref_select_dependent_pages(

@@ -221,15 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--json", action="store_true", help="emit per-migrant results as JSON"
     )
-    crun.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N|auto",
-        help="shard phase 2 of a sustained-load run across forked workers "
-        "when the decided migrations are node-disjoint (byte-identical "
-        "results; falls back to sequential otherwise; default "
-        "$REPRO_SHARD, else 1)",
-    )
     crun_obs = crun.add_argument_group(
         "observability",
         "fleet telemetry & journey traces — pure observers, stdout "
@@ -1017,9 +1008,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.policy is not None:
         print("cluster run: --policy applies to sustained-load scenarios only")
         return 2
-    if args.jobs is not None:
-        print("cluster run: --jobs applies to sustained-load scenarios only")
-        return 2
     runtime = ScenarioRuntime(spec, obs=_cluster_obs(args))
     results = runtime.execute()
     _write_cluster_obs(runtime.obs, args)
@@ -1134,7 +1122,7 @@ def _run_sustained_cli(spec, label: str, args: argparse.Namespace) -> int:
     if args.policy is not None:
         sustained = dataclasses.replace(sustained, policy=args.policy)
     driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
-    res = driver.execute(obs=_cluster_obs(args), jobs=args.jobs)
+    res = driver.execute(obs=_cluster_obs(args))
     report = res.report
     _write_cluster_obs(driver.obs, args)
     if args.json:

@@ -1,4 +1,4 @@
-"""Deterministic multiprocessing fan-out: scenario sweeps and intra-run shards.
+"""Deterministic multiprocessing fan-out for scenario sweeps.
 
 Every sweep in this repo — the figure matrix, the golden-trace scenario
 matrix, ablation grids — is a list of *fully pinned, independent* runs:
@@ -13,43 +13,20 @@ to a plain sequential loop when parallelism is disabled (``jobs=1``),
 pointless (one item), or unavailable (no ``fork`` start method — the
 workers inherit the parent's imported modules for free under ``fork``, and
 we refuse to pay the re-import cost of ``spawn`` for what is purely an
-optimization).
-
-On top of that sits **intra-run sharding** (:func:`plan_scenario_shards` /
-:func:`execute_sharded`): one scenario's migrants are partitioned into
-connected components over their shared resources (path nodes, and the
-file server for FFA), and each component is simulated in its own forked
-worker.  This is sound because disjoint components share no node, link,
-infod, or deputy — every event a component schedules originates from its
-own processes and lands back on its own nodes, so deleting the *other*
-components from the graph changes nothing the component's migrants can
-observe: same per-migrant event interleaving, same keyed RNG streams
-(``migrant-{gid}`` / ``retry-{gid}`` names are derived from *global*
-migrant indices), same float-op order, byte-identical results.  Whenever a
-message *could* cross a shard boundary — shared nodes, fault injection's
-single seeded wire stream, a global event cap, an attached observability
-bundle — the planner quiesces to the sequential kernel and records why in
-:attr:`~repro.sim.shard.ShardPlan.sequential_reason`.
+optimization).  Only whole runs fan out: one scenario always runs
+sequentially in one process.
 
 Library entry points default to **sequential** (``jobs=None`` resolves via
-the ``REPRO_JOBS`` environment variable for sweeps and ``REPRO_SHARD`` for
-intra-run sharding, else 1) so importing code never forks behind a
-caller's back; the CLI passes ``--jobs auto`` where a sweep is the whole
-command.
+the ``REPRO_JOBS`` environment variable, else 1) so importing code never
+forks behind a caller's back; the CLI passes ``--jobs auto`` where a sweep
+is the whole command.
 """
 
 from __future__ import annotations
 
 import os
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
-
-from ..sim.shard import ShardPlan, connected_components
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..migration.executor import ExecutionResult
-    from ..obs import Observability
-    from .topology import ScenarioSpec
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -57,26 +34,18 @@ R = TypeVar("R")
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable enabling intra-run sharding (a worker count or
-#: ``auto``) when the caller does not pass ``jobs`` explicitly.
-SHARD_ENV = "REPRO_SHARD"
 
-
-def resolve_jobs(
-    jobs: int | str | None,
-    limit: int | None = None,
-    env: str = JOBS_ENV,
-) -> int:
+def resolve_jobs(jobs: int | str | None, limit: int | None = None) -> int:
     """Normalize a jobs request to a worker count (>= 1).
 
-    ``None`` reads ``env`` (default :data:`JOBS_ENV`; empty means 1 —
-    sequential); the string ``"auto"`` (or a non-positive count) means one
-    worker per CPU.  ``limit`` clamps the result to the number of work
-    items so library callers can pass ``"auto"`` without over-forking:
+    ``None`` reads :data:`JOBS_ENV` (empty means 1 — sequential); the
+    string ``"auto"`` (or a non-positive count) means one worker per CPU.
+    ``limit`` clamps the result to the number of work items so library
+    callers can pass ``"auto"`` without over-forking:
     ``resolve_jobs("auto", limit=len(items))``.
     """
     if jobs is None:
-        env_value = os.environ.get(env, "").strip()
+        env_value = os.environ.get(JOBS_ENV, "").strip()
         if not env_value:
             return 1
         jobs = env_value
@@ -117,160 +86,8 @@ def parallel_map(
         return pool.map(fn, items, chunksize=1)
 
 
-def _migrant_resources(spec: "ScenarioSpec") -> list[set]:
-    """Resource keys per migrant: its path nodes, plus the file server for
-    FFA (whose flush stream serializes on the shared ``fs`` links)."""
-    from .topology import FILE_SERVER, _wants_file_server
-
-    resources: list[set] = []
-    for migrant in spec.migrants:
-        keys = set(migrant.path)
-        if _wants_file_server(migrant.strategy):
-            keys.add(FILE_SERVER)
-        resources.append(keys)
-    return resources
-
-
-def plan_scenario_shards(
-    spec: "ScenarioSpec",
-    obs: "Observability | None" = None,
-    jobs: int | str | None = None,
-) -> ShardPlan:
-    """Decide whether ``spec``'s migrants can be simulated in parallel shards.
-
-    Returns a parallel :class:`ShardPlan` only when the migrants split into
-    >= 2 node-disjoint components *and* nothing couples them globally.
-    Every other case quiesces to the sequential kernel with the reason
-    recorded — callers never need to second-guess the fallback.
-    """
-    n = len(spec.migrants)
-
-    def sequential(reason: str) -> ShardPlan:
-        return ShardPlan(
-            shards=(tuple(range(n)),), jobs=1, sequential_reason=reason
-        )
-
-    workers = resolve_jobs(jobs, limit=n, env=SHARD_ENV)
-    if workers <= 1:
-        return sequential("parallelism disabled (jobs <= 1)")
-    if n < 2:
-        return sequential("fewer than two migrants")
-    if obs is not None and obs.active:
-        return sequential("an observability bundle needs one merged trace")
-    if spec.max_events is not None:
-        return sequential("a global max_events cap counts across all migrants")
-    config = spec.resolved_config()
-    if config.faults.active:
-        return sequential(
-            "message fault injection draws from one seeded wire stream"
-        )
-    if config.node_faults.active:
-        return sequential(
-            "the node-fault schedule couples detection across nodes"
-        )
-    if any(m.fault_log is not None for m in spec.migrants):
-        return sequential("caller-owned fault logs cannot cross workers")
-    components = connected_components(n, _migrant_resources(spec))
-    if len(components) < 2:
-        return sequential(
-            "all migrants share nodes; a cross-migrant message would cross "
-            "the epoch boundary (quiesce fallback)"
-        )
-    return ShardPlan(shards=components, jobs=workers)
-
-
-def component_spec(spec: "ScenarioSpec", indices: Sequence[int]) -> "ScenarioSpec":
-    """Restrict ``spec`` to the migrants in ``indices`` and the subgraph
-    they can reach.
-
-    Node order, link order, and background windows are preserved from the
-    parent spec so the sub-scenario's construction (cluster channels,
-    keyed RNG streams) matches what the sequential run builds for these
-    nodes.
-    """
-    from .topology import FILE_SERVER, NodeGraph, ScenarioSpec, _wants_file_server
-
-    migrants = tuple(spec.migrants[i] for i in indices)
-    needed = set()
-    for migrant in migrants:
-        needed.update(migrant.path)
-    if any(_wants_file_server(m.strategy) for m in migrants):
-        needed.add(FILE_SERVER)
-    nodes = tuple(n for n in spec.graph.nodes if n in needed)
-    links = tuple(
-        link for link in spec.graph.links if link.a in needed and link.b in needed
-    )
-    background = {
-        node: windows for node, windows in spec.background.items() if node in needed
-    }
-    return ScenarioSpec(
-        graph=NodeGraph(nodes=nodes, links=links),
-        migrants=migrants,
-        config=spec.config,
-        background=background,
-    )
-
-
-#: Parent spec for forked shard workers.  Set by :func:`execute_sharded`
-#: immediately before the pool forks (the workers inherit it) — strategy
-#: factories and workloads need not be picklable this way; only the index
-#: tuples and the plain-data :class:`ExecutionResult` lists cross the pipe.
-_SHARD_SPEC: "ScenarioSpec | None" = None
-
-
-def _run_scenario_shard(indices: tuple[int, ...]) -> list:
-    from .session import ScenarioRuntime
-
-    spec = _SHARD_SPEC
-    if spec is None:  # pragma: no cover - defensive: fork lost the global
-        raise RuntimeError("_SHARD_SPEC is unset in the shard worker")
-    runtime = ScenarioRuntime(
-        component_spec(spec, indices),
-        global_ids=tuple(indices),
-        global_count=len(spec.migrants),
-    )
-    return runtime.execute()
-
-
-def execute_sharded(
-    spec: "ScenarioSpec",
-    obs: "Observability | None" = None,
-    jobs: int | str | None = None,
-    plan: ShardPlan | None = None,
-) -> "list[ExecutionResult]":
-    """Execute ``spec`` shard-parallel (or sequentially per its plan).
-
-    Results come back in migrant order, byte-identical to what one
-    :class:`ScenarioRuntime` over the full spec would produce.
-    """
-    from .session import ScenarioRuntime
-
-    global _SHARD_SPEC
-    if plan is None:
-        plan = plan_scenario_shards(spec, obs=obs, jobs=jobs)
-    if not plan.parallel:
-        return ScenarioRuntime(spec, obs=obs).execute()
-    _SHARD_SPEC = spec
-    try:
-        shard_results = parallel_map(
-            _run_scenario_shard, list(plan.shards), jobs=plan.jobs
-        )
-    finally:
-        _SHARD_SPEC = None
-    results: list = [None] * len(spec.migrants)
-    for indices, shard in zip(plan.shards, shard_results):
-        for index, result in zip(indices, shard):
-            results[index] = result
-    return results
-
-
 __all__ = [
     "JOBS_ENV",
-    "SHARD_ENV",
-    "ShardPlan",
-    "component_spec",
-    "execute_sharded",
     "parallel_map",
-    "plan_scenario_shards",
     "resolve_jobs",
 ]

@@ -283,21 +283,25 @@ class SustainedLoadDriver(SchedulerDriver):
     def execute(self, obs=None, jobs=None) -> SustainedResult:
         """Phases 1 + 2; returns the summary plus executed migrations.
 
-        ``jobs`` (or ``REPRO_SHARD``) shards phase 2 across forked
-        workers when the decided migrations are node-disjoint — see
-        :meth:`SchedulerDriver.execute`.
+        A run is always sequential, in one process.  ``jobs`` is kept for
+        callers that pin that explicitly (``jobs=1``); any value other
+        than ``None`` or ``1`` raises :class:`ConfigurationError`.
         """
-        drive = super().execute(obs=obs, jobs=jobs)
+        if jobs not in (None, 1):
+            raise ConfigurationError(
+                f"a sustained run is sequential; jobs must be None or 1, got {jobs!r}"
+            )
+        drive = super().execute(obs=obs)
         assert self.report is not None  # set by plan()
         return SustainedResult(report=self.report, drive=drive)
 
 
-def run_sustained(spec, obs=None, jobs=None) -> SustainedResult:
+def run_sustained(spec, obs=None) -> SustainedResult:
     """Execute a sustained :class:`ScenarioSpec` (``spec.sustained`` set)."""
     if spec.sustained is None:
         raise ConfigurationError("scenario has no sustained section")
     driver = SustainedLoadDriver(spec.graph, spec.sustained, config=spec.config)
-    return driver.execute(obs=obs, jobs=jobs)
+    return driver.execute(obs=obs)
 
 
 __all__ = [

@@ -393,37 +393,6 @@ class CheckSpec:
 
 
 @dataclass(frozen=True)
-class BatchSpec:
-    """Configuration of the batched multi-migrant analysis engine.
-
-    When enabled, AMPoM migrants run their dependent-zone analyses
-    through the shared-array :class:`repro.core.batch.BatchedWindowEngine`
-    instead of per-migrant :class:`repro.core.incremental.
-    IncrementalWindow` state.  The batched path is bit-identical to the
-    scalar one (the golden matrix and the differential oracle gate this),
-    so the flag defaults off and flips purely the implementation.
-    """
-
-    #: Route AMPoM window analysis through the shared batched engine.
-    enabled: bool = False
-
-    @classmethod
-    def from_env(cls) -> "BatchSpec":
-        """Default spec honouring the ``REPRO_BATCH`` environment variable.
-
-        ``REPRO_BATCH=1`` routes every default-config run through the
-        batched engine — how the CI ``bench-scale`` job audits the batched
-        path against the oracle and the golden matrix without touching
-        call sites.
-        """
-        import os
-
-        if os.environ.get("REPRO_BATCH", "") not in ("", "0"):
-            return cls(enabled=True)
-        return cls()
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Top-level bundle passed to :class:`repro.cluster.runner.MigrationRun`."""
 
@@ -435,7 +404,6 @@ class SimulationConfig:
     node_faults: NodeFaultSpec = field(default_factory=NodeFaultSpec)
     retry: RetrySpec = field(default_factory=RetrySpec)
     checks: CheckSpec = field(default_factory=CheckSpec.from_env)
-    batch: BatchSpec = field(default_factory=BatchSpec.from_env)
     #: Run-wide prefetch-policy override: a :data:`repro.core.policy.
     #: POLICIES` name every paging migration resolves unless its migrant
     #: spec or strategy names one itself (``None`` = scheme defaults).

@@ -44,32 +44,8 @@ from .zone import (
     select_from_streams,
 )
 
-_BATCH_EXPORTS = (
-    "BatchAnalysis",
-    "BatchedAMPoMPrefetcher",
-    "BatchedAnalysisPool",
-    "BatchedWindowEngine",
-    "BatchedWindowView",
-)
-
-
-def __getattr__(name: str):
-    # The batched engine (repro.core.batch) pulls in numpy; load it only
-    # when asked for so scalar runs keep their import footprint.
-    if name in _BATCH_EXPORTS:
-        from . import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AMPoMPrefetcher",
-    "BatchAnalysis",
-    "BatchedAMPoMPrefetcher",
-    "BatchedAnalysisPool",
-    "BatchedWindowEngine",
-    "BatchedWindowView",
     "FixedReadAheadPolicy",
     "IncrementalWindow",
     "LinkConditions",

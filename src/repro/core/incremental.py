@@ -35,11 +35,14 @@ same clamps — so runs are bit-identical, which the golden traces and the
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import deque
 
 from ..errors import ConfigurationError
 from .stride import OutstandingStream
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class IncrementalWindow:
@@ -155,12 +158,17 @@ class IncrementalWindow:
     # LookbackWindow implementations)
     # ------------------------------------------------------------------
     def paging_rate(self, fallback_interval: float) -> float:
-        """``r = l / (T_l - T_1)``, the average paging rate over the window."""
+        """``r = l / (T_l - T_1)``, the average paging rate over the window.
+
+        A span so short that ``l / span`` overflows saturates at the
+        largest finite float, so ``r`` never falls as the span shrinks.
+        """
         times = self._times
         if len(times) >= 2:
             span = times[-1] - times[0]
             if span > 0.0:
-                return len(times) / span
+                rate = len(times) / span
+                return rate if rate <= _FLOAT_MAX else _FLOAT_MAX
         return 1.0 / fallback_interval
 
     def mean_cpu(self) -> float:

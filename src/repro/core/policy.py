@@ -163,15 +163,8 @@ def _limit(ctx: "MigrationContext") -> int:
 
 
 def _make_ampom(ctx: "MigrationContext") -> PrefetchPolicy:
-    # Exactly the historical AmpomMigration branch: the batched engine
-    # when a pool is armed (REPRO_BATCH=1), the scalar per-fault pipeline
-    # otherwise.  Golden bit-identity depends on this being unchanged.
     from .prefetcher import AMPoMPrefetcher
 
-    if ctx.batch_pool is not None:
-        return ctx.batch_pool.prefetcher(
-            ctx.ampom, ctx.hardware, address_limit=_limit(ctx)
-        )
     return AMPoMPrefetcher(ctx.ampom, ctx.hardware, address_limit=_limit(ctx))
 
 
@@ -182,8 +175,8 @@ def _make_leap(ctx: "MigrationContext") -> PrefetchPolicy:
 
 
 #: name -> factory(ctx).  ``ctx`` is the strategy's MigrationContext; a
-#: factory may read its ``ampom``/``hardware`` specs, the address space,
-#: and the batch pool.  Out-of-tree policies register here too.
+#: factory may read its ``ampom``/``hardware`` specs and the address
+#: space.  Out-of-tree policies register here too.
 POLICIES: dict[str, Callable[["MigrationContext"], PrefetchPolicy]] = {
     "noprefetch": lambda ctx: NoPrefetchPolicy(),
     "ampom": _make_ampom,
@@ -193,16 +186,6 @@ POLICIES: dict[str, Callable[["MigrationContext"], PrefetchPolicy]] = {
     ),
     "linux-readahead": lambda ctx: LinuxReadAheadPolicy(address_limit=_limit(ctx)),
 }
-
-#: Policies the ``REPRO_BATCH`` engine can vectorize.  Every other
-#: analyzing policy quiesces to the scalar path (the reason is recorded
-#: on the pool, mirroring ``ShardPlan.sequential_reason``).
-BATCHED_POLICIES = frozenset({"ampom"})
-
-#: Policies that never analyze, so there is nothing to batch (and no
-#: quiesce worth recording).
-_NO_ANALYSIS = frozenset({"noprefetch"})
-
 
 def available_policies() -> tuple[str, ...]:
     """Registered policy names, sorted (plus ``readahead-<k>`` by pattern)."""
@@ -235,25 +218,6 @@ def parse_policy_name(name: str) -> tuple[str, Callable[["MigrationContext"], Pr
 
 
 def make_prefetch_policy(name: str, ctx: "MigrationContext") -> PrefetchPolicy:
-    """Build the named prefetch policy for one migration.
-
-    When a batched analysis pool is armed (``REPRO_BATCH=1``) but the
-    named policy has no batched engine, the run quiesces to the scalar
-    per-fault path and the reason is recorded on the pool's
-    ``quiesce_log`` — the analogue of ``REPRO_SHARD``'s
-    ``sequential_reason``.
-    """
-    canonical, factory = parse_policy_name(name)
-    base = canonical.split("-")[0] if canonical.startswith("readahead-") else canonical
-    pool = getattr(ctx, "batch_pool", None)
-    if (
-        pool is not None
-        and canonical not in BATCHED_POLICIES
-        and base not in _NO_ANALYSIS
-    ):
-        pool.note_quiesce(
-            canonical,
-            f"policy {canonical!r} has no batched engine; "
-            "quiescing to the scalar per-fault path",
-        )
+    """Build the named prefetch policy for one migration."""
+    _canonical, factory = parse_policy_name(name)
     return factory(ctx)

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..config import AMPoMConfig, HardwareSpec
+from ..errors import NetworkError
 from .incremental import IncrementalWindow
 from .policy import LinkConditions
-from .zone import readahead_fallback, select_from_streams
+from .zone import clamp_zone_size, readahead_fallback, select_from_streams
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mem.residency import ResidencyTracker
@@ -106,13 +107,16 @@ class AMPoMPrefetcher:
         # incremental state — no per-fault index rebuild or window rescan.
         score = window.locality_score()
         rate = window.paging_rate(cfg.initial_paging_interval)
-        if conditions.available_bw_bps <= 0.0:
-            raise ValueError("available bandwidth must be positive")
+        if not conditions.available_bw_bps > 0.0:
+            raise NetworkError(
+                f"available bandwidth must be positive: {conditions.available_bw_bps}"
+            )
         td = self.hardware.page_size / conditions.available_bw_bps
         # prefetch_horizon and dependent_zone_size, inlined with the same
-        # operation order (this runs once per fault; the validation the
-        # helpers perform cannot fail here — rtt/td/rate are measured
-        # non-negative and the config bounds are checked at construction).
+        # operation order and sharing its clamp (this runs once per fault;
+        # the validation the helpers perform cannot fail here — rtt/td/rate
+        # are measured non-negative and the config bounds are checked at
+        # construction).
         horizon = conditions.rtt_s + td + 1.0 / rate
 
         c = window.mean_cpu()
@@ -120,12 +124,7 @@ class AMPoMPrefetcher:
         cpu_ratio = (c_next / c) if c > 1e-9 else 1.0
 
         zone = cpu_ratio * score * rate * horizon
-        max_pages = cfg.max_zone_pages
-        n = int(zone)
-        if n > max_pages:
-            n = max_pages
-        if n < cfg.min_zone_pages:
-            n = cfg.min_zone_pages
+        n = clamp_zone_size(zone, cfg.min_zone_pages, cfg.max_zone_pages)
         streams = window.outstanding_streams()
         if n <= 0:
             dependent: list[int] = []

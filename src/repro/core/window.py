@@ -18,6 +18,7 @@ two to each other under arbitrary push/evict sequences.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 
 from ..errors import ConfigurationError
@@ -88,12 +89,13 @@ class LookbackWindow:
         """``r = l / (T_l - T_1)``, the average paging rate over the window.
 
         Before the window spans a positive time interval the rate is
-        estimated as one fault per ``fallback_interval``.
+        estimated as one fault per ``fallback_interval``.  A span so short
+        that ``l / span`` overflows saturates at the largest finite float.
         """
         if len(self._times) >= 2:
             span = self._times[-1] - self._times[0]
             if span > 0.0:
-                return len(self._times) / span
+                return min(len(self._times) / span, sys.float_info.max)
         return 1.0 / fallback_interval
 
     def mean_cpu(self) -> float:

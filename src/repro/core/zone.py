@@ -54,8 +54,22 @@ def dependent_zone_size(
         raise ValueError(f"paging_rate must be non-negative: {paging_rate}")
     if not (0 <= min_pages <= max_pages):
         raise ValueError(f"need 0 <= min_pages <= max_pages: {min_pages}, {max_pages}")
-    n = cpu_ratio * score * paging_rate * horizon
-    return max(min_pages, min(int(n), max_pages))
+    return clamp_zone_size(cpu_ratio * score * paging_rate * horizon, min_pages, max_pages)
+
+
+def clamp_zone_size(zone: float, min_pages: int, max_pages: int) -> int:
+    """Truncate eq. 3's ``N`` to a page count in ``[min_pages, max_pages]``.
+
+    The comparisons come before ``int()``, so every float maps to a count:
+    ``+inf`` gives ``max_pages``; ``-inf`` and ``NaN`` (``0 * inf``) give
+    ``min_pages``.  On finite ``zone`` this equals
+    ``max(min_pages, min(int(zone), max_pages))``.
+    """
+    if zone >= max_pages:
+        return max_pages
+    if zone >= min_pages:
+        return int(zone)
+    return min_pages
 
 
 def readahead_fallback(last_page: int, n: int, address_limit: int) -> list[int]:

@@ -25,6 +25,8 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
+_INF = float("inf")
+
 
 class Timeout:
     """Wait condition: resume after a fixed simulated delay."""
@@ -32,8 +34,12 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"Timeout delay must be non-negative, got {delay}")
+        # One chained comparison rejects negative, infinite and NaN delays
+        # alike: an infinite wait would park the process forever.
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"Timeout delay must be finite and non-negative, got {delay}"
+            )
         self.delay = delay
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -120,9 +126,10 @@ class SimProcess:
         # Dispatch ordered by frequency: Timeout is the hot wait condition
         # (one per compute/stall slice), joins and completions are rare.
         # The wake-up goes straight onto the event heap as a bare callback:
-        # Timeout.__init__ already rejected negative delays, the wake-up is
-        # fired exactly once (never cancelled), and the bound ``_resume``
-        # itself is the callback — ``value`` defaults to None.
+        # Timeout.__init__ already rejected negative and non-finite delays,
+        # the wake-up is fired exactly once (never cancelled), and the
+        # bound ``_resume`` itself is the callback — ``value`` defaults to
+        # None.
         if type(condition) is Timeout:
             sim = self.sim
             sim._queue.push_callback(sim._now + condition.delay, self._resume)

@@ -67,6 +67,17 @@ class TestReferencesMatchProduction:
             s, r, t, cpu_ratio=c, max_pages=hi, min_pages=lo
         )
 
+    @pytest.mark.parametrize("cpu_ratio", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "rate, horizon", [(float("inf"), 1.0), (float("inf"), 0.0), (1e305, 1e5)]
+    )
+    def test_zone_size_non_finite_product(self, rate, horizon, cpu_ratio):
+        assert ref_zone_size(1.0, rate, horizon, cpu_ratio, 256, 8) == (
+            dependent_zone_size(
+                1.0, rate, horizon, cpu_ratio=cpu_ratio, max_pages=256, min_pages=8
+            )
+        )
+
     def test_paper_worked_example(self):
         pages = [10, 99, 11, 34, 12, 85]
         assert ref_spatial_locality_score(pages, 4) == pytest.approx(0.25)

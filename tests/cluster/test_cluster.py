@@ -73,6 +73,6 @@ def test_cluster_300_connects_only_pairs_that_talk(connects):
     """A seeded ``cluster_300`` run links only the pairs its gossip and
     migrations use, across both phases; an eager mesh would make
     2 x 44,850 = 89,700 connects."""
-    result = run_sustained(build_preset("cluster_300", seed=0), jobs=1)
+    result = run_sustained(build_preset("cluster_300", seed=0))
     assert result.report.completed == result.report.arrivals
     assert 0 < len(connects) < 5000

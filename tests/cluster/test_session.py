@@ -3,6 +3,7 @@ and the scheduler-driven placement loop."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -18,10 +19,11 @@ from repro.cluster.topology import (
     MigrantSpec,
     NodeGraph,
     ScenarioSpec,
+    build_preset,
     two_node_spec,
 )
 from repro.config import CheckSpec, FaultSpec, SimulationConfig
-from repro.errors import MigrationError
+from repro.errors import MigrationError, SimulationError
 from repro.migration.ampom import AmpomMigration
 from repro.migration.ffa import FfaMigration
 from repro.migration.noprefetch import NoPrefetchMigration
@@ -157,6 +159,18 @@ def test_three_hop_lossy_links():
         deputy.audit_ledger()
     checker = runtime.checkers[0]
     assert checker is not None and checker.deep_audits > 0
+
+
+def test_lossy_rehop_infinite_freeze_raises_instead_of_hanging():
+    """A re-hop freeze whose transfer was dropped arrives at ``inf``; the
+    migrant must fail fast on that delay rather than spin the event budget
+    (freeze transfers are not retransmitted yet)."""
+    spec = dataclasses.replace(
+        build_preset("three-hop-lossy", scheme="AMPoM", seed=2), max_events=250_000
+    )
+    with pytest.raises(SimulationError, match="finite") as err:
+        ScenarioRuntime(spec).execute()
+    assert "max_events" not in str(err.value)
 
 
 def test_three_hop_is_deterministic():

@@ -107,6 +107,19 @@ def test_policy_override_changes_behavior():
     assert threshold.report.decisions != defrag.report.decisions
 
 
+def test_execute_jobs_keyword_is_sequential_only():
+    """``execute(jobs=1)`` pins the one sequential path; no other width
+    exists, so any other value is refused."""
+    spec = build_preset("cluster_32", seed=3)
+
+    def driver():
+        return SustainedLoadDriver(spec.graph, spec.sustained, config=spec.config)
+
+    assert driver().execute(jobs=1).to_json() == driver().execute().to_json()
+    with pytest.raises(ConfigurationError, match="jobs"):
+        driver().execute(jobs=2)
+
+
 def test_run_sustained_requires_sustained_section():
     spec = build_preset("pair")
     with pytest.raises(ConfigurationError):

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
 
 from repro.config import SimulationConfig
-from repro.core.batch import BatchedAnalysisPool
 from repro.core.leap import LeapPrefetcher
 from repro.core.policy import (
-    BATCHED_POLICIES,
     POLICIES,
     FixedReadAheadPolicy,
+    LinkConditions,
     LinuxReadAheadPolicy,
     NoPrefetchPolicy,
     PrefetchPolicy,
@@ -21,18 +21,18 @@ from repro.core.policy import (
     parse_policy_name,
 )
 from repro.core.prefetcher import AMPoMPrefetcher
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.mem.residency import ResidencyTracker
 
 CONFIG = SimulationConfig()
 
 
-def make_ctx(batch_pool=None, n_pages=256):
+def make_ctx(n_pages=256):
     """The slice of MigrationContext the policy factories consume."""
     return SimpleNamespace(
         ampom=CONFIG.ampom,
         hardware=CONFIG.hardware,
         address_space=SimpleNamespace(total_pages=n_pages),
-        batch_pool=batch_pool,
         prefetch_policy=None,
     )
 
@@ -46,7 +46,6 @@ class TestRegistry:
             "noprefetch",
             "readahead",
         )
-        assert BATCHED_POLICIES == {"ampom"}
 
     def test_every_member_constructs_a_policy(self):
         ctx = make_ctx()
@@ -109,32 +108,6 @@ class TestMakePrefetchPolicy:
         assert policy.address_limit == direct.address_limit
         assert policy.analysis_time == direct.analysis_time
 
-    def test_ampom_uses_batch_pool_when_present(self):
-        pool = BatchedAnalysisPool()
-        ctx = make_ctx(batch_pool=pool)
-        policy = make_prefetch_policy("ampom", ctx)
-        direct = pool.prefetcher(
-            ctx.ampom, ctx.hardware, address_limit=ctx.address_space.total_pages
-        )
-        assert type(policy) is type(direct)
-        assert pool.quiesce_log == []
-
-    def test_non_batched_policy_quiesces_with_reason(self):
-        pool = BatchedAnalysisPool()
-        ctx = make_ctx(batch_pool=pool)
-        policy = make_prefetch_policy("leap", ctx)
-        assert isinstance(policy, LeapPrefetcher)
-        assert len(pool.quiesce_log) == 1
-        name, reason = pool.quiesce_log[0]
-        assert name == "leap"
-        assert "scalar" in reason
-
-    def test_noprefetch_never_logs_a_quiesce(self):
-        pool = BatchedAnalysisPool()
-        policy = make_prefetch_policy("noprefetch", make_ctx(batch_pool=pool))
-        assert isinstance(policy, NoPrefetchPolicy)
-        assert pool.quiesce_log == []
-
     def test_registry_is_extensible(self):
         class Custom:
             name = "custom"
@@ -151,3 +124,38 @@ class TestMakePrefetchPolicy:
             assert isinstance(policy, PrefetchPolicy)
         finally:
             del POLICIES["custom-test"]
+
+
+class TestDegenerateInput:
+    """Every policy, on every degenerate input, either returns pages inside
+    the address space or raises a :mod:`repro.errors` type."""
+
+    #: Time between consecutive faults: zero, subnormal, tiny, huge.
+    SPANS = (0.0, 5e-324, 1e-305, 1e300)
+    #: CPU shares outside, at the edge of, and inside [0, 1].
+    CPU_SHARES = (-0.5, 1e-12, 1.0, 7.0)
+    #: Available bandwidth: tiny, normal, none.
+    BANDWIDTHS = (1e-300, 1e8, 0.0)
+
+    @pytest.mark.parametrize("name", [*sorted(POLICIES), "readahead-3"])
+    def test_on_fault_returns_pages_or_typed_error(self, name):
+        n_pages = 256
+        failures = []
+        for span, cpu, bw in itertools.product(
+            self.SPANS, self.CPU_SHARES, self.BANDWIDTHS
+        ):
+            policy = make_prefetch_policy(name, make_ctx(n_pages))
+            res = ResidencyTracker(remote_pages=range(n_pages), mapped_pages=())
+            cond = LinkConditions(rtt_s=1e-3, available_bw_bps=bw)
+            try:
+                # 30 sequential faults: the 20-entry window fills and wraps.
+                for i, vpn in enumerate(range(40, 70)):
+                    pages = policy.on_fault(vpn, i * span, cpu, res, cond)
+                    if not all(0 <= p < n_pages for p in pages):
+                        failures.append((span, cpu, bw, f"out of range: {pages}"))
+                        break
+            except ReproError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the defect under test
+                failures.append((span, cpu, bw, repr(exc)))
+        assert not failures, failures

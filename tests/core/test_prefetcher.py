@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.check.oracle import DifferentialOracle
 from repro.config import AMPoMConfig, HardwareSpec
 from repro.core.policy import LinkConditions, PrefetchPolicy
 from repro.core.prefetcher import AMPoMPrefetcher
+from repro.errors import NetworkError
 from repro.mem.residency import ResidencyTracker
 
 COND = LinkConditions(rtt_s=0.002, available_bw_bps=1.25e7)
@@ -151,7 +155,7 @@ def test_cpu_ratio_effect():
 
 def test_invalid_bandwidth_rejected():
     pf = make()
-    with pytest.raises(ValueError):
+    with pytest.raises(NetworkError, match="bandwidth"):
         pf.on_fault(
             1,
             now=0.0,
@@ -168,3 +172,23 @@ def test_analysis_counter_and_time():
     pf.on_fault(1, 0.0, 1.0, res, COND)
     pf.on_fault(2, 0.1, 1.0, res, COND)
     assert pf.analyses == 2
+
+
+@pytest.mark.parametrize(
+    "span, bandwidth_bps",
+    [(5e-324, 1.25e7), (1e-305, 1e-300)],
+    ids=("rate-overflows", "zone-overflows"),
+)
+def test_tiny_span_saturates_under_oracle(span, bandwidth_bps):
+    """Eq. 2/3 stay finite when ``l / span`` or ``N`` overflows: the rate
+    saturates at the largest float and ``N`` clamps to ``max_pages``,
+    with the differential oracle re-deriving every analysis."""
+    pf = make(limit=1000)
+    pf.check_oracle = DifferentialOracle()
+    res = residency(remote=range(1000))
+    cond = LinkConditions(rtt_s=0.002, available_bw_bps=bandwidth_bps)
+    for i, vpn in enumerate(range(100, 103)):
+        pf.on_fault(vpn, now=i * span, cpu_share=1.0, residency=res, conditions=cond)
+    assert pf.check_oracle.verified == 3
+    assert pf.last_trace.zone_size == pf.config.max_zone_pages
+    assert pf.last_trace.paging_rate <= sys.float_info.max

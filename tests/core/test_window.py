@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,14 @@ def test_paging_rate_zero_span_uses_fallback():
     w.record(1, 5.0, 1.0)
     w.record(2, 5.0, 1.0)
     assert w.paging_rate(fallback_interval=0.001) == pytest.approx(1000.0)
+
+
+def test_paging_rate_saturates_on_subnormal_span():
+    w = LookbackWindow(10)
+    w.record(1, 0.0, 1.0)
+    w.record(2, 5e-324, 1.0)
+    # 2 / 5e-324 overflows; the rate saturates instead of becoming inf.
+    assert w.paging_rate(fallback_interval=0.001) == sys.float_info.max
 
 
 def test_cpu_statistics():

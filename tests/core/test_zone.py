@@ -40,6 +40,15 @@ class TestZoneSize:
     def test_no_floor_by_default(self):
         assert dependent_zone_size(0.0, 1000.0, 0.02) == 0
 
+    @pytest.mark.parametrize(
+        "rate, horizon, expected",
+        [(float("inf"), 1.0, 256), (1e305, 1e5, 256), (float("inf"), 0.0, 8)],
+        ids=("inf-rate", "overflowing-product", "nan-product"),
+    )
+    def test_non_finite_product_clamps(self, rate, horizon, expected):
+        # +inf clamps to max_pages; NaN (inf * 0) falls back to min_pages.
+        assert dependent_zone_size(1.0, rate, horizon, max_pages=256, min_pages=8) == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dependent_zone_size(0.5, -1.0, 0.02)

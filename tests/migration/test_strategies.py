@@ -99,13 +99,6 @@ class TestAmpom:
             ctx.address_space.total_pages - 3
         )
 
-    def test_policy_factory_override_deprecated_but_functional(self, sim, config):
-        ctx, _ = make_context(sim, config)
-        with pytest.warns(DeprecationWarning, match="policy_factory"):
-            strategy = AmpomMigration(policy_factory=lambda c: NoPrefetchPolicy())
-        outcome = strategy.perform(ctx)
-        assert isinstance(outcome.policy, NoPrefetchPolicy)
-
     def test_prefetch_policy_name_override(self, sim, config):
         from repro.core.leap import LeapPrefetcher
 

@@ -181,11 +181,11 @@ class TestSustainedIntegration:
     """Armed sustained runs: byte-identity, shared cadence, thin-view
     utilization (docs/OBSERVABILITY.md, "Fleet telemetry")."""
 
-    def _run(self, obs=None, jobs=None):
+    def _run(self, obs=None):
         from repro.cluster.sustained import run_sustained
         from repro.cluster.topology import build_preset
 
-        return run_sustained(build_preset("cluster_32", seed=3), obs=obs, jobs=jobs)
+        return run_sustained(build_preset("cluster_32", seed=3), obs=obs)
 
     def test_armed_run_byte_identical_to_unarmed(self):
         bare = self._run()
@@ -194,11 +194,6 @@ class TestSustainedIntegration:
         assert armed.to_json() == bare.to_json()
         assert armed_obs.fleet.ticks > 0
         assert armed_obs.journeys.journeys
-
-    def test_armed_run_byte_identical_under_shard_quiesce(self):
-        bare = self._run(jobs=2)
-        armed = self._run(obs=_armed(fleet=True, journeys=True), jobs=2)
-        assert armed.to_json() == bare.to_json()
 
     def test_utilization_json_shape_unchanged_when_armed(self):
         # The legacy utilization sampler is now a thin view over the

@@ -26,6 +26,13 @@ def test_timeout_negative_raises():
         Timeout(-0.1)
 
 
+@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+def test_timeout_non_finite_raises(delay):
+    # An infinite wait would park the process forever; NaN has no order.
+    with pytest.raises(SimulationError, match="finite"):
+        Timeout(delay)
+
+
 def test_return_value_captured(sim):
     def proc():
         yield Timeout(1.0)

@@ -16,6 +16,11 @@ Every simulated second is attributed to exactly one
 :class:`repro.metrics.timeline.TimeBudget` bucket; the integration tests
 assert the identity ``wall == freeze + compute + stall + analysis + copy +
 syscall``.
+
+Each wait first offers :meth:`repro.sim.Simulator.try_advance` its delay
+and yields a ``Timeout`` only when that refuses: while nothing else is due
+before the migrant's own wake-up, it runs ahead of the event heap with
+identical event times, order and observer calls.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ class ExecutorCarry:
     trace: object
     budget: TimeBudget
     counters: Counters
-    touched: set
+    #: Bitmap of referenced pages, indexed by page number.
+    touched: np.ndarray
     fetched: set
     window_wraps_seen: int
 
@@ -238,7 +244,9 @@ class MigrantExecutor:
             self.counters = Counters()
             self.counters.pages_migrated = outcome.pages_shipped
             self._trace = None
-            self._touched: set[int] = set()
+            # One flag per page, set for every referenced page.  Sized to
+            # the address space; a trace that names a larger page grows it.
+            self._touched = np.zeros(workload.address_space.total_pages, dtype=bool)
             self._fetched: set[int] = set()
             self._window_wraps_seen = 0
         else:
@@ -302,6 +310,25 @@ class MigrantExecutor:
             window_wraps_seen=self._window_wraps_seen,
         )
 
+    def _mark_touched(self, pages: np.ndarray) -> None:
+        try:
+            self._touched[pages] = True
+        except IndexError:
+            grown = np.zeros(max(2 * self._touched.size, int(pages.max()) + 1), dtype=bool)
+            grown[: self._touched.size] = self._touched
+            grown[pages] = True
+            self._touched = grown
+
+    def wasted_pages(self) -> int:
+        """Pages fetched from remote but never referenced: the size of
+        ``fetched - touched`` (0 when touched pages are not tracked)."""
+        if not self.track_touched:
+            return 0
+        fetched = np.fromiter(self._fetched, dtype=np.int64, count=len(self._fetched))
+        touched = self._touched
+        referenced = touched[fetched[fetched < touched.size]]
+        return int(fetched.size - np.count_nonzero(referenced))
+
     def discard_fetch(self, vpn: int) -> None:
         """Forget a fetched-but-written-off page (keeps the wasted-page
         accounting consistent when the runtime writes off lost prefetches
@@ -364,7 +391,7 @@ class MigrantExecutor:
                 else:
                     chunk: TraceChunk = event
                     if self.track_touched:
-                        self._touched.update(np.unique(chunk.pages).tolist())
+                        self._mark_touched(chunk.pages)
                     # Fast path: everything the trace can touch is mapped (not
                     # available under the memory-pressure model, which must see
                     # every reference to keep LRU recency).
@@ -391,7 +418,8 @@ class MigrantExecutor:
                                 # worth spelling out.
                                 wall = acc * cpu.stretch()
                                 t0 = sim._now if tr is not None else 0.0
-                                yield Timeout(wall)
+                                if not sim.try_advance(wall):
+                                    yield Timeout(wall)
                                 budget.compute += wall
                                 if rec_compute is not None:
                                     rec_compute(t0, wall)
@@ -403,7 +431,8 @@ class MigrantExecutor:
                         if acc > 0.0:
                             wall = acc * cpu.stretch()
                             t0 = sim._now if tr is not None else 0.0
-                            yield Timeout(wall)
+                            if not sim.try_advance(wall):
+                                yield Timeout(wall)
                             budget.compute += wall
                             if rec_compute is not None:
                                 rec_compute(t0, wall)
@@ -433,7 +462,7 @@ class MigrantExecutor:
             run_time=run_time,
             budget=self.budget,
             counters=self.counters,
-            wasted_pages=len(self._fetched - self._touched) if self.track_touched else 0,
+            wasted_pages=self.wasted_pages(),
             extra=dict(self.outcome.extra),
             prefetch_policy=getattr(self.outcome.policy, "name", "") or "",
         )
@@ -488,7 +517,8 @@ class MigrantExecutor:
         wall = cpu_work * self.node.cpu.stretch()
         rec = self._rec_compute
         t0 = self.sim._now if rec is not None else 0.0
-        yield Timeout(wall)
+        if not self.sim.try_advance(wall):
+            yield Timeout(wall)
         self.budget.compute += wall
         if rec is not None:
             rec(t0, wall)
@@ -509,7 +539,8 @@ class MigrantExecutor:
         wall = len(copied) * self.hardware.page_copy_time * self._cpu.stretch()
         rec = self._rec_copy
         t0 = self.sim._now if rec is not None else 0.0
-        yield Timeout(wall)
+        if not self.sim.try_advance(wall):
+            yield Timeout(wall)
         self.budget.copy += wall
         if rec is not None:
             rec(t0, wall, len(copied))
@@ -578,7 +609,8 @@ class MigrantExecutor:
             if analysis_time > 0.0:
                 wall = analysis_time * cpu.stretch()
                 t0 = sim._now if tr is not None else 0.0
-                yield Timeout(wall)
+                if not sim.try_advance(wall):
+                    yield Timeout(wall)
                 self.budget.analysis += wall
                 if tr is not None:
                     self._rec_analysis(t0, wall)
@@ -659,7 +691,8 @@ class MigrantExecutor:
                 if stall > 0.0:
                     self._release_cpu()
                     t0 = sim._now if tr is not None else 0.0
-                    yield Timeout(stall)
+                    if not sim.try_advance(stall):
+                        yield Timeout(stall)
                     self._acquire_cpu()
                     self.budget.stall += stall
                     if tr is not None:
@@ -755,7 +788,8 @@ class MigrantExecutor:
             if wait > 0.0:
                 self._release_cpu()
                 t0 = sim._now if tr is not None else 0.0
-                yield Timeout(wait)
+                if not sim.try_advance(wait):
+                    yield Timeout(wait)
                 self._acquire_cpu()
                 self.budget.stall += wait
                 if tr is not None:
@@ -853,7 +887,8 @@ class MigrantExecutor:
             wait = max(reply_at - self.sim.now, 0.0)
             self._release_cpu()
             t0 = self.sim.now if tr is not None else 0.0
-            yield Timeout(wait)
+            if not self.sim.try_advance(wait):
+                yield Timeout(wait)
             self._acquire_cpu()
             self.budget.add("syscall", wait)
             if tr is not None:
@@ -876,7 +911,8 @@ class MigrantExecutor:
             if wait > 0.0:
                 self._release_cpu()
                 t0 = self.sim.now if tr is not None else 0.0
-                yield Timeout(wait)
+                if not self.sim.try_advance(wait):
+                    yield Timeout(wait)
                 self._acquire_cpu()
                 self.budget.add("syscall", wait)
                 if tr is not None:

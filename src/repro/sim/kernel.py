@@ -7,6 +7,17 @@ skipped entirely while no observer is registered (the common case; only
 ``REPRO_CHECKS=1`` runs attach one).  ``step()`` keeps the readable
 one-event-at-a-time form for tests and interactive use; both paths fire
 events in the identical deterministic order.
+
+*Inline advances.*  A process that is about to wait ``dt`` may call
+:meth:`Simulator.try_advance` first.  When its wake-up at ``now + dt``
+would be the very next event anyway — every heap entry is strictly later
+and the run loop's ``until`` bound and ``max_events`` budget allow it —
+the clock moves forward in place and the process carries on without a
+heap round trip.  The observers are called exactly as the fired wake-up
+would have called them, and the advance counts toward ``max_events``, so
+event times, order, observer calls and budgets are the same on both
+paths.  Outside a run loop ``try_advance`` always refuses, so ``step()``
+still fires one event per call.
 """
 
 from __future__ import annotations
@@ -16,6 +27,9 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from ..errors import SimulationError
 from .events import Event, EventQueue
+
+_INF = float("inf")
+_NEG_INF = -_INF
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .process import SimProcess
@@ -39,21 +53,29 @@ class Simulator:
     [2.5]
     """
 
-    __slots__ = ("_now", "_queue", "_running", "_observers")
+    __slots__ = ("_now", "_queue", "_running", "_observers", "_horizon", "_budget")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
-        #: Pure observers invoked after every fired event with the event
-        #: time.  Observers must not schedule or mutate model state; the
-        #: repro.check invariant checker uses this to audit clock
-        #: monotonicity and to count events.  Kept empty on default runs so
-        #: the run loop can take the no-observer fast branch.
+        #: Pure observers invoked after every fired event (and every inline
+        #: advance) with the clock at that point.  Observers must not
+        #: schedule or mutate model state; the repro.check invariant
+        #: checker uses this to audit clock monotonicity and to count
+        #: events.  Kept empty on default runs so the run loop can take the
+        #: no-observer fast branch.
         self._observers: list[Callable[[float], None]] = []
+        #: Latest time an inline advance may reach: the active loop's
+        #: ``until`` bound, ``inf`` without one, ``-inf`` outside a loop.
+        self._horizon = _NEG_INF
+        #: Events (fired or advanced inline) the active loop may still
+        #: count before ``max_events`` trips; ``inf`` when unbounded.
+        self._budget: float = 0
 
     def add_observer(self, observer: Callable[[float], None]) -> None:
-        """Register a read-only hook called after each event fires."""
+        """Register a read-only hook called after each event fires and at
+        each inline advance (see :meth:`try_advance`)."""
         self._observers.append(observer)
 
     def remove_observer(self, observer: Callable[[float], None]) -> None:
@@ -129,20 +151,66 @@ class Simulator:
                 observer(time)
         return True
 
+    def try_advance(self, delay: float) -> bool:
+        """Advance the clock by ``delay`` in place if nothing else is due.
+
+        The caller is a process about to wait ``delay`` seconds.  When its
+        wake-up would be the next event anyway, the clock moves to
+        ``now + delay`` (the same float sum a ``Timeout`` wake-up is
+        scheduled at), the observers are called with the pre-advance clock
+        exactly as the fired wake-up would have called them, one event is
+        counted toward ``max_events``, and ``True`` is returned: the caller
+        carries on without yielding.  Otherwise nothing changes and the
+        caller yields its ``Timeout`` as usual.
+
+        Refuses outside a run loop, past the loop's ``until`` bound, once
+        the ``max_events`` budget is spent, and whenever the earliest heap
+        entry — cancelled or not — is due at or before ``now + delay``: on
+        a tie that entry holds the smaller ``seq`` and fires first.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"advance delay must be finite and non-negative, got {delay}"
+            )
+        t = self._now + delay
+        if t > self._horizon or self._budget <= 0:
+            return False
+        heap = self._queue._heap
+        if heap and heap[0][0] <= t:
+            return False
+        if self._observers:
+            for observer in self._observers:
+                observer(self._now)
+        self._now = t
+        self._budget -= 1
+        return True
+
+    def _enter_loop(self, until: float | None, max_events: int | None) -> None:
+        """Claim the simulator for one run loop; nesting loops is an error
+        because the inline-advance bound and budget belong to one loop."""
+        if self._running:
+            raise SimulationError("simulator is already running (nested run loop)")
+        self._running = True
+        self._horizon = _INF if until is None else until
+        self._budget = _INF if max_events is None else max_events
+
+    def _exit_loop(self) -> None:
+        self._running = False
+        self._horizon = _NEG_INF
+        self._budget = 0
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
         ``until`` is an absolute simulated time; the clock is advanced to it
         even if the last event fires earlier, mirroring SimPy semantics.
-        ``max_events`` is a safety valve for tests.
+        ``max_events`` is a safety valve for tests; it counts fired events
+        and inline advances alike.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
+        self._enter_loop(until, max_events)
         heap = self._queue._heap
         heappop = heapq.heappop
         observers = self._observers
-        fired = 0
         try:
             while heap:
                 time, _seq, payload = heap[0]
@@ -152,22 +220,25 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                if max_events is not None and fired >= max_events:
+                if self._budget <= 0:
                     raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
                 heappop(heap)
                 if time < self._now:
                     raise SimulationError("event heap yielded an event from the past")
                 self._now = time
+                # Counted before the callback runs: inline advances made
+                # inside it must see the budget this event already used.
+                self._budget -= 1
                 if is_event:
                     payload.callback()
                 else:
                     payload()
                 if observers:
+                    now = self._now
                     for observer in observers:
-                        observer(time)
-                fired += 1
+                        observer(now)
         finally:
-            self._running = False
+            self._exit_loop()
         if until is not None and self._now < until:
             self._now = until
 
@@ -175,38 +246,43 @@ class Simulator:
         """Run events until ``proc`` finishes; return its result value.
 
         Raises :class:`SimulationError` if the heap drains with the process
-        still alive (a deadlock in the modelled system).
+        still alive (a deadlock in the modelled system).  ``max_events``
+        counts fired events and inline advances alike.
         """
+        self._enter_loop(None, max_events)
         heap = self._queue._heap
         heappop = heapq.heappop
         observers = self._observers
-        fired = 0
-        while not proc.finished:
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
-            while heap:
-                time, _seq, payload = heap[0]
-                is_event = payload.__class__ is Event
-                if is_event and payload.cancelled:
-                    heappop(heap)
-                    continue
-                break
-            else:
-                raise SimulationError(
-                    f"event queue drained but process {proc.name!r} never finished (deadlock)"
-                )
-            heappop(heap)
-            if time < self._now:
-                raise SimulationError("event heap yielded an event from the past")
-            self._now = time
-            if is_event:
-                payload.callback()
-            else:
-                payload()
-            if observers:
-                for observer in observers:
-                    observer(time)
-            fired += 1
+        try:
+            while not proc.finished:
+                if self._budget <= 0:
+                    raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
+                while heap:
+                    time, _seq, payload = heap[0]
+                    is_event = payload.__class__ is Event
+                    if is_event and payload.cancelled:
+                        heappop(heap)
+                        continue
+                    break
+                else:
+                    raise SimulationError(
+                        f"event queue drained but process {proc.name!r} never finished (deadlock)"
+                    )
+                heappop(heap)
+                if time < self._now:
+                    raise SimulationError("event heap yielded an event from the past")
+                self._now = time
+                self._budget -= 1
+                if is_event:
+                    payload.callback()
+                else:
+                    payload()
+                if observers:
+                    now = self._now
+                    for observer in observers:
+                        observer(now)
+        finally:
+            self._exit_loop()
         if proc.error is not None:
             raise proc.error
         return proc.result

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import AMPoMConfig, HardwareSpec, NetworkSpec, SimulationConfig
 from repro.net.network import Network
 from repro.sim import Simulator
+
+# Tier-1's verdict must not depend on which examples Hypothesis draws: the
+# default ``ci`` profile derives every example from the test itself and
+# keeps no example database.  ``pytest --hypothesis-profile=random`` draws
+# fresh examples instead; a failure it finds prints a reproduction blob, to
+# be pinned as an ``@example``.  Neither profile changes ``max_examples``.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.register_profile("random", derandomize=False, print_blob=True)
+settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -117,3 +117,187 @@ def test_deterministic_ordering_of_simultaneous_events(sim):
         sim.schedule(1.0, lambda i=i: order.append(i))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# nested run loops
+# ----------------------------------------------------------------------
+def test_run_inside_run_until_complete_raises(sim):
+    sim.schedule(5.0, lambda: None)
+
+    def proc():
+        yield Timeout(1.0)
+        sim.run()
+
+    p = sim.spawn(proc())
+    with pytest.raises(SimulationError, match="nested"):
+        sim.run_until_complete(p)
+    assert sim.now == 1.0  # the inner loop never moved the clock
+
+
+def test_run_until_complete_inside_run_raises(sim):
+    def idle():
+        yield Timeout(5.0)
+
+    inner = sim.spawn(idle())
+    sim.schedule(1.0, lambda: sim.run_until_complete(inner))
+    with pytest.raises(SimulationError, match="nested"):
+        sim.run()
+    assert sim.now == 1.0
+    assert not inner.finished
+
+
+def test_loop_guard_released_after_error(sim):
+    def spin():
+        while True:
+            yield Timeout(1.0)
+
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run_until_complete(sim.spawn(spin()), max_events=3)
+    sim.run(until=5.0)  # not mistaken for a nested loop
+    assert sim.now == 5.0
+
+
+# ----------------------------------------------------------------------
+# inline advances (Simulator.try_advance)
+# ----------------------------------------------------------------------
+def test_try_advance_refuses_on_tie_and_earlier_entry(sim):
+    seen = []
+
+    def proc():
+        sim.schedule(1.0, lambda: None)
+        seen.append(sim.try_advance(1.0))  # tie: the entry's seq is smaller
+        seen.append(sim.try_advance(2.0))  # the entry is due first
+        seen.append(sim.now)
+        seen.append(sim.try_advance(0.5))  # strictly earlier: inline
+        seen.append(sim.now)
+        yield Timeout(0.0)
+
+    sim.run_until_complete(sim.spawn(proc()))
+    assert seen == [False, False, 0.0, True, 0.5]
+
+
+def test_try_advance_refuses_on_cancelled_entry(sim):
+    seen = []
+
+    def proc():
+        sim.schedule(1.0, lambda: None).cancel()
+        seen.append(sim.try_advance(1.5))
+        yield Timeout(0.0)
+
+    sim.run_until_complete(sim.spawn(proc()))
+    assert seen == [False]
+
+
+def test_try_advance_refuses_outside_run_loop(sim):
+    assert sim.try_advance(1.0) is False
+    assert sim.now == 0.0
+    ticks = []
+
+    def proc():
+        for _ in range(3):
+            if not sim.try_advance(1.0):
+                yield Timeout(1.0)
+            ticks.append(sim.now)
+
+    p = sim.spawn(proc())
+    fired = 0
+    while sim.step():
+        fired += 1
+        assert ticks == [float(t) for t in range(1, fired)]
+    assert fired == 4 and p.finished
+
+
+def test_try_advance_never_crosses_run_until(sim):
+    ticks = []
+
+    def proc():
+        for _ in range(10):
+            if not sim.try_advance(1.0):
+                yield Timeout(1.0)
+            ticks.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run(until=2.5)
+    assert ticks == [1.0, 2.0]
+    assert sim.now == 2.5
+    sim.run(until=4.0)  # an advance may land exactly on the bound
+    assert ticks == [1.0, 2.0, 3.0, 4.0]
+    assert sim.now == 4.0
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("inf"), float("nan")])
+def test_try_advance_rejects_invalid_delay(sim, delay):
+    with pytest.raises(SimulationError, match="finite and non-negative"):
+        sim.try_advance(delay)
+    seen = []
+
+    def proc():
+        try:
+            sim.try_advance(delay)
+        except SimulationError as exc:
+            seen.append(exc)
+        yield Timeout(0.0)
+
+    sim.run_until_complete(sim.spawn(proc()))
+    assert len(seen) == 1
+
+
+def _observed_run(advance: bool) -> tuple[list, list, float]:
+    sim = Simulator()
+    first: list[float] = []
+    second: list[float] = []
+    sim.add_observer(first.append)
+    sim.add_observer(second.append)
+    inline = []
+
+    def proc():
+        for dt in (1.0, 0.5, 0.25):
+            if advance and sim.try_advance(dt):
+                inline.append(dt)
+            else:
+                yield Timeout(dt)
+        sim.schedule(1.0, lambda: None)
+        if not (advance and sim.try_advance(2.0)):  # refused: entry at 2.75
+            yield Timeout(2.0)
+
+    sim.run_until_complete(sim.spawn(proc()))
+    assert first == second
+    return first, inline, sim.now
+
+
+def test_inline_advance_calls_each_observer_once_with_pre_advance_clock():
+    times, inline, end = _observed_run(advance=True)
+    assert inline == [1.0, 0.5, 0.25]
+    # Each advance reports the clock it left; the loop reports the clock
+    # the callback ended at.  The event path reports the same sequence.
+    assert times == [0.0, 1.0, 1.5, 1.75, 2.75, 3.75]
+    assert _observed_run(advance=False) == (times, [], end)
+
+
+def test_inline_advances_count_toward_max_events():
+    def spin(sim):  # bounded, so a budget leak fails instead of hanging
+        for _ in range(1000):
+            if not sim.try_advance(1.0):
+                yield Timeout(1.0)
+
+    inline_sim = Simulator()
+    p = inline_sim.spawn(spin(inline_sim))
+    with pytest.raises(SimulationError, match="max_events"):
+        inline_sim.run_until_complete(p, max_events=10)
+
+    def spin_events(sim):
+        for _ in range(1000):
+            yield Timeout(1.0)
+
+    event_sim = Simulator()
+    q = event_sim.spawn(spin_events(event_sim))
+    with pytest.raises(SimulationError, match="max_events"):
+        event_sim.run_until_complete(q, max_events=10)
+    assert inline_sim.now == event_sim.now == 9.0
+
+    run_sim = Simulator()
+    run_sim.spawn(spin(run_sim))
+    with pytest.raises(SimulationError, match="max_events"):
+        run_sim.run(max_events=10)
+    assert run_sim.now == 9.0

@@ -18,6 +18,7 @@ build a spec via :func:`two_node_spec` and delegate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -253,8 +254,10 @@ class SustainedSpec:
             ("gossip_interval_s", self.gossip_interval_s),
             ("sample_interval_s", self.sample_interval_s),
         ):
-            if value <= 0:
-                raise ConfigurationError(f"{label} must be positive: {value}")
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{label} must be positive and finite: {value}"
+                )
         if self.load_gap_threshold < 1:
             raise ConfigurationError(
                 f"load_gap_threshold must be >= 1: {self.load_gap_threshold}"

@@ -23,7 +23,11 @@ OpenMetrics/Prometheus text snapshot of the latest value of every series
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Callable, Iterator, Mapping
+
+from ..errors import ConfigurationError
 
 #: Default per-(node, series) ring capacity.  4096 samples at the default
 #: 0.5 s sustained cadence covers a ~34 simulated-minute run per node and
@@ -45,48 +49,52 @@ class SeriesRing:
     Keeps the most recent ``capacity`` samples; older samples are evicted
     and counted in :attr:`dropped` so exporters can flag truncation
     instead of silently presenting a partial series as complete.
+
+    Times and values live in two ``array("d")`` columns that grow by one
+    slot per sample until they hold ``capacity`` samples, then overwrite
+    the oldest slot in place: a ring costs 16 bytes per retained sample,
+    not its full capacity.
     """
 
-    __slots__ = ("capacity", "dropped", "_t", "_v", "_start", "_len")
+    __slots__ = ("capacity", "dropped", "_t", "_v", "_start")
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive: {capacity}")
+        _check_capacity(capacity)
         self.capacity = capacity
         self.dropped = 0
-        self._t: list[float] = [0.0] * capacity
-        self._v: list[float] = [0.0] * capacity
+        self._t = array("d")
+        self._v = array("d")
+        #: Slot of the oldest sample once the ring is full (0 until then).
         self._start = 0
-        self._len = 0
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._t)
 
     def push(self, t: float, value: float) -> None:
-        if self._len < self.capacity:
-            idx = (self._start + self._len) % self.capacity
-            self._len += 1
-        else:
-            idx = self._start
-            self._start = (self._start + 1) % self.capacity
-            self.dropped += 1
+        if len(self._t) < self.capacity:
+            self._t.append(t)
+            self._v.append(value)
+            return
+        idx = self._start
         self._t[idx] = t
         self._v[idx] = value
+        self._start = (idx + 1) % self.capacity
+        self.dropped += 1
 
     def samples(self) -> list[tuple[float, float]]:
         """Oldest-to-newest ``(t, value)`` pairs currently retained."""
-        return [
-            (self._t[(self._start + i) % self.capacity],
-             self._v[(self._start + i) % self.capacity])
-            for i in range(self._len)
-        ]
+        start = self._start
+        t, v = self._t, self._v
+        return list(zip(t[start:], v[start:])) + list(zip(t[:start], v[:start]))
 
     @property
     def last(self) -> tuple[float, float] | None:
         """Most recent ``(t, value)`` sample, or ``None`` when empty."""
-        if self._len == 0:
+        if not self._t:
             return None
-        idx = (self._start + self._len - 1) % self.capacity
+        # The newest slot sits just before the oldest one; before the ring
+        # fills, _start is 0 and index -1 is the last append.
+        idx = self._start - 1
         return (self._t[idx], self._v[idx])
 
 
@@ -112,10 +120,8 @@ class FleetTelemetry:
         capacity: int = DEFAULT_RING_CAPACITY,
         interval_s: float = DEFAULT_FLEET_INTERVAL_S,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive: {capacity}")
-        if interval_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive: {interval_s}")
+        _check_capacity(capacity)
+        _check_interval(interval_s)
         self.capacity = capacity
         #: Sampling cadence in simulated seconds.  Gauge samplers riding a
         #: scenario runtime read it when they attach; the sustained driver
@@ -226,12 +232,12 @@ class FleetTelemetry:
             metric = _PROM_PREFIX + _sanitize(series)
             lines.append(f"# TYPE {metric} gauge")
             for node, value in sorted(by_series[series]):
-                lines.append(f'{metric}{{node="{node}"}} {value:g}')
+                lines.append(f'{metric}{{node="{node}"}} {_prom_value(value)}')
         if extra:
             for name in sorted(extra):
                 metric = _PROM_PREFIX + _sanitize(name)
                 lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {float(extra[name]):g}")
+                lines.append(f"{metric} {_prom_value(float(extra[name]))}")
         dropped = self.dropped_samples()
         lines.append(f"# TYPE {_PROM_PREFIX}dropped_samples counter")
         lines.append(f"{_PROM_PREFIX}dropped_samples {dropped}")
@@ -263,8 +269,7 @@ class FleetGauge:
         fn: Callable[[], float],
         interval_s: float,
     ) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive: {interval_s}")
+        _check_interval(interval_s)
         self.node = node
         self.series = series
         self.interval_s = interval_s
@@ -294,8 +299,7 @@ class FleetGaugeSet:
     __slots__ = ("interval_s", "_fleet", "_entries", "_next_t")
 
     def __init__(self, fleet: FleetTelemetry, interval_s: float) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive: {interval_s}")
+        _check_interval(interval_s)
         self.interval_s = interval_s
         self._fleet = fleet
         self._entries: list[tuple[str, str, Callable[[], float]]] = []
@@ -314,6 +318,35 @@ class FleetGaugeSet:
         push = self._fleet.push
         for node, series, fn in self._entries:
             push(node, series, t, float(fn()))
+
+
+def _check_capacity(capacity: int) -> None:
+    if not isinstance(capacity, int) or capacity <= 0:
+        raise ConfigurationError(f"ring capacity must be a positive int: {capacity!r}")
+
+
+def _check_interval(interval_s: float) -> None:
+    if not 0.0 < interval_s < math.inf:
+        raise ConfigurationError(
+            f"sampling interval must be positive and finite: {interval_s}"
+        )
+
+
+def _prom_value(value: float) -> str:
+    """Exposition text for one sample value that parses back exactly.
+
+    Integral values below 2**53 print as plain integers, every other
+    finite value as its shortest round-trip ``repr``, and non-finite
+    values as the OpenMetrics tokens ``+Inf``, ``-Inf`` and ``NaN``.
+    """
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer() and abs(value) < 2**53:
+        # "%.0f" keeps the sign of -0.0, which int() would drop.
+        return f"{value:.0f}"
+    return repr(value)
 
 
 def _sanitize(name: str) -> str:

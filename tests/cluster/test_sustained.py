@@ -8,6 +8,7 @@ across ``parallel_map`` fan-out widths, and per policy.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -142,3 +143,16 @@ def test_driver_rejects_empty_stream():
     )
     with pytest.raises(ConfigurationError):
         SustainedLoadDriver(graph, empty)
+
+
+@pytest.mark.parametrize(
+    "field", ["balance_interval_s", "gossip_interval_s", "sample_interval_s"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_sustained_spec_rejects_degenerate_intervals(field, value):
+    """A NaN or infinite interval passes a plain ``<= 0`` check and then
+    kills the daemon that waits on it, inside a process nothing awaits:
+    the run would still complete, with no migrations or a single sample."""
+    _, sustained = _small_spec()
+    with pytest.raises(ConfigurationError, match=field):
+        dataclasses.replace(sustained, **{field: value})

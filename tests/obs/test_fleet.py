@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import pickle
+import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.obs import Observability
 from repro.obs.fleet import (
     DEFAULT_RING_CAPACITY,
@@ -22,10 +30,32 @@ def _armed(fleet=True, journeys=False):
     )
 
 
+#: Degenerate sampling intervals every interval field must refuse.
+BAD_INTERVALS = (math.nan, math.inf, 0.0, -1.0)
+#: Degenerate ring capacities: non-positive, or not an int at all.
+BAD_CAPACITIES = (0, -1, 2.5)
+
+#: Sample floats.  The listed edge cases keep signed zero, subnormals, the
+#: largest finite doubles and the infinities in every derandomized draw.
+_SAMPLE_FLOATS = st.one_of(
+    st.sampled_from(
+        [-0.0, 5e-324, -2.2250738585072014e-309, 1.7976931348623157e308, -1e300,
+         math.inf, -math.inf]
+    ),
+    st.floats(allow_nan=False),
+)
+
+
+def _bits(pairs):
+    """``(t, value)`` pairs keyed by exact bit pattern (so -0.0 != 0.0)."""
+    return [(t.hex(), v.hex()) for t, v in pairs]
+
+
 class TestSeriesRing:
     def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SeriesRing(0)
+        for capacity in BAD_CAPACITIES:
+            with pytest.raises(ConfigurationError):
+                SeriesRing(capacity)
 
     def test_push_and_read_in_order(self):
         ring = SeriesRing(4)
@@ -47,6 +77,50 @@ class TestSeriesRing:
     def test_empty_ring_has_no_last(self):
         assert SeriesRing(2).last is None
         assert SeriesRing(2).samples() == []
+
+    @given(
+        capacity=st.integers(1, 8),
+        pushes=st.lists(st.tuples(_SAMPLE_FLOATS, _SAMPLE_FLOATS), max_size=40),
+    )
+    def test_matches_a_bounded_deque(self, capacity, pushes):
+        ring = SeriesRing(capacity)
+        ref: deque = deque(maxlen=capacity)
+        for count, (t, value) in enumerate(pushes, 1):
+            ring.push(t, value)
+            ref.append((t, value))
+            assert _bits(ring.samples()) == _bits(ref)
+            assert _bits([ring.last]) == _bits([ref[-1]])
+            assert len(ring) == len(ref)
+            assert ring.dropped == count - len(ref)
+
+    def test_short_rings_cost_only_their_samples(self):
+        # 200 rings at the default capacity holding 3 samples each: a ring
+        # that allocated its capacity up front would take 12.5 MB here.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rings = [SeriesRing(DEFAULT_RING_CAPACITY) for _ in range(200)]
+            for ring in rings:
+                for i in range(3):
+                    ring.push(float(i), float(i))
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ring) for ring in rings) == 600
+        assert allocated < 1_000_000
+
+    def test_wrapped_ring_survives_pickle_and_deepcopy(self):
+        ring = SeriesRing(3)
+        for i in range(5):
+            ring.push(float(i), float(-i))
+        for clone in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert clone.samples() == ring.samples()
+            assert clone.last == ring.last == (4.0, -4.0)
+            assert (clone.capacity, clone.dropped, len(clone)) == (3, 2, 3)
+            clone.push(5.0, -5.0)
+            assert clone.samples() == [(3.0, -3.0), (4.0, -4.0), (5.0, -5.0)]
+            assert clone.dropped == 3
+        assert ring.samples() == [(2.0, -2.0), (3.0, -3.0), (4.0, -4.0)]
 
 
 class TestFleetTelemetry:
@@ -78,10 +152,12 @@ class TestFleetTelemetry:
         assert fleet.dropped_samples() == 2
 
     def test_capacity_and_interval_validation(self):
-        with pytest.raises(ValueError):
-            FleetTelemetry(capacity=0)
-        with pytest.raises(ValueError):
-            FleetTelemetry(interval_s=0.0)
+        for capacity in BAD_CAPACITIES:
+            with pytest.raises(ConfigurationError):
+                FleetTelemetry(capacity=capacity)
+        for interval_s in BAD_INTERVALS:
+            with pytest.raises(ConfigurationError):
+                FleetTelemetry(interval_s=interval_s)
         assert FleetTelemetry().capacity == DEFAULT_RING_CAPACITY
 
     def test_jsonl_rows_sorted_by_node_series_then_time(self):
@@ -122,6 +198,27 @@ class TestFleetTelemetry:
         fleet.push("n0", "weird-name.s", 0.0, 1.0)
         assert "repro_fleet_weird_name_s" in fleet.prometheus_text()
 
+    @pytest.mark.parametrize(
+        ("value", "text"),
+        [
+            (32.05056450757862, "32.05056450757862"),
+            (123456789.0, "123456789"),
+            (-3.0, "-3"),
+            (2.0**53, "9007199254740992.0"),
+            (1e300, "1e+300"),
+            (math.inf, "+Inf"),
+            (-math.inf, "-Inf"),
+            (math.nan, "NaN"),
+        ],
+    )
+    def test_prometheus_values_parse_back_exactly(self, value, text):
+        fleet = FleetTelemetry()
+        fleet.push("n0", "s", 0.0, value)
+        lines = fleet.prometheus_text(extra={"x": value}).splitlines()
+        assert f'repro_fleet_s{{node="n0"}} {text}' in lines
+        assert f"repro_fleet_x {text}" in lines
+        assert float(text).hex() == value.hex()
+
 
 class TestFleetGauges:
     def test_gauge_samples_on_boundary_crossings(self):
@@ -135,10 +232,11 @@ class TestFleetGauges:
         assert fleet.series("n0", "depth") == [(0.0, 1.0), (1.2, 9.0)]
 
     def test_gauge_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FleetGauge(FleetTelemetry(), "n0", "s", lambda: 0.0, 0.0)
-        with pytest.raises(ValueError):
-            FleetGaugeSet(FleetTelemetry(), -1.0)
+        for interval_s in BAD_INTERVALS:
+            with pytest.raises(ConfigurationError):
+                FleetGauge(FleetTelemetry(), "n0", "s", lambda: 0.0, interval_s)
+            with pytest.raises(ConfigurationError):
+                FleetGaugeSet(FleetTelemetry(), interval_s)
 
     def test_gauge_set_shares_one_boundary(self):
         fleet = FleetTelemetry()
@@ -242,6 +340,27 @@ class TestSustainedIntegration:
         names = obs.fleet.series_names()
         for series in ("resident_pages", "remote_pages", "deputy_queue_depth_s"):
             assert series in names
+
+    def test_prometheus_snapshot_parses_back_to_latest(self):
+        from repro.cluster.sustained import run_sustained
+        from repro.cluster.topology import build_preset
+
+        obs = _armed(fleet=True)
+        run_sustained(build_preset("cluster_32", seed=7), obs=obs)
+        parsed = {}
+        for line in obs.fleet.prometheus_text().splitlines():
+            if line.startswith(("#", "repro_fleet_dropped_samples")):
+                continue
+            name, text = line.rsplit(" ", 1)
+            metric, node = name.removesuffix('"}').split('{node="')
+            parsed[(node, metric)] = float(text).hex()
+        expected = {
+            (node, "repro_fleet_" + series): value.hex()
+            for (node, series), value in obs.fleet.latest().items()
+        }
+        assert parsed == expected
+        # Non-integral gauges must be present, or the equality proves little.
+        assert not all(float.fromhex(v).is_integer() for v in parsed.values())
 
     def test_golden_sustained_scenario_unperturbed_by_fleet(self):
         from repro.check.golden import SCENARIOS, run_scenario

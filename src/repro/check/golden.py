@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..config import CheckSpec, FaultSpec, SimulationConfig
+from ..config import CheckSpec, FaultSpec, NodeFaultSpec, SimulationConfig
 from ..metrics.eventlog import FaultLog
 
 #: Directory (relative to the repo root) where golden traces live.
@@ -54,6 +54,10 @@ class GoldenScenario:
     #: Named prefetch policy (see :data:`repro.core.policy.POLICIES`);
     #: empty = the scheme's own default (AMPoM for the AMPoM scheme).
     prefetch_policy: str = ""
+    #: Whole-node crash schedule of a multi-hop scenario (inactive = no
+    #: node ever crashes).  A node-fault scenario's footer also carries the
+    #: run's reliability counters and its fault-injection schedule.
+    node_faults: NodeFaultSpec = field(default_factory=NodeFaultSpec)
 
     def header(self) -> dict:
         header = {
@@ -82,6 +86,11 @@ class GoldenScenario:
             # Same discipline again: only policy-pinned scenarios carry
             # the key, so every pre-existing golden file stays identical.
             header["prefetch_policy"] = self.prefetch_policy
+        if self.node_faults.active:
+            # And again: only node-fault scenarios carry the crash windows.
+            header["node_crash_windows"] = [
+                list(w) for w in self.node_faults.crash_windows
+            ]
         return header
 
 
@@ -131,6 +140,24 @@ SCENARIOS: tuple[GoldenScenario, ...] = (
         faults=FaultSpec(loss_rate=0.05, duplicate_rate=0.02, delay_rate=0.1, delay_s=0.005),
         path=("home", "n1", "n2"), hop_delays=(0.25,),
     ),
+    # The node-failure lifecycle on the same journey.  Recovery: n1 dies
+    # inside the first freeze (abort, then retry), n2 is dark at the
+    # re-hop (abort, wait out its restart), and n1 dies again under its
+    # transit deputy (chain repair); the migrant completes.  Home kill:
+    # n2 is dark at the re-hop, then the home node dies and takes the
+    # migrant with it on its second leg.
+    GoldenScenario(
+        "three_hop_ampom_node_recovery", "DGEMM", 115, "AMPoM",
+        path=("home", "n1", "n2"), hop_delays=(0.25,),
+        node_faults=NodeFaultSpec(
+            crash_windows=(("n1", 0.001, 0.05), ("n2", 0.2, 0.5), ("n1", 0.7, 0.9))
+        ),
+    ),
+    GoldenScenario(
+        "three_hop_ampom_home_kill", "DGEMM", 115, "AMPoM",
+        path=("home", "n1", "n2"), hop_delays=(0.25,),
+        node_faults=NodeFaultSpec(crash_windows=(("n2", 0.2, 0.5), ("home", 0.6, 5.0))),
+    ),
     # Mid-scale sustained load: the 32-node arrival stream under each
     # decentralized migration policy.  These pin the whole fleet path —
     # arrival draws, gossip dissemination, policy decisions, and every
@@ -169,6 +196,8 @@ def _scenario_config(scenario: GoldenScenario) -> SimulationConfig:
         config = config.with_(faults=scenario.faults)
     if scenario.prefetch_policy:
         config = config.with_(prefetch_policy=scenario.prefetch_policy)
+    if scenario.node_faults.active:
+        config = config.with_(node_faults=scenario.node_faults)
     # Golden runs double as an invariant/oracle sweep; checks never alter
     # the recorded trace (they are pure observers).
     return config.with_(checks=CheckSpec(enabled=True))
@@ -189,6 +218,7 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
         return _run_sustained_scenario(scenario, obs=obs)
 
     fault_log = FaultLog()
+    footer: dict = {}
     workload = hpcc_workload(scenario.kernel, scenario.memory_mb, scale=scenario.scale)
     if len(scenario.path) > 2:
         from ..cluster.session import ScenarioRuntime
@@ -222,6 +252,9 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
             obs=obs,
         )
         result = runtime.execute()[0]
+        if scenario.node_faults.active:
+            footer["reliability"] = runtime.node_stats.as_dict()
+            footer["fault_events"] = runtime.injection_log.schedule()
     else:
         from ..experiments import figures
 
@@ -248,18 +281,14 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
                 sort_keys=True,
             )
         )
-    lines.append(
-        json.dumps(
-            {
-                "freeze_time_s": result.freeze_time,
-                "run_time_s": result.run_time,
-                "wasted_pages": result.wasted_pages,
-                "budget": result.budget.as_dict(),
-                "counters": result.counters.as_dict(),
-            },
-            sort_keys=True,
-        )
+    footer.update(
+        freeze_time_s=result.freeze_time,
+        run_time_s=result.run_time,
+        wasted_pages=result.wasted_pages,
+        budget=result.budget.as_dict(),
+        counters=result.counters.as_dict(),
     )
+    lines.append(json.dumps(footer, sort_keys=True))
     return lines
 
 

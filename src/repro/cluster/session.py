@@ -6,13 +6,14 @@ the shared fault plan, and every migrant process.  Each migrant walks
 its :class:`MigrantSpec.path`:
 
 * the first hop is a normal migration (``strategy.perform``);
-* every further hop preempts the executor between trace events, quiesces
-  the in-flight pages, and calls ``strategy.rehop`` — AMPoM and
-  NoPrefetch leave a *transit deputy* holding the pages left behind
-  (paper section 3.2), openMosix ships everything, FFA re-flushes to the
-  file server.  The home deputy (system calls, home-resident pages)
-  stays on ``path[0]`` for the whole journey and its reply channel is
-  rebound at each hop — the home-dependency forwarding of section 3.2.
+* every further hop preempts the migrant's one executor between trace
+  events, quiesces the in-flight pages, and calls ``strategy.rehop`` —
+  AMPoM and NoPrefetch leave a *transit deputy* holding the pages left
+  behind (paper section 3.2), openMosix ships everything, FFA re-flushes
+  to the file server — before the executor continues on the next node.
+  The home deputy (system calls, home-resident pages) stays on
+  ``path[0]`` for the whole journey and its reply channel is rebound at
+  each hop — the home-dependency forwarding of section 3.2.
 
 The legacy drivers :class:`repro.cluster.runner.MigrationRun` and
 :class:`repro.cluster.multi.MultiMigrationRun` are thin wrappers over
@@ -22,7 +23,6 @@ sequence exactly (same events, same floats).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from ..errors import MigrationError, ProcessLostError
@@ -49,6 +49,23 @@ from .topology import FILE_SERVER, MigrantSpec, ScenarioSpec, resolve_strategy
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
 
+#: Journey event of each recovery step -> its NodeFaultStats counter and
+#: injection-log event: the pairs ``JourneyLog.reconcile()`` compares.
+_RECOVERIES = {
+    "abort": ("migration_aborts", FaultEventKind.MIGRATION_ABORT),
+    "retarget": ("retargets", FaultEventKind.RETARGET),
+    "chain_repair": ("chain_repairs", FaultEventKind.CHAIN_REPAIR),
+    "killed": ("kills", FaultEventKind.KILL),
+}
+
+
+def _home_lost(home: str, now: float) -> ProcessLostError:
+    """The error that kills a migrant whose home node died."""
+    return ProcessLostError(
+        f"home node {home!r} crashed at t={now:.6f}; the deputy is "
+        "gone and openMosix's home dependency kills the migrant"
+    )
+
 
 class ScenarioRuntime:
     """Builds and executes one :class:`ScenarioSpec`."""
@@ -60,6 +77,16 @@ class ScenarioRuntime:
         #: keeps every hook detached and the simulator's no-observer fast
         #: path intact.
         self.obs = obs if obs is not None and obs.active else None
+        #: The bundle handed to deputies.  Only span and metrics
+        #: instruments read ``deputy.obs``; leaving it unset for
+        #: fleet/journey-only bundles keeps the deputy's per-request hot
+        #: path on its no-observer fast branch.
+        self._deputy_obs = (
+            self.obs
+            if self.obs is not None
+            and (self.obs.tracer is not None or self.obs.metrics is not None)
+            else None
+        )
 
         self.sim = Simulator()
         graph = spec.graph
@@ -274,19 +301,12 @@ class ScenarioRuntime:
                 and infod.suspected
                 and plan.crashed_in(home, home_since, now)
             ):
-                raise ProcessLostError(
-                    f"home node {home!r} crashed at t={now:.6f}; the deputy is "
-                    "gone and openMosix's home dependency kills the migrant"
-                )
+                raise _home_lost(home, now)
 
         return check
 
     def _crash_handler(
-        self,
-        outcome: MigrationOutcome,
-        home: str,
-        home_since: float,
-        journey: str | None = None,
+        self, outcome: MigrationOutcome, home: str, home_since: float, journey: str | None
     ):
         """Build the executor's ``on_crash_detect`` hook: fired when the
         retry protocol concludes a remote server is dead.  Home death is
@@ -297,40 +317,29 @@ class ScenarioRuntime:
         plan = self.node_plan
         assert plan is not None
 
+        def detected(node: str, since: float, now: float) -> bool:
+            # Probe-timeout escalation IS a failure detection: latency
+            # runs from the crash instant to the protocol's conclusion.
+            crash = plan.first_crash_in(node, since, now)
+            if crash is not None:
+                self.node_stats.record_detection(now - crash, node=node, at=now)
+            return crash is not None
+
         def handle() -> None:
             now = self.sim.now
-            if plan.crashed_in(home, home_since, now):
-                # Probe-timeout escalation IS a failure detection: latency
-                # runs from the crash instant to the protocol's conclusion.
-                crash = plan.first_crash_in(home, home_since, now)
-                if crash is not None:
-                    self.node_stats.record_detection(now - crash, node=home, at=now)
-                raise ProcessLostError(
-                    f"home node {home!r} crashed at t={now:.6f}; the deputy is "
-                    "gone and openMosix's home dependency kills the migrant"
-                )
+            if detected(home, home_since, now):
+                raise _home_lost(home, now)
             service = outcome.page_service
             if not hasattr(service, "transit_routes"):
                 return
             for node, born in list(service.transit_routes()):
-                if plan.crashed_in(node, born, now):
-                    crash = plan.first_crash_in(node, born, now)
-                    if crash is not None:
-                        self.node_stats.record_detection(now - crash, node=node, at=now)
-                    lost = service.repair_route(node, now)
-                    self.node_stats.chain_repairs += 1
-                    self.node_stats.pages_rehomed += len(lost)
-                    if journey is not None and self.obs is not None and self.obs.journeys is not None:
-                        self.obs.journeys.record(
-                            journey, "chain_repair", now, node=node, pages=len(lost)
-                        )
-                    if self.injection_log is not None:
-                        self.injection_log.record(
-                            now,
-                            FaultEventKind.CHAIN_REPAIR,
-                            channel="migrant",
-                            detail=f"node={node} pages={len(lost)}",
-                        )
+                if detected(node, born, now):
+                    pages = len(service.repair_route(node, now))
+                    self.node_stats.pages_rehomed += pages
+                    self._recovery(
+                        "chain_repair", journey, f"node={node} pages={pages}",
+                        node=node, pages=pages,
+                    )
 
         return handle
 
@@ -441,7 +450,6 @@ class ScenarioRuntime:
         sim = self.sim
         config = self.config
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
         jlog = obs.journeys if obs is not None else None
         single = len(self.spec.migrants) == 1
         # The journey key matches the spawned process name, which for
@@ -449,11 +457,19 @@ class ScenarioRuntime:
         # journey accumulates both phases' events.
         jname = migrant.name or ("scenario" if single else f"migrant-{index}")
         journey = jname if jlog is not None else None
-        path = migrant.path
         # Mutable copy of the path: failure-aware re-targeting may rewrite
         # a hop whose destination crashed.  Same length, same start.
-        route = list(path)
+        route = list(migrant.path)
+        home = route[0]
+        hop = 1
         plan = self.node_plan
+
+        def preempt_at() -> float | None:
+            # Every leg but the last stops for its re-hop after its delay.
+            if hop == len(route) - 1:
+                return None
+            return sim.now + migrant.hop_delays[hop - 1]
+
         # The classic single-migrant scenario starts at t=0 with no delay
         # event; staggered multi-migrant runs always schedule one.
         if not single or migrant.start_s > 0.0:
@@ -476,44 +492,32 @@ class ScenarioRuntime:
         pre_freeze = 0.0
         attempt = 0
         while True:
-            home = route[0]
             if plan is not None and (
                 plan.down(home, sim.now) or plan.crashed_in(home, 0.0, sim.now)
             ):
                 # The process was still on its home node when that node
                 # crashed: it dies before migrating at all.
-                result = self._killed_before_migration(migrant, home, journey=journey)
+                detail = f"home {home} crashed before migration"
+                self._recovery("killed", journey, detail, detail=detail)
+                result = self._killed_before_migration(migrant, strategy)
                 self.results[index] = result
                 return result
-            dst = route[1]
-            if plan is not None and plan.down(dst, sim.now):
+            if plan is not None and plan.down(route[1], sim.now):
                 # The destination is dark before the freeze even starts:
                 # the connect attempt times out, then re-target or wait.
-                wait = config.retry.timeout_s
-                if tracer is not None:
-                    tracer.complete(
-                        MIGRANT_TRACK, "freeze", sim.now, wait, "freeze", aborted=True
-                    )
-                yield Timeout(wait)
-                pre_freeze += wait
+                pre_freeze += yield from self._aborted_freeze(config.retry.timeout_s)
                 attempt += 1
-                if attempt > config.retry.max_attempts:
-                    raise MigrationError(
-                        f"migration of {migrant.workload.name} to {dst!r} kept "
-                        f"aborting ({attempt} attempts): the destination outage "
-                        "outlasts the retry budget"
-                    )
                 pre_freeze += yield from self._handle_abort(
-                    route, 1, attempt - 1, "connect timeout", journey=journey
+                    migrant, route, 1, attempt, "connect timeout", journey
                 )
                 continue
             ctx = self._context(
-                migrant, strategy, space, premigration, src=route[0], dst=dst
+                migrant, strategy, space, premigration, src=home, dst=route[1]
             )
             outcome = strategy.perform(ctx)
             if plan is None:
                 break
-            crash = plan.first_crash_in(dst, sim.now, sim.now + outcome.freeze_time)
+            crash = plan.first_crash_in(route[1], sim.now, sim.now + outcome.freeze_time)
             if crash is None:
                 break
             # Destination died mid-freeze: roll back.  The time already
@@ -522,42 +526,130 @@ class ScenarioRuntime:
             wasted = crash - sim.now
             self.node_stats.abort_freeze_s += wasted
             self.node_stats.pages_abort_written_off += outcome.pages_shipped
-            if wasted > 0.0:
-                if tracer is not None:
-                    tracer.complete(
-                        MIGRANT_TRACK, "freeze", sim.now, wasted, "freeze", aborted=True
-                    )
-                yield Timeout(wasted)
-                pre_freeze += wasted
+            pre_freeze += yield from self._aborted_freeze(wasted)
             attempt += 1
-            if attempt > config.retry.max_attempts:
-                raise MigrationError(
-                    f"migration of {migrant.workload.name} to {dst!r} kept "
-                    f"aborting ({attempt} attempts): the destination outage "
-                    "outlasts the retry budget"
-                )
             pre_freeze += yield from self._handle_abort(
-                route, 1, attempt - 1, f"crashed {wasted:.4g}s into the freeze",
-                journey=journey,
+                migrant, route, 1, attempt, f"crashed {wasted:.4g}s into the freeze",
+                journey,
             )
         self.outcomes[index] = outcome
-        home = route[0]
         home_since = sim.now
         if plan is not None:
             self._arm_deputy(
                 getattr(outcome.page_service, "deputy", None), home, home_since
             )
-
-        infod = None
-        if migrant.with_infod and outcome.policy is not None:
-            infod = self._infod_for(dst=route[1], home=home)
-            self.migrant_infods[index] = infod
+        infod = self._hand_over_infod(index, migrant, outcome, None, route, hop)
         if self.fault_plan is not None:
             # Faults begin the instant the first migrant resumes; a later
             # activation may not postpone an earlier migrant's exposure.
             resume = sim.now + outcome.freeze_time
             if resume < self.fault_plan.active_from:
                 self.fault_plan.activate(resume)
+        yield from self._freeze(outcome, journey, route, hop)
+
+        # Fault-injection runs arm the reliable protocol; pure node-fault
+        # runs do too, since only the retransmission loop turns a dead
+        # deputy's silence into detection + repair.  FFA has no sequence
+        # IDs — it participates through aborts and kills only.
+        retry = retry_rng = None
+        if self.fault_plan is not None or (
+            plan is not None and hasattr(outcome.page_service, "next_seq")
+        ):
+            retry = config.retry
+            retry_rng = child_rng(config.seed, "retry" if single else f"retry-{index}")
+
+        executor = MigrantExecutor(
+            sim=sim,
+            workload=migrant.workload,
+            outcome=outcome,
+            node=self.cluster.node(route[hop]),
+            hardware=config.hardware,
+            infod=infod,
+            capacity_pages=migrant.capacity_pages,
+            fault_log=migrant.fault_log,
+            retry=retry,
+            retry_rng=retry_rng,
+            injection_log=self.injection_log,
+            obs=obs,
+            preempt_at=preempt_at(),
+        )
+        executor.budget.freeze += pre_freeze
+        checker = None
+        if config.checks.enabled:
+            checker = self._make_checker(index, outcome, executor)
+        observers = self._attach_observers(outcome, executor, home=home, dst=route[hop])
+        if plan is not None:
+            executor.on_crash_detect = self._crash_handler(
+                outcome, home, home_since, journey
+            )
+        try:
+            while True:
+                if plan is not None:
+                    executor.hazard = self._hazard_for(
+                        route[hop], sim.now - outcome.freeze_time,
+                        home, home_since, infod,
+                    )
+                proc = executor.start()
+                result = yield proc
+                if proc.error is not None:
+                    raise proc.error
+                if not executor.preempted:
+                    break
+
+                # --- re-migration hop (section 3.2) -----------------------
+                # Quiesce on the current node, then freeze toward the next
+                # one and continue the trace there.
+                yield from executor.quiesce()
+                hop += 1
+                if plan is not None:
+                    # Failure-aware re-hop: never freeze toward a node that
+                    # is currently dark — re-target or wait out its restart.
+                    attempt = 0
+                    while plan.down(route[hop], sim.now):
+                        attempt += 1
+                        executor.budget.freeze += yield from self._handle_abort(
+                            migrant, route, hop, attempt, "rehop target dark", journey
+                        )
+                hop_ctx = self._context(
+                    migrant, strategy, space, premigration,
+                    src=route[hop - 1], dst=route[hop],
+                )
+                strategy.rehop(hop_ctx, outcome)
+                if plan is not None:
+                    self._arm_transit_deputies(outcome)
+                infod = self._hand_over_infod(index, migrant, outcome, infod, route, hop)
+                if self._deputy_obs is not None:
+                    # A transit deputy may have appeared; hand it the bundle.
+                    for deputy in getattr(outcome.page_service, "deputies", ()):
+                        deputy.obs = self._deputy_obs
+                yield from self._freeze(outcome, journey, route, hop)
+                executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
+            if len(route) > 2:
+                result.extra["hops"] = float(len(route) - 1)
+        except ProcessLostError as lost:
+            detail = str(lost).splitlines()[0]
+            self._recovery("killed", journey, detail, detail=detail)
+            result = executor.kill()
+        if checker is not None:
+            checker.final_audit()
+            sim.remove_observer(checker.on_sim_event)
+        for callback in observers:
+            sim.remove_observer(callback)
+        if single and infod is not None:
+            self._stop_infod(dst=route[hop], home=home)
+        if "killed" not in result.extra:
+            if obs is not None and obs.metrics is not None:
+                self._finalize_metrics(obs.metrics, result)
+            if jlog is not None:
+                jlog.finish(jname, sim.now, "completed", hops=len(route) - 1)
+        self.results[index] = result
+        return result
+
+    def _freeze(self, outcome: MigrationOutcome, journey: str | None, route: list, hop: int):
+        """Record hop ``hop``'s freeze (its span and journey event), then
+        wait it out."""
+        sim = self.sim
+        tracer = self.obs.tracer if self.obs is not None else None
         if tracer is not None:
             # The freeze span pairs with the executor's ``budget.freeze +=
             # outcome.freeze_time`` charge — same float, recorded first, so
@@ -571,263 +663,99 @@ class ScenarioRuntime:
                 strategy=outcome.strategy,
                 pages=outcome.pages_shipped,
             )
-        if jlog is not None:
-            jlog.record(
-                jname, "freeze", sim.now,
-                src=route[0], dst=route[1], hop=1,
+        if journey is not None:
+            self.obs.journeys.record(
+                journey, "freeze", sim.now,
+                src=route[hop - 1], dst=route[hop], hop=hop,
                 dur_s=outcome.freeze_time, pages=outcome.pages_shipped,
             )
         yield Timeout(outcome.freeze_time)
 
-        retry = config.retry if self.fault_plan is not None else None
-        retry_rng = None
-        if self.fault_plan is not None:
-            stream = "retry" if single else f"retry-{index}"
-            retry_rng = child_rng(config.seed, stream)
-        if retry is None and plan is not None and hasattr(outcome.page_service, "next_seq"):
-            # Pure node-fault runs arm the reliable protocol too: requests
-            # to a dead deputy go unanswered, and only the retransmission
-            # loop turns that silence into detection + repair.  FFA has no
-            # sequence IDs — it participates through aborts and kills only.
-            retry = config.retry
-            stream = "retry" if single else f"retry-{index}"
-            retry_rng = child_rng(config.seed, stream)
-
-        checker = None
-        observers = ()
-        carry = None
-        run_time_base = 0.0
-        hop = 1
-        executor = None
-        leg_start = sim.now
-        try:
-            while True:
-                last = hop == len(route) - 1
-                leg_start = sim.now
-                preempt_at = None if last else leg_start + migrant.hop_delays[hop - 1]
-                executor = MigrantExecutor(
-                    sim=sim,
-                    workload=migrant.workload,
-                    outcome=outcome,
-                    node=self.cluster.node(route[hop]),
-                    hardware=config.hardware,
-                    infod=infod,
-                    capacity_pages=migrant.capacity_pages,
-                    fault_log=migrant.fault_log,
-                    retry=retry,
-                    retry_rng=retry_rng,
-                    injection_log=self.injection_log,
-                    obs=obs,
-                    preempt_at=preempt_at,
-                    carry=carry,
-                    run_time_base=run_time_base,
+    def _aborted_freeze(self, wait: float):
+        """Spend ``wait`` seconds on an aborted freeze attempt (recorded as
+        an aborted freeze span); returns it for the freeze bucket."""
+        if wait > 0.0:
+            tracer = self.obs.tracer if self.obs is not None else None
+            if tracer is not None:
+                tracer.complete(
+                    MIGRANT_TRACK, "freeze", self.sim.now, wait, "freeze", aborted=True
                 )
-                if carry is None:
-                    executor.budget.freeze += pre_freeze
-                    if config.checks.enabled:
-                        checker = self._make_checker(index, outcome, executor)
-                    observers = self._attach_observers(
-                        outcome, executor, home=home, dst=route[hop]
-                    )
-                else:
-                    executor.checker = checker
-                if plan is not None:
-                    executor.hazard = self._hazard_for(
-                        route[hop], leg_start - outcome.freeze_time,
-                        home, home_since, infod,
-                    )
-                    executor.on_crash_detect = self._crash_handler(
-                        outcome, home, home_since, journey=journey
-                    )
-                proc = executor.start()
-                result = yield proc
-                if proc.error is not None:
-                    raise proc.error
-                if not executor.preempted:
-                    break
+            yield Timeout(wait)
+        return wait
 
-                # --- re-migration hop (section 3.2) -----------------------
-                # Quiesce on the current node: absorb or write off every page
-                # still on the wire, then hand the trace to the next leg.
-                yield from self._quiesce(executor, outcome)
-                run_time_base += sim.now - leg_start
-                src = route[hop]
-                hop += 1
-                if plan is not None:
-                    # Failure-aware re-hop: never freeze toward a node that
-                    # is currently dark — re-target or wait out its restart.
-                    rehop_attempt = 0
-                    while plan.down(route[hop], sim.now):
-                        rehop_attempt += 1
-                        if rehop_attempt > config.retry.max_attempts:
-                            raise MigrationError(
-                                f"re-migration of {migrant.workload.name} to "
-                                f"{route[hop]!r} kept aborting "
-                                f"({rehop_attempt} attempts): the destination "
-                                "outage outlasts the retry budget"
-                            )
-                        waited = yield from self._handle_abort(
-                            route, hop, rehop_attempt - 1, "rehop target dark",
-                            journey=journey,
-                        )
-                        executor.budget.freeze += waited
-                hop_ctx = self._context(
-                    migrant, strategy, space, premigration, src=src, dst=route[hop]
-                )
-                strategy.rehop(hop_ctx, outcome)
-                if plan is not None:
-                    self._arm_transit_deputies(outcome)
-                if tracer is not None:
-                    tracer.complete(
-                        MIGRANT_TRACK,
-                        "freeze",
-                        sim.now,
-                        outcome.freeze_time,
-                        "freeze",
-                        strategy=outcome.strategy,
-                        pages=outcome.pages_shipped,
-                    )
-                if jlog is not None:
-                    jlog.record(
-                        jname, "freeze", sim.now,
-                        src=src, dst=route[hop], hop=hop,
-                        dur_s=outcome.freeze_time, pages=outcome.pages_shipped,
-                    )
-                if infod is not None:
-                    if single:
-                        self._stop_infod(dst=src, home=route[0])
-                    infod = None
-                if migrant.with_infod and outcome.policy is not None:
-                    infod = self._infod_for(dst=route[hop], home=route[0])
-                    self.migrant_infods[index] = infod
-                if obs is not None:
-                    # A transit deputy may have appeared; hand it the bundle.
-                    for deputy in getattr(outcome.page_service, "deputies", ()):
-                        deputy.obs = obs
-                carry = executor.carry_out()
-                yield Timeout(outcome.freeze_time)
-        except ProcessLostError as lost:
-            result = self._teardown_killed(
-                migrant, outcome, executor, checker, observers, infod,
-                lost, run_time_base, leg_start, single, journey=journey,
-            )
-            self.results[index] = result
-            return result
-
-        assert isinstance(result, ExecutionResult)
-        if len(route) > 2:
-            result.extra["hops"] = float(len(route) - 1)
-        if checker is not None:
-            checker.final_audit()
-            sim.remove_observer(checker.on_sim_event)
-        for callback in observers:
-            sim.remove_observer(callback)
-        if single and infod is not None:
-            self._stop_infod(dst=route[-1], home=route[0])
-        if obs is not None and obs.metrics is not None:
-            self._finalize_metrics(obs.metrics, result)
-        if jlog is not None:
-            jlog.finish(jname, sim.now, "completed", hops=len(route) - 1)
-        self.results[index] = result
-        return result
-
-    def _quiesce(self, executor: MigrantExecutor, outcome: MigrationOutcome):
-        """Drain the preempted leg's wire state before re-migrating:
-        absorb and copy every page that still arrives (waiting for the
-        last finite arrival, charged as stall), then write off lost pages
-        (infinite arrival) back to REMOTE — they re-fetch on demand from
-        whichever deputy holds them after the hop."""
-        sim = self.sim
-        res = outcome.residency
-        tr = executor._tracer
-        executor._acquire_cpu()
-        try:
-            while True:
-                if res.in_flight_map:
-                    res.absorb_arrivals(sim.now)
-                if res.buffered_set:
-                    yield from executor._copy_buffered(res)
-                finite = [t for t in res.in_flight_map.values() if not math.isinf(t)]
-                if not finite:
-                    break
-                wait = max(max(finite) - sim.now, 0.0)
-                if wait > 0.0:
-                    t0 = sim.now if tr is not None else 0.0
-                    yield Timeout(wait)
-                    executor.budget.stall += wait
-                    if tr is not None:
-                        tr.complete(MIGRANT_TRACK, "stall", t0, wait, "stall")
-        finally:
-            executor._release_cpu()
-        lost = res.write_off_lost()
-        if lost:
-            executor.counters.prefetch_writeoffs += len(lost)
-            for vpn in lost:
-                executor.discard_fetch(vpn)
+    def _hand_over_infod(
+        self, index: int, migrant: MigrantSpec, outcome: MigrationOutcome,
+        infod: InfoDaemon | None, route: list, hop: int,
+    ) -> InfoDaemon | None:
+        """Give the migrant the InfoDaemon of its new node ``route[hop]``.
+        A lone migrant's previous daemon stops; a shared one keeps serving
+        the other migrants on its node pair."""
+        if infod is not None and len(self.spec.migrants) == 1:
+            self._stop_infod(dst=route[hop - 1], home=route[0])
+        if not migrant.with_infod or outcome.policy is None:
+            return None
+        infod = self._infod_for(dst=route[hop], home=route[0])
+        self.migrant_infods[index] = infod
+        return infod
 
     # ------------------------------------------------------------------
     # node-failure recovery paths
     # ------------------------------------------------------------------
     def _handle_abort(
-        self, route: list, hop: int, attempt: int, detail: str,
-        journey: str | None = None,
+        self, migrant: MigrantSpec, route: list, hop: int, attempt: int, detail: str,
+        journey: str | None,
     ):
-        """Recover an aborted/unreachable migration hop: re-target at a
-        survivor when a retarget hook is installed, otherwise wait out the
-        destination's restart plus an exponential backoff.  Yields the
-        wait in simulated time and *returns* it so the caller can charge
-        it to the freeze bucket (keeping the wall-time identity)."""
+        """Recover from the ``attempt``-th (1-based) aborted or unreachable
+        freeze toward ``route[hop]``: fail once the retry budget is spent,
+        otherwise re-target at a survivor when a retarget hook is
+        installed, or wait out the destination's restart plus an
+        exponential backoff.  Yields the wait in simulated time and
+        *returns* it so the caller can charge it to the freeze bucket
+        (keeping the wall-time identity)."""
         sim = self.sim
         plan = self.node_plan
         assert plan is not None
         dst = route[hop]
-        jlog = self.obs.journeys if self.obs is not None else None
-        self.node_stats.migration_aborts += 1
-        if journey is not None and jlog is not None:
-            jlog.record(journey, "abort", sim.now, dst=dst, hop=hop, detail=detail)
-        if self.injection_log is not None:
-            self.injection_log.record(
-                sim.now,
-                FaultEventKind.MIGRATION_ABORT,
-                channel="migrant",
-                detail=f"dst={dst} {detail}",
+        if attempt > self.config.retry.max_attempts:
+            raise MigrationError(
+                f"{'re-' if hop > 1 else ''}migration of {migrant.workload.name} to "
+                f"{dst!r} kept aborting ({attempt} attempts): the destination "
+                "outage outlasts the retry budget"
             )
+        self._recovery(
+            "abort", journey, f"dst={dst} {detail}", dst=dst, hop=hop, detail=detail
+        )
         target = self.retarget(route, hop, sim.now) if self.retarget is not None else None
         if target is not None and target != dst:
             route[hop] = target
-            self.node_stats.retargets += 1
-            if journey is not None and jlog is not None:
-                jlog.record(
-                    journey, "retarget", sim.now, hop=hop, src=dst, dst=target
-                )
-            if self.injection_log is not None:
-                self.injection_log.record(
-                    sim.now,
-                    FaultEventKind.RETARGET,
-                    channel="migrant",
-                    detail=f"{dst}->{target}",
-                )
+            self._recovery(
+                "retarget", journey, f"{dst}->{target}", hop=hop, src=dst, dst=target
+            )
             return 0.0
-        wait = self.config.retry.timeout_for(attempt, 0.0)
+        wait = self.config.retry.timeout_for(attempt - 1, 0.0)
         if plan.down(dst, sim.now):
             wait += plan.restart_time(dst, sim.now) - sim.now
-        tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is not None:
-            tracer.complete(MIGRANT_TRACK, "freeze", sim.now, wait, "freeze", aborted=True)
-        yield Timeout(wait)
-        return wait
+        return (yield from self._aborted_freeze(wait))
 
-    def _record_kill(self, detail: str, journey: str | None = None) -> None:
-        self.node_stats.kills += 1
-        if journey is not None and self.obs is not None and self.obs.journeys is not None:
-            self.obs.journeys.finish(journey, self.sim.now, "killed", detail=detail)
+    def _recovery(self, kind: str, journey: str | None, log_detail: str, **args) -> None:
+        """Record one recovery step: bump its NodeFaultStats counter, add
+        the journey event (``killed`` seals the journey) and write the
+        injection-log event."""
+        counter, event = _RECOVERIES[kind]
+        stats = self.node_stats
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        now = self.sim.now
+        if journey is not None:
+            if kind == "killed":
+                self.obs.journeys.finish(journey, now, kind, **args)
+            else:
+                self.obs.journeys.record(journey, kind, now, **args)
         if self.injection_log is not None:
-            self.injection_log.record(
-                self.sim.now, FaultEventKind.KILL, channel="migrant", detail=detail
-            )
+            self.injection_log.record(now, event, channel="migrant", detail=log_detail)
 
+    @staticmethod
     def _killed_before_migration(
-        self, migrant: MigrantSpec, home: str, journey: str | None = None
+        migrant: MigrantSpec, strategy: MigrationStrategy
     ) -> ExecutionResult:
         """The home node crashed while the process still lived on it: the
         process dies without ever migrating.  Nothing to tear down — no
@@ -835,9 +763,8 @@ class ScenarioRuntime:
         from ..metrics.counters import Counters
         from ..metrics.timeline import TimeBudget
 
-        self._record_kill(f"home {home} crashed before migration", journey=journey)
         return ExecutionResult(
-            strategy=migrant.strategy,
+            strategy=strategy.name,
             workload=migrant.workload.name,
             memory_bytes=migrant.workload.memory_bytes,
             freeze_time=0.0,
@@ -846,72 +773,6 @@ class ScenarioRuntime:
             counters=Counters(),
             extra={"killed": 1.0},
         )
-
-    def _teardown_killed(
-        self,
-        migrant: MigrantSpec,
-        outcome: MigrationOutcome,
-        executor: MigrantExecutor,
-        checker,
-        observers,
-        infod,
-        lost: ProcessLostError,
-        run_time_base: float,
-        leg_start: float,
-        single: bool,
-        journey: str | None = None,
-    ) -> ExecutionResult:
-        """Clean teardown after a whole-node crash killed the migrant.
-
-        The ledgers are settled so every invariant still balances: pages
-        lost on the wire are written off back to REMOTE, and every
-        surviving deputy forfeits the pages it held for the dead process
-        (the origin reclaims that memory).  The final audit runs on the
-        settled state — a kill is a *modelled* outcome, not a checker
-        violation."""
-        sim = self.sim
-        self._record_kill(str(lost).splitlines()[0], journey=journey)
-        written_off = outcome.residency.write_off_lost()
-        if written_off:
-            executor.counters.prefetch_writeoffs += len(written_off)
-            for vpn in written_off:
-                executor.discard_fetch(vpn)
-        service = outcome.page_service
-        deputies = getattr(service, "deputies", None)
-        if deputies is None:
-            deputy = getattr(service, "deputy", None)
-            deputies = [deputy] if deputy is not None else []
-        for deputy in deputies:
-            deputy.hpt.forfeit_all()
-        executor._collect_fault_stats()
-        run_time = run_time_base + (sim.now - leg_start)
-        result = ExecutionResult(
-            strategy=outcome.strategy,
-            workload=migrant.workload.name,
-            memory_bytes=migrant.workload.memory_bytes,
-            freeze_time=executor.budget.freeze,
-            run_time=run_time,
-            budget=executor.budget,
-            counters=executor.counters,
-            wasted_pages=executor.wasted_pages(),
-            extra=dict(outcome.extra),
-            prefetch_policy=getattr(outcome.policy, "name", "") or "",
-        )
-        result.extra["killed"] = 1.0
-        if checker is not None:
-            pending = getattr(executor, "_pending_fault", None)
-            if pending is not None:
-                checker.note_interrupted_fault(pending)
-            checker.final_audit()
-            sim.remove_observer(checker.on_sim_event)
-        for callback in observers:
-            sim.remove_observer(callback)
-        if single and infod is not None:
-            for key, daemon in list(self._infods.items()):
-                if daemon is infod:
-                    self._infods.pop(key)
-                    daemon.stop()
-        return result
 
     # ------------------------------------------------------------------
     def _make_checker(self, index: int, outcome: MigrationOutcome, executor: MigrantExecutor):
@@ -953,11 +814,6 @@ class ScenarioRuntime:
         sim = self.sim
         observers = []
         deputy = getattr(outcome.page_service, "deputy", None)
-        if deputy is not None and (obs.tracer is not None or obs.metrics is not None):
-            # Only span/metrics instruments read deputy.obs; leaving it
-            # unset for fleet/journey-only bundles keeps the deputy's
-            # per-request hot path on its no-observer fast branch.
-            deputy.obs = obs
         fleet = obs.fleet
         if fleet is not None:
             # Fleet gauges aggregate every live migrant on a node, so they
@@ -1001,7 +857,8 @@ class ScenarioRuntime:
                                 sum(getattr(r, a) for r in rs)
                             ),
                         )
-        if deputy is not None and (obs.metrics is not None or obs.tracer is not None):
+        if deputy is not None and self._deputy_obs is not None:
+            deputy.obs = obs
             sampler = GaugeSampler(
                 "deputy_queue_depth_s",
                 DEPUTY_TRACK,

@@ -21,6 +21,13 @@ Each wait first offers :meth:`repro.sim.Simulator.try_advance` its delay
 and yields a ``Timeout`` only when that refuses: while nothing else is due
 before the migrant's own wake-up, it runs ahead of the event heap with
 identical event times, order and observer calls.
+
+One executor runs a migrant's whole journey.  A multi-hop journey
+(section 3.2) stops each leg at ``preempt_at``: ``quiesce()`` drains the
+leg's wire state, the scenario runtime performs the re-hop, and
+``next_leg()`` resumes the trace on the next node with the same budget,
+counters and trace position.  A whole-node crash ends the journey through
+``kill()``.
 """
 
 from __future__ import annotations
@@ -102,26 +109,6 @@ class ExecutionResult:
         }
 
 
-@dataclass(slots=True)
-class ExecutorCarry:
-    """Execution state handed from one leg of a multi-hop migration to the
-    next (see :class:`repro.cluster.session.ScenarioRuntime`).
-
-    The trace iterator, the time budget, and the counters are *shared*
-    objects: the continuation executor keeps charging the same budget and
-    resumes the trace exactly where the preempted leg stopped, so the
-    final :class:`ExecutionResult` accounts for the whole journey.
-    """
-
-    trace: object
-    budget: TimeBudget
-    counters: Counters
-    #: Bitmap of referenced pages, indexed by page number.
-    touched: np.ndarray
-    fetched: set
-    window_wraps_seen: int
-
-
 class MigrantExecutor:
     """Drives one workload trace through a migration outcome."""
 
@@ -133,30 +120,23 @@ class MigrantExecutor:
         node: Node,
         hardware: HardwareSpec,
         infod: InfoDaemon | None = None,
-        track_touched: bool = True,
         capacity_pages: int | None = None,
         fault_log: FaultLog | None = None,
         retry: RetrySpec | None = None,
         retry_rng: np.random.Generator | None = None,
         injection_log: FaultInjectionLog | None = None,
-        checker: "InvariantChecker | None" = None,
         obs: "Observability | None" = None,
         preempt_at: float | None = None,
-        carry: ExecutorCarry | None = None,
-        run_time_base: float = 0.0,
     ) -> None:
         self.sim = sim
         self.workload = workload
         self.outcome = outcome
-        self.node = node
         self.hardware = hardware
-        self.infod = infod
-        self.track_touched = track_touched
         self.fault_log = fault_log
         self.injection_log = injection_log
         #: Optional repro.check invariant checker (pure observer); set by
-        #: the runner when SimulationConfig.checks.enabled is true.
-        self.checker = checker
+        #: the runtime when SimulationConfig.checks.enabled is true.
+        self.checker: "InvariantChecker | None" = None
         #: Optional repro.obs bundle (pure observers).  The tracer records
         #: one span per TimeBudget charge with the *identical* float
         #: duration at the identical code site, so per-bucket span sums
@@ -205,14 +185,6 @@ class MigrantExecutor:
         self.retry = retry
         self._retry_rng = retry_rng
         self._reliable = retry is not None
-        if self._reliable and not hasattr(outcome.page_service, "next_seq"):
-            raise MigrationError(
-                "fault injection requires a page service that supports "
-                "sequence IDs (a deputy-backed scheme, not FFA)"
-            )
-        #: True while the migrant believes the deputy is down: prefetching
-        #: is suppressed (demand-only paging) until a reply gets through.
-        self._degraded = False
         self._await_stall = 0.0
 
         #: Optional whole-node hazard check ``f(now) -> None`` wired by the
@@ -230,45 +202,55 @@ class MigrantExecutor:
         #: inside :meth:`_fault` is pending — lets the kill teardown tell
         #: the checker about a counted-but-unresolved fault.
         self._pending_fault = None
+        self._capacity_pages = capacity_pages
 
+        # Journey state, shared by every leg: the budget's freeze bucket
+        # accumulates every hop's freeze, and the trace resumes where the
+        # previous leg was preempted.
+        self.budget = TimeBudget()
+        self.counters = Counters()
+        self._trace = None
+        # One flag per page, set for every referenced page.  Sized to the
+        # address space; a trace that names a larger page grows it.
+        self._touched = np.zeros(workload.address_space.total_pages, dtype=bool)
+        self._fetched: set[int] = set()
+        self._window_wraps_seen = 0
+        #: Run time of the finished legs (each from its resume to the end
+        #: of its quiesce) and the current leg's resume time.
+        self._legs_run_time = 0.0
+        self._leg_start = 0.0
+        self._last_fault_time = 0.0
+        self._holds_cpu = False
+        self._begin_leg(node, infod, preempt_at)
+
+    def _begin_leg(
+        self, node: Node, infod: InfoDaemon | None, preempt_at: float | None
+    ) -> None:
+        """Charge the leg's freeze and shipped pages, and reset everything a
+        leg starts afresh: degraded mode, the CPU sample, the hot-path
+        aliases of the (possibly re-hopped) outcome, and the LRU cache."""
+        outcome = self.outcome
+        self.node = node
+        self.infod = infod
         #: Simulated time at which this leg yields the CPU for the next
         #: re-migration hop (``None`` = run the trace to completion).
         self.preempt_at = preempt_at
         #: True when the leg stopped at ``preempt_at`` with trace left.
         self.preempted = False
-        self.run_time_base = run_time_base
-
-        if carry is None:
-            self.budget = TimeBudget()
-            self.budget.freeze = outcome.freeze_time
-            self.counters = Counters()
-            self.counters.pages_migrated = outcome.pages_shipped
-            self._trace = None
-            # One flag per page, set for every referenced page.  Sized to
-            # the address space; a trace that names a larger page grows it.
-            self._touched = np.zeros(workload.address_space.total_pages, dtype=bool)
-            self._fetched: set[int] = set()
-            self._window_wraps_seen = 0
-        else:
-            # Continuation leg: keep charging the shared budget/counters and
-            # resume the trace where the previous leg was preempted.  The
-            # freeze bucket accumulates every hop's freeze.
-            self.budget = carry.budget
-            self.budget.freeze += outcome.freeze_time
-            self.counters = carry.counters
-            self.counters.pages_migrated += outcome.pages_shipped
-            self._trace = carry.trace
-            self._touched = carry.touched
-            self._fetched = carry.fetched
-            self._window_wraps_seen = carry.window_wraps_seen
-        self.result: ExecutionResult | None = None
-
-        self._last_fault_time = 0.0
+        self.budget.freeze += outcome.freeze_time
+        self.counters.pages_migrated += outcome.pages_shipped
+        if self._reliable and not hasattr(outcome.page_service, "next_seq"):
+            raise MigrationError(
+                "fault injection requires a page service that supports "
+                "sequence IDs (a deputy-backed scheme, not FFA)"
+            )
+        #: True while the migrant believes the deputy is down: prefetching
+        #: is suppressed (demand-only paging) until a reply gets through.
+        self._degraded = False
         self._compute_since_fault = 0.0
-        self._holds_cpu = False
 
-        # Per-fault policy metadata and hot-path aliases, resolved once
-        # (the outcome's fields and the policy never change during a run).
+        # Per-fault policy metadata and hot-path aliases, resolved once per
+        # leg (a re-hop may replace the page service).
         policy = outcome.policy
         self._policy_needs_conditions = (
             getattr(policy, "needs_conditions", True) if policy is not None else False
@@ -286,28 +268,90 @@ class MigrantExecutor:
         # memory pressure; see DESIGN.md section 6).  Evicted pages are
         # written back to the origin node and can be re-fetched.
         self._lru: LruPageCache | None = None
-        if capacity_pages is not None:
-            self._lru = LruPageCache(capacity_pages)
+        if self._capacity_pages is not None:
+            self._lru = LruPageCache(self._capacity_pages)
             for vpn in sorted(outcome.residency.mapped):
                 self._insert_resident(vpn)
 
     # ------------------------------------------------------------------
     def start(self) -> SimProcess:
-        """Spawn the executor in the simulator; the process's result is an
-        :class:`ExecutionResult`."""
+        """Spawn the current leg in the simulator; the process's result is
+        an :class:`ExecutionResult`, or ``None`` for a preempted leg."""
         return self.sim.spawn(self._run(), name=f"migrant-{self.workload.name}")
 
-    def carry_out(self) -> ExecutorCarry:
-        """Package the preempted leg's state for the next hop's executor."""
+    def next_leg(
+        self, node: Node, infod: InfoDaemon | None, preempt_at: float | None
+    ) -> None:
+        """Continue the preempted, quiesced trace on ``node`` once the
+        re-hop freeze is over; :meth:`start` then runs the new leg."""
         if not self.preempted:
-            raise MigrationError("carry_out() is only valid after a preempted leg")
-        return ExecutorCarry(
-            trace=self._trace,
+            raise MigrationError("next_leg() is only valid after a preempted leg")
+        self._begin_leg(node, infod, preempt_at)
+
+    def quiesce(self):
+        """End a preempted leg before its re-hop: absorb and copy every
+        page still on the wire (waiting for the last finite arrival,
+        charged as stall), then write off lost pages (infinite arrival)
+        back to REMOTE — they re-fetch on demand from whichever deputy
+        holds them after the hop.  The leg's run time ends here."""
+        sim = self.sim
+        res = self.outcome.residency
+        tr = self._tracer
+        self._acquire_cpu()
+        try:
+            while True:
+                if res.in_flight_map:
+                    res.absorb_arrivals(sim.now)
+                if res.buffered_set:
+                    yield from self._copy_buffered(res)
+                finite = [t for t in res.in_flight_map.values() if not math.isinf(t)]
+                if not finite:
+                    break
+                wait = max(max(finite) - sim.now, 0.0)
+                if wait > 0.0:
+                    t0 = sim.now if tr is not None else 0.0
+                    yield Timeout(wait)
+                    self.budget.stall += wait
+                    if tr is not None:
+                        tr.complete(MIGRANT_TRACK, "stall", t0, wait, "stall")
+        finally:
+            self._release_cpu()
+        self._write_off_lost()
+        self._legs_run_time += sim.now - self._leg_start
+
+    def kill(self) -> ExecutionResult:
+        """Settle the ledgers after a whole-node crash killed the process.
+
+        Pages lost on the wire are written off back to REMOTE, every
+        surviving deputy forfeits the pages it held for the dead process
+        (the origin reclaims that memory), and a fault the crash cut short
+        is reported to the checker, so the final audit still balances — a
+        kill is a *modelled* outcome, not a checker violation.  Returns the
+        journey's result flagged ``killed``."""
+        self._write_off_lost()
+        for deputy in self._deputies():
+            deputy.hpt.forfeit_all()
+        result = self._result()
+        result.extra["killed"] = 1.0
+        if self.checker is not None and self._pending_fault is not None:
+            self.checker.note_interrupted_fault(self._pending_fault)
+        return result
+
+    def _result(self) -> ExecutionResult:
+        """The journey's result: every leg's freeze and run time."""
+        self._collect_fault_stats()
+        outcome = self.outcome
+        return ExecutionResult(
+            strategy=outcome.strategy,
+            workload=self.workload.name,
+            memory_bytes=self.workload.memory_bytes,
+            freeze_time=self.budget.freeze,
+            run_time=self._legs_run_time + (self.sim.now - self._leg_start),
             budget=self.budget,
             counters=self.counters,
-            touched=self._touched,
-            fetched=self._fetched,
-            window_wraps_seen=self._window_wraps_seen,
+            wasted_pages=self.wasted_pages(),
+            extra=dict(outcome.extra),
+            prefetch_policy=getattr(outcome.policy, "name", "") or "",
         )
 
     def _mark_touched(self, pages: np.ndarray) -> None:
@@ -321,19 +365,11 @@ class MigrantExecutor:
 
     def wasted_pages(self) -> int:
         """Pages fetched from remote but never referenced: the size of
-        ``fetched - touched`` (0 when touched pages are not tracked)."""
-        if not self.track_touched:
-            return 0
+        ``fetched - touched``."""
         fetched = np.fromiter(self._fetched, dtype=np.int64, count=len(self._fetched))
         touched = self._touched
         referenced = touched[fetched[fetched < touched.size]]
         return int(fetched.size - np.count_nonzero(referenced))
-
-    def discard_fetch(self, vpn: int) -> None:
-        """Forget a fetched-but-written-off page (keeps the wasted-page
-        accounting consistent when the runtime writes off lost prefetches
-        at a re-migration boundary)."""
-        self._fetched.discard(vpn)
 
     # ------------------------------------------------------------------
     # conditions for the prefetcher when no monitoring daemon is attached
@@ -378,7 +414,7 @@ class MigrantExecutor:
         # property call keeps tracing overhead off the untraced path.
         rec_compute = self._rec_compute
         creates = self.workload.creates_pages
-        start_time = sim.now
+        self._leg_start = start_time = sim.now
         self._last_fault_time = start_time
         preempt_at = self.preempt_at
         if self._trace is None:
@@ -390,8 +426,7 @@ class MigrantExecutor:
                     yield from self._syscall(event)
                 else:
                     chunk: TraceChunk = event
-                    if self.track_touched:
-                        self._mark_touched(chunk.pages)
+                    self._mark_touched(chunk.pages)
                     # Fast path: everything the trace can touch is mapped (not
                     # available under the memory-pressure model, which must see
                     # every reference to keep LRU recency).
@@ -452,21 +487,7 @@ class MigrantExecutor:
             self._release_cpu()
         if self.preempted:
             return None
-        run_time = self.run_time_base + (sim.now - start_time)
-        self._collect_fault_stats()
-        self.result = ExecutionResult(
-            strategy=self.outcome.strategy,
-            workload=self.workload.name,
-            memory_bytes=self.workload.memory_bytes,
-            freeze_time=self.budget.freeze,
-            run_time=run_time,
-            budget=self.budget,
-            counters=self.counters,
-            wasted_pages=self.wasted_pages(),
-            extra=dict(self.outcome.extra),
-            prefetch_policy=getattr(self.outcome.policy, "name", "") or "",
-        )
-        return self.result
+        return self._result()
 
     # ------------------------------------------------------------------
     # memory-pressure model
@@ -846,22 +867,38 @@ class MigrantExecutor:
         self._degraded = True
         self.counters.deputy_crash_detections += 1
         self._log_event(FaultEventKind.CRASH_DETECT, detail=f"vpn={keep_vpn}")
-        lost = self.outcome.residency.write_off_lost(keep=(keep_vpn,))
+        lost = self._write_off_lost(keep=(keep_vpn,))
+        if lost:
+            self._log_event(FaultEventKind.WRITEOFF, detail=f"pages={len(lost)}")
+
+    def _write_off_lost(self, keep: tuple[int, ...] = ()) -> list[int]:
+        """Return every page lost on the wire (except ``keep``) to REMOTE,
+        count it as a prefetch write-off, and forget its fetch so the
+        wasted-page count stays consistent."""
+        lost = self.outcome.residency.write_off_lost(keep)
         if lost:
             self.counters.prefetch_writeoffs += len(lost)
-            for page in lost:
-                self._fetched.discard(page)
-            self._log_event(FaultEventKind.WRITEOFF, detail=f"pages={len(lost)}")
+            fetched = self._fetched
+            for vpn in lost:
+                fetched.discard(vpn)
+        return lost
+
+    def _deputies(self) -> list:
+        """Every deputy serving this process: the route's chain, or the
+        lone home deputy (none for a scheme without one)."""
+        service = self.outcome.page_service
+        deputies = getattr(service, "deputies", None)
+        if deputies is None:
+            deputy = getattr(service, "deputy", None)
+            deputies = [deputy] if deputy is not None else []
+        return deputies
 
     def _collect_fault_stats(self) -> None:
         """Fold deputy- and link-side fault statistics into the counters
         so results need no private attributes to report them."""
         c = self.counters
         service = self.outcome.page_service
-        deputies = getattr(service, "deputies", None)
-        if deputies is None:
-            deputy = getattr(service, "deputy", None)
-            deputies = [deputy] if deputy is not None else []
+        deputies = self._deputies()
         for deputy in deputies:
             c.duplicate_pages_deduped += deputy.duplicate_page_requests
             c.pages_replayed += deputy.replayed_pages

@@ -27,6 +27,39 @@ def test_scenario_matrix_shape():
     schemes = {s.scheme for s in SCENARIOS}
     assert {"AMPoM", "NoPrefetch", "openMosix"} <= schemes
     assert any(s.faults.active for s in SCENARIOS), "matrix must cover fault injection"
+    assert any(s.node_faults.active for s in SCENARIOS), "matrix must cover node crashes"
+
+
+@pytest.mark.parametrize(
+    ("name", "counts", "events"),
+    [
+        (
+            "three_hop_ampom_node_recovery",
+            {"migration_aborts": 2, "chain_repairs": 1, "pages_rehomed": 432, "kills": 0},
+            {"migration_abort", "chain_repair"},
+        ),
+        (
+            "three_hop_ampom_home_kill",
+            {"migration_aborts": 1, "chain_repairs": 0, "kills": 1},
+            {"migration_abort", "kill"},
+        ),
+    ],
+)
+def test_node_fault_scenarios_pin_the_recovery_lifecycle(name, counts, events):
+    """Node-fault scenarios carry their crash windows in the header and the
+    reliability counters plus the fault schedule in the footer; no other
+    scenario's header gains the key."""
+    scenario = next(s for s in SCENARIOS if s.name == name)
+    lines = run_scenario(scenario)
+    header = json.loads(lines[0])
+    assert header["node_crash_windows"] == [
+        list(w) for w in scenario.node_faults.crash_windows
+    ]
+    footer = json.loads(lines[-1])
+    for key, value in counts.items():
+        assert footer["reliability"][key] == value
+    assert events <= {kind for _, kind, _, _ in footer["fault_events"]}
+    assert "node_crash_windows" not in SCENARIOS[0].header()
 
 
 def test_trace_is_deterministic():

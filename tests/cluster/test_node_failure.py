@@ -8,6 +8,8 @@ failure detectors, the failure-aware scheduler, and the chaos harness.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cluster.chaos import chaos_cell, run_chaos
@@ -19,8 +21,8 @@ from repro.cluster.topology import (
     build_preset,
     scenario_from_dict,
 )
-from repro.config import CheckSpec, FaultSpec, NodeFaultSpec, SimulationConfig
-from repro.errors import ConfigurationError
+from repro.config import CheckSpec, FaultSpec, NodeFaultSpec, RetrySpec, SimulationConfig
+from repro.errors import ConfigurationError, MigrationError
 from repro.faults import NodeFaultPlan, NodeFaultStats
 from repro.node.infod import InfoDaemon
 from repro.sim import Simulator
@@ -28,12 +30,13 @@ from repro.sim import Simulator
 SCALE = 1 / 32
 
 
-def run_with_crashes(preset, scheme, windows, scale=SCALE, seed=0):
+def run_with_crashes(preset, scheme, windows, scale=SCALE, seed=0, **config):
     """One preset run with an explicit crash schedule and checks on."""
     spec = build_preset(preset, scheme, scale=scale, seed=seed)
     spec.config = spec.config.with_(
         node_faults=NodeFaultSpec(crash_windows=tuple(windows)),
         checks=CheckSpec(enabled=True),
+        **config,
     )
     runtime = ScenarioRuntime(spec)
     results = runtime.execute()
@@ -95,6 +98,49 @@ def test_home_crash_before_migration_kills_without_progress():
     result = results[0]
     assert result.extra.get("killed") == 1.0
     assert result.run_time == 0.0
+    # The zeroed result names the resolved scheme, not the strategy
+    # object, so it serializes like any other result.
+    payload = json.loads(json.dumps(result.to_dict()))
+    assert payload["strategy"] == "openMosix"
+    assert payload["extra"] == {"killed": 1.0}
+
+
+def test_destination_crash_inside_a_rehop_freeze_kills():
+    # Unlike the first hop (which aborts, see above), a re-hop checks only
+    # that its target is up when the freeze starts: a crash inside the
+    # re-hop freeze kills the migrant once it resumes there.
+    runtime, results = run_with_crashes(
+        "three-hop", "AMPoM", [("n2", 0.3388, 0.6)], scale=1 / 16
+    )
+    assert runtime.node_stats.migration_aborts == 0
+    assert runtime.node_stats.kills == 1
+    assert results[0].extra["killed"] == 1.0
+    (kill,) = [e for e in runtime.injection_log.schedule() if e[1] == "kill"]
+    assert "'n2' crashed under the migrant" in kill[3]
+
+
+@pytest.mark.parametrize(
+    ("window", "message"),
+    [
+        (("n1", 0.0, 0.05), "migration of DGEMM to 'n1'"),
+        (("n1", 0.001, 0.05), "migration of DGEMM to 'n1'"),
+        (("n2", 0.2, 0.5), "re-migration of DGEMM to 'n2'"),
+    ],
+    ids=["connect-timeout", "mid-freeze-crash", "rehop-target-dark"],
+)
+def test_abort_retry_budget_exhaustion(window, message):
+    # With no retries left, the first abort of either hop is final: the
+    # destination is dark at connect time, dies inside the first freeze,
+    # or is dark when the re-hop is due.
+    with pytest.raises(MigrationError) as excinfo:
+        run_with_crashes(
+            "three-hop", "AMPoM", [window], scale=1 / 16,
+            retry=RetrySpec(max_attempts=0),
+        )
+    assert str(excinfo.value) == (
+        f"{message} kept aborting (1 attempts): the destination outage "
+        "outlasts the retry budget"
+    )
 
 
 @pytest.mark.parametrize("scheme", ["NoPrefetch", "FFA"])
@@ -249,6 +295,26 @@ def test_scheduler_driver_installs_retarget_under_node_faults():
     # A retarget query at a time the only alternative is down yields None.
     taken = [n for n in spec.graph.nodes if n != FILE_SERVER]
     assert runtime.retarget(taken, taken[-1], 0.05) is None
+
+
+def test_sustained_run_retargets_aborted_migrations():
+    # End to end: the scheduler's retarget hook moves aborted migrations
+    # to a live node, and every recovery journey event matches its counter.
+    from repro.cluster.sustained import SustainedLoadDriver
+    from repro.obs import Observability
+
+    spec = build_preset("cluster_32", seed=2)
+    config = spec.config.with_(
+        node_faults=NodeFaultSpec(
+            crash_rate_hz=0.05, mean_downtime_s=1.0, horizon_s=60.0
+        )
+    )
+    obs = Observability.enabled(trace=False, metrics=False, journeys=True)
+    driver = SustainedLoadDriver(spec.graph, spec.sustained, config=config)
+    driver.execute(obs=obs)
+    stats = driver.runtime.node_stats
+    assert stats.retargets >= 1
+    assert obs.journeys.reconcile(stats=stats) == []
 
 
 def test_cluster_scheduler_skips_down_nodes():

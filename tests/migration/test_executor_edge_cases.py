@@ -58,15 +58,27 @@ def test_descending_trace_is_prefetchable_by_score_not_pivots():
     )
 
 
-def test_track_touched_disabled():
-    from repro.migration.executor import MigrantExecutor  # noqa: F401 - API check
+def test_next_leg_requires_a_preempted_leg():
+    from repro.cluster.session import ScenarioRuntime
+    from repro.cluster.topology import build_preset
+    from repro.errors import MigrationError
+    from repro.migration.executor import MigrantExecutor
 
-    w = SequentialWorkload(mib(1))
-    run = MigrationRun(w, AmpomMigration())
-    # Executor flag is internal; via the run we just verify wasted_pages
-    # defaults to a real count when tracking is on.
-    result = run.execute()
-    assert result.wasted_pages >= 0
+    runtime = ScenarioRuntime(build_preset("pair", "AMPoM", scale=1 / 32))
+    outcome = runtime.measure_freeze()
+    migrant = runtime.spec.migrants[0]
+    node = runtime.cluster.node(migrant.path[1])
+    executor = MigrantExecutor(
+        sim=runtime.sim,
+        workload=migrant.workload,
+        outcome=outcome,
+        node=node,
+        hardware=runtime.config.hardware,
+    )
+    result = runtime.sim.run_until_complete(executor.start())
+    assert result.run_time > 0.0 and not executor.preempted
+    with pytest.raises(MigrationError, match="preempted leg"):
+        executor.next_leg(node, None, None)
 
 
 def test_openmosix_infod_probe_noise_does_not_change_result():

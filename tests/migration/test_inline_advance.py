@@ -147,7 +147,6 @@ def test_wasted_pages_replay_workload(wasted_calls):
 
 def test_touched_bitmap_grows_past_the_address_space():
     executor = MigrantExecutor.__new__(MigrantExecutor)  # just the bitmap state
-    executor.track_touched = True
     executor._touched = np.zeros(4, dtype=bool)
     executor._fetched = {2, 9, 40}
     executor._mark_touched(np.array([1, 2], dtype=np.int64))

@@ -408,6 +408,35 @@ def test_cluster_run_spec_file(tmp_path, capsys):
     assert payload[0]["total_time_s"] > 0
 
 
+def test_cluster_run_json_with_a_migrant_killed_before_migration(tmp_path, capsys):
+    import json
+
+    spec = tmp_path / "scenario.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "nodes": ["home", "n1"],
+                "seed": 0,
+                "migrants": [
+                    {
+                        "kernel": "STREAM",
+                        "memory_mb": 115,
+                        "scale": 0.03125,
+                        "scheme": "openMosix",
+                        "path": ["home", "n1"],
+                    }
+                ],
+                "node_faults": {"crash_windows": [["home", 0.0, 10.0]]},
+            }
+        )
+    )
+    rc = main(["cluster", "run", "--spec", str(spec), "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["strategy"] == "openMosix"
+    assert payload[0]["extra"] == {"killed": 1.0}
+
+
 def test_cluster_run_spec_rejects_preset_options(tmp_path, capsys):
     spec = tmp_path / "scenario.json"
     spec.write_text("{}")

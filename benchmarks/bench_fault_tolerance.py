@@ -16,6 +16,7 @@ path; every cell runs with the invariant checker forced on.
 from __future__ import annotations
 
 from repro.cluster.runner import MigrationRun
+from repro.cluster.topology import make_strategy
 from repro.config import FaultSpec
 from repro.experiments import figures
 from repro.metrics.report import FAULT_SUMMARY_HEADERS, fault_summary_row, format_table
@@ -34,7 +35,7 @@ def _run_cell(kernel: str, mb: float, loss_rate: float):
         config = config.with_(faults=FaultSpec(loss_rate=loss_rate))
     run = MigrationRun(
         hpcc_workload(kernel, mb, scale=SCALE),
-        figures.make_strategy("AMPoM"),
+        make_strategy("AMPoM"),
         config=config,
     )
     return run.execute()
@@ -152,7 +153,7 @@ def verify_zero_loss_identity():
     b = (
         MigrationRun(
             hpcc_workload(kernel, mb, scale=SCALE),
-            figures.make_strategy("AMPoM"),
+            make_strategy("AMPoM"),
             config=config,
         )
         .execute()

@@ -120,8 +120,9 @@ SCENARIOS: tuple[GoldenScenario, ...] = (
         faults=FaultSpec(deputy_crash_windows=((0.5, 0.9),)),
     ),
     # Multi-hop re-migration (section 3.2): home -> n1 -> n2 with a
-    # transit deputy left on n1 (AMPoM), a full re-ship (openMosix), and
-    # a re-flush to the file server (FFA).
+    # transit deputy left on n1 (AMPoM), a full re-ship (openMosix), a
+    # re-flush to the file server (FFA), and pure demand paging through
+    # the deputy chain (NoPrefetch, clean and lossy).
     GoldenScenario(
         "three_hop_ampom", "DGEMM", 115, "AMPoM",
         path=("home", "n1", "n2"), hop_delays=(0.25,),
@@ -132,6 +133,16 @@ SCENARIOS: tuple[GoldenScenario, ...] = (
     ),
     GoldenScenario(
         "three_hop_ffa", "DGEMM", 115, "FFA",
+        path=("home", "n1", "n2"), hop_delays=(0.25,),
+    ),
+    GoldenScenario(
+        "three_hop_noprefetch", "DGEMM", 115, "NoPrefetch",
+        path=("home", "n1", "n2"), hop_delays=(0.25,),
+    ),
+    GoldenScenario(
+        "three_hop_noprefetch_lossy", "DGEMM", 115, "NoPrefetch",
+        seed=7,
+        faults=FaultSpec(loss_rate=0.05, duplicate_rate=0.02, delay_rate=0.1, delay_s=0.005),
         path=("home", "n1", "n2"), hop_delays=(0.25,),
     ),
     GoldenScenario(
@@ -212,6 +223,7 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
     exactly that.
     """
     from ..cluster.runner import MigrationRun
+    from ..cluster.topology import make_strategy
     from ..workloads.hpcc import hpcc_workload
 
     if scenario.preset:
@@ -228,7 +240,6 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
             NodeGraph,
             ScenarioSpec,
             _wants_file_server,
-            make_strategy,
         )
 
         strategy = make_strategy(scenario.scheme)
@@ -256,11 +267,9 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
             footer["reliability"] = runtime.node_stats.as_dict()
             footer["fault_events"] = runtime.injection_log.schedule()
     else:
-        from ..experiments import figures
-
         run = MigrationRun(
             workload,
-            figures.make_strategy(scenario.scheme),
+            make_strategy(scenario.scheme),
             config=_scenario_config(scenario),
             fault_log=fault_log,
             obs=obs,

@@ -105,15 +105,11 @@ class InvariantChecker:
         #: post-freeze flush, not by remote paging, so the two-sided
         #: HPT/residency bound only holds one way there.
         self._is_ffa = hasattr(outcome.page_service, "flush_times")
-        self._fault_free = not (
-            self._has_fault_plan() or (node_plan is not None and node_plan.active)
+        self._fault_free = outcome.page_service.deputy.fault_plan is None and not (
+            node_plan is not None and node_plan.active
         )
 
     # ------------------------------------------------------------------
-    def _has_fault_plan(self) -> bool:
-        deputy = getattr(self.outcome.page_service, "deputy", None)
-        return deputy is not None and getattr(deputy, "fault_plan", None) is not None
-
     def _record(self, kind: str, detail: str) -> None:
         self._trace.append(CheckEvent(self.sim.now, kind, detail))
 
@@ -301,18 +297,14 @@ class InvariantChecker:
         # After a multi-hop re-migration the pages left behind are split
         # across the home deputy and one transit deputy per intermediate
         # node (section 3.2); the HPT bound holds for the union of all
-        # their ledgers.
+        # their ledgers.  Deputies whose host crashed keep being audited:
+        # chain repair must leave their HPTs empty (every page forfeited
+        # and re-homed).
         service = self.outcome.page_service
-        deputies = getattr(service, "deputies", None)
-        # Deputies whose host crashed keep being audited: chain repair must
-        # leave their HPTs empty (every page forfeited and re-homed).
-        dead = list(getattr(service, "dead_deputies", ()))
-        if deputies is not None:
-            hpt_pages = set()
-            for deputy in [*deputies, *dead]:
-                hpt_pages |= deputy.hpt.pages
-        else:
-            hpt_pages = self.outcome.hpt.pages
+        deputies = [*service.deputies, *service.dead_deputies]
+        hpt_pages = set()
+        for deputy in deputies:
+            hpt_pages |= deputy.hpt.pages
         stray = hpt_pages - (sets["remote"] | sets["in_flight"])
         if stray:
             self._fail(
@@ -331,11 +323,6 @@ class InvariantChecker:
                     f"{sorted(missing)[:8]}",
                 )
 
-        if not hasattr(service, "flush_times"):
-            if deputies is not None:
-                for deputy in [*deputies, *dead]:
-                    deputy.audit_ledger()
-            else:
-                deputy = getattr(service, "deputy", None)
-                if deputy is not None:
-                    deputy.audit_ledger()
+        if not self._is_ffa:
+            for deputy in deputies:
+                deputy.audit_ledger()

@@ -20,6 +20,8 @@ from typing import Sequence
 
 from .config import FaultSpec, NetworkSpec, RetrySpec
 from .cluster.runner import MigrationRun
+from .cluster.topology import make_strategy
+from .errors import ConfigurationError
 from .experiments import figures, tables
 from .metrics.report import format_table
 from .workloads.hpcc import hpcc_workload
@@ -665,10 +667,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         config = config.with_(faults=fault_spec, retry=retry)
     workload = hpcc_workload(args.kernel, args.mb, scale=args.scale)
-    obs = _make_obs(args)
+    try:
+        obs = _make_obs(args)
+    except ConfigurationError as exc:
+        print(f"run: --inspect: {exc}")
+        return 2
     run = MigrationRun(
         workload,
-        figures.make_strategy(args.scheme),
+        make_strategy(args.scheme),
         config=config,
         capacity_pages=args.capacity_pages,
         obs=obs,
@@ -769,12 +775,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("trace run: need --case, or all of --kernel, --mb and --scheme")
         return 2
 
-    obs = Observability.enabled(
-        trace=True,
-        metrics=args.metrics,
-        inspect_interval_s=args.inspect,
-        echo=print if args.inspect is not None else None,
-    )
+    try:
+        obs = Observability.enabled(
+            trace=True,
+            metrics=args.metrics,
+            inspect_interval_s=args.inspect,
+            echo=print if args.inspect is not None else None,
+        )
+    except ConfigurationError as exc:
+        print(f"trace run: --inspect: {exc}")
+        return 2
     if args.case is not None:
         from .experiments import bench
 
@@ -1313,7 +1323,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_arena(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .errors import ConfigurationError
     from .experiments import arena
 
     def split(raw: str | None, default: tuple[str, ...]) -> tuple[str, ...]:

@@ -259,7 +259,7 @@ class ScenarioRuntime:
         after ``born`` the deputy is permanently gone (requests are
         ignored), even across the node's restart."""
         plan = self.node_plan
-        if plan is None or deputy is None or deputy.node_outage is not None:
+        if plan is None or deputy.node_outage is not None:
             return
 
         def outage(t: float, _node: str = node, _born: float = born) -> bool:
@@ -273,10 +273,7 @@ class ScenarioRuntime:
         """Arm any transit deputies a rehop just created (the home deputy
         keeps its original closure — _arm_deputy preserves the birth)."""
         service = outcome.page_service
-        deputies = getattr(service, "deputies", None)
-        if deputies is None or not hasattr(service, "transit_routes"):
-            return
-        for (node, born), deputy in zip(service.transit_routes(), deputies[1:]):
+        for (node, born), deputy in zip(service.transit_routes(), service.deputies[1:]):
             self._arm_deputy(deputy, node, born)
 
     def _hazard_for(self, node: str, since: float, home: str, home_since: float, infod):
@@ -330,9 +327,7 @@ class ScenarioRuntime:
             if detected(home, home_since, now):
                 raise _home_lost(home, now)
             service = outcome.page_service
-            if not hasattr(service, "transit_routes"):
-                return
-            for node, born in list(service.transit_routes()):
+            for node, born in service.transit_routes():
                 if detected(node, born, now):
                     pages = len(service.repair_route(node, now))
                     self.node_stats.pages_rehomed += pages
@@ -411,7 +406,6 @@ class ScenarioRuntime:
             file_server=file_server,
             fault_plan=self.fault_plan,
             home=migrant.path[0],
-            path=migrant.path,
             prefetch_policy=(
                 migrant.prefetch_policy
                 if migrant.prefetch_policy is not None
@@ -535,9 +529,7 @@ class ScenarioRuntime:
         self.outcomes[index] = outcome
         home_since = sim.now
         if plan is not None:
-            self._arm_deputy(
-                getattr(outcome.page_service, "deputy", None), home, home_since
-            )
+            self._arm_deputy(outcome.page_service.deputy, home, home_since)
         infod = self._hand_over_infod(index, migrant, outcome, None, route, hop)
         if self.fault_plan is not None:
             # Faults begin the instant the first migrant resumes; a later
@@ -577,7 +569,7 @@ class ScenarioRuntime:
         checker = None
         if config.checks.enabled:
             checker = self._make_checker(index, outcome, executor)
-        observers = self._attach_observers(outcome, executor, home=home, dst=route[hop])
+        observers = self._attach_observers(outcome, executor, home, route[hop])
         if plan is not None:
             executor.on_crash_detect = self._crash_handler(
                 outcome, home, home_since, journey
@@ -620,7 +612,7 @@ class ScenarioRuntime:
                 infod = self._hand_over_infod(index, migrant, outcome, infod, route, hop)
                 if self._deputy_obs is not None:
                     # A transit deputy may have appeared; hand it the bundle.
-                    for deputy in getattr(outcome.page_service, "deputies", ()):
+                    for deputy in outcome.page_service.deputies:
                         deputy.obs = self._deputy_obs
                 yield from self._freeze(outcome, journey, route, hop)
                 executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
@@ -791,11 +783,7 @@ class ScenarioRuntime:
         return checker
 
     def _attach_observers(
-        self,
-        outcome: MigrationOutcome,
-        executor: MigrantExecutor,
-        home: str = "",
-        dst: str = "",
+        self, outcome: MigrationOutcome, executor: MigrantExecutor, home: str, dst: str
     ):
         """Register obs gauge samplers / inspector probes with the
         simulator; returns the observer callbacks to detach at run end.
@@ -813,7 +801,7 @@ class ScenarioRuntime:
 
         sim = self.sim
         observers = []
-        deputy = getattr(outcome.page_service, "deputy", None)
+        deputy = outcome.page_service.deputy
         fleet = obs.fleet
         if fleet is not None:
             # Fleet gauges aggregate every live migrant on a node, so they
@@ -830,34 +818,28 @@ class ScenarioRuntime:
                     fleet, fleet.interval_s
                 )
                 sim.add_observer(gauges.on_sim_event)
-            if deputy is not None and home:
-                queue = self._fleet_deputies.setdefault(home, [])
-                queue.append(deputy)
-                if ("deputy", home) not in self._fleet_tracked:
-                    self._fleet_tracked.add(("deputy", home))
+            queue = self._fleet_deputies.setdefault(home, [])
+            queue.append(deputy)
+            if ("deputy", home) not in self._fleet_tracked:
+                self._fleet_tracked.add(("deputy", home))
+                gauges.add(
+                    home, "deputy_queue_depth_s",
+                    lambda q=queue: sum(max(0.0, d.busy_until - sim.now) for d in q),
+                )
+            residencies = self._fleet_residencies.setdefault(dst, [])
+            residencies.append(outcome.residency)
+            if ("residency", dst) not in self._fleet_tracked:
+                self._fleet_tracked.add(("residency", dst))
+                for series, attr in (
+                    ("resident_pages", "n_mapped"),
+                    ("remote_pages", "n_remote"),
+                    ("in_flight_pages", "n_in_flight"),
+                ):
                     gauges.add(
-                        home, "deputy_queue_depth_s",
-                        lambda q=queue: sum(
-                            max(0.0, d.busy_until - sim.now) for d in q
-                        ),
+                        dst, series,
+                        lambda rs=residencies, a=attr: float(sum(getattr(r, a) for r in rs)),
                     )
-            if dst:
-                residencies = self._fleet_residencies.setdefault(dst, [])
-                residencies.append(outcome.residency)
-                if ("residency", dst) not in self._fleet_tracked:
-                    self._fleet_tracked.add(("residency", dst))
-                    for series, attr in (
-                        ("resident_pages", "n_mapped"),
-                        ("remote_pages", "n_remote"),
-                        ("in_flight_pages", "n_in_flight"),
-                    ):
-                        gauges.add(
-                            dst, series,
-                            lambda rs=residencies, a=attr: float(
-                                sum(getattr(r, a) for r in rs)
-                            ),
-                        )
-        if deputy is not None and self._deputy_obs is not None:
+        if self._deputy_obs is not None:
             deputy.obs = obs
             sampler = GaugeSampler(
                 "deputy_queue_depth_s",
@@ -879,10 +861,7 @@ class ScenarioRuntime:
             )
             inspector.add_probe("stall_s", lambda: budget.stall)
             inspector.add_probe("compute_s", lambda: budget.compute)
-            if deputy is not None:
-                inspector.add_probe(
-                    "deputy_queue_s", lambda: max(0.0, deputy.busy_until - sim.now)
-                )
+            inspector.add_probe("deputy_queue_s", lambda: max(0.0, deputy.busy_until - sim.now))
             sim.add_observer(inspector.on_sim_event)
             observers.append(inspector.on_sim_event)
         return observers

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 from ..config import SimulationConfig
 from ..cluster.runner import MigrationRun
-from ..errors import ConfigurationError
-from ..migration.ampom import AmpomMigration
-from ..migration.base import MigrationStrategy
+from ..cluster.topology import make_strategy
 from ..migration.executor import ExecutionResult
-from ..migration.noprefetch import NoPrefetchMigration
-from ..migration.openmosix import OpenMosixMigration
 from ..units import mbit_per_s, mib, ms
 from ..workloads.hpcc import hpcc_workload, kernel_sizes_mb
 from ..workloads.workingset import WorkingSetDgemmWorkload
@@ -48,19 +44,6 @@ def scaled_config(scale: float = DEFAULT_SCALE, seed: int = 0) -> SimulationConf
     from dataclasses import replace
 
     return base.with_(ampom=replace(base.ampom, max_zone_pages=cap))
-
-
-def make_strategy(scheme: str) -> MigrationStrategy:
-    """Instantiate a migration scheme by its figure label."""
-    factories = {
-        "AMPoM": AmpomMigration,
-        "openMosix": OpenMosixMigration,
-        "NoPrefetch": NoPrefetchMigration,
-    }
-    try:
-        return factories[scheme]()
-    except KeyError:
-        raise ConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def run_one(

@@ -20,24 +20,14 @@ class AmpomMigration(MigrationStrategy):
     name = "AMPoM"
 
     def perform(self, ctx: MigrationContext) -> MigrationOutcome:
-        now = ctx.sim.now
         hw = ctx.hardware
-        channel = ctx.network.direction(ctx.src, ctx.dst)
         existing = ctx.existing_pages()
         trio = [vpn for vpn in ctx.freeze_trio() if vpn in existing]
 
         mpt, hpt = MasterPageTable.from_migration(
             existing, trio, entry_bytes=hw.mpt_entry_bytes
         )
-
-        self._state_transfer(ctx)
-        payload = mpt.size_bytes
-        arrival = channel.transfer(mpt.size_bytes, ctx.sim.now)
-        for _vpn in trio:
-            arrival = max(arrival, channel.transfer_page(hw.page_size, ctx.sim.now))
-            payload += hw.page_size + channel.per_page_overhead_bytes
-        install = len(mpt) * hw.mpt_install_time_per_entry
-        freeze_time = hw.migration_setup_time + (arrival - now) + install
+        freeze_time, payload, install = self._freeze(ctx, mpt, trio)
 
         residency = ResidencyTracker(
             remote_pages=existing - set(trio), mapped_pages=trio
@@ -62,28 +52,31 @@ class AmpomMigration(MigrationStrategy):
         """Re-migrate: ship the trio + the (current) MPT again; every other
         resident page stays behind on a transit deputy (section 3.2)."""
         self._guard_rehop(ctx)
-        now = ctx.sim.now
-        hw = ctx.hardware
-        channel = ctx.network.direction(ctx.src, ctx.dst)
-        res = outcome.residency
-        trio = [vpn for vpn in ctx.freeze_trio() if vpn in res.mapped]
+        trio = [vpn for vpn in ctx.freeze_trio() if vpn in outcome.residency.mapped]
+        freeze_time, payload, install = self._freeze(ctx, outcome.mpt, trio)
 
-        self._state_transfer(ctx)
-        payload = outcome.mpt.size_bytes
-        arrival = channel.transfer(outcome.mpt.size_bytes, ctx.sim.now)
-        for _vpn in trio:
-            arrival = max(arrival, channel.transfer_page(hw.page_size, ctx.sim.now))
-            payload += hw.page_size + channel.per_page_overhead_bytes
-        install = len(outcome.mpt) * hw.mpt_install_time_per_entry
-        freeze_time = hw.migration_setup_time + (arrival - now) + install
-
-        transit = sorted(res.mapped - set(trio))
-        self._leave_transit_deputy(ctx, outcome, transit)
+        self._leave_transit_deputy(ctx, outcome, trio)
         outcome.freeze_time = freeze_time
         outcome.bytes_transferred = payload
         outcome.pages_shipped = len(trio)
         outcome.extra["mpt_bytes"] = float(outcome.mpt.size_bytes)
         outcome.extra["mpt_install_s"] = install
-        outcome.extra["transit_pages"] = outcome.extra.get("transit_pages", 0.0) + float(
-            len(transit)
-        )
+
+    @staticmethod
+    def _freeze(
+        ctx: MigrationContext, mpt: MasterPageTable, trio: list[int]
+    ) -> tuple[float, int, float]:
+        """Ship the state, the MPT and the trio, then install the MPT: the
+        freeze ends at the latest MPT or trio arrival plus the install.
+        Returns the freeze time, the payload bytes and the install time."""
+        now = ctx.sim.now
+        hw = ctx.hardware
+        channel = ctx.network.direction(ctx.src, ctx.dst)
+        MigrationStrategy._state_transfer(ctx)
+        payload = mpt.size_bytes
+        arrival = channel.transfer(mpt.size_bytes, ctx.sim.now)
+        for _vpn in trio:
+            arrival = max(arrival, channel.transfer_page(hw.page_size, ctx.sim.now))
+            payload += hw.page_size + channel.per_page_overhead_bytes
+        install = len(mpt) * hw.mpt_install_time_per_entry
+        return hw.migration_setup_time + (arrival - now) + install, payload, install

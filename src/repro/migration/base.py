@@ -45,8 +45,27 @@ class PageService(Protocol):
     Under fault injection, an arrival time of ``math.inf`` means "this
     page/reply will never arrive" — the request or its reply was lost.
     Services that additionally expose ``next_seq()`` and accept a ``seq``
-    keyword support the reliable retransmission protocol.
+    keyword support the reliable retransmission protocol.  The runtime,
+    the executor and the invariant checker read the attributes below on
+    every service.
     """
+
+    #: The home deputy: owner of the HPT and the system-call path.
+    deputy: Deputy
+    #: Every live deputy serving the process, home first.
+    deputies: list[Deputy]
+    #: Deputies whose host crashed (still audited: their HPTs are empty).
+    dead_deputies: list[Deputy]
+    #: Every request/reply channel the service has used.
+    wire_channels: set[Direction]
+    #: The migrant -> server request channel (also the write-back path).
+    request_channel: Direction
+    #: The server -> migrant reply channel.
+    reply_channel: Direction
+
+    def transit_routes(self) -> list[tuple[str, float]]:
+        """``(node, born)`` of every live transit deputy, chain order."""
+        ...  # pragma: no cover
 
     def request(
         self, demand: Sequence[int], prefetch: Sequence[int], now: float
@@ -59,37 +78,22 @@ class PageService(Protocol):
         ...  # pragma: no cover
 
 
-class DeputyPageService:
-    """Pages served by the origin node's deputy (sections 2.1-2.2).
+@dataclass(slots=True, eq=False)
+class _Route:
+    """One deputy a :class:`DeputyPageService` can page from."""
 
-    Every request may carry a sequence ID (``seq``).  Fresh requests are
-    assigned one implicitly; the executor passes an explicit ``seq`` when
-    retransmitting so the deputy can recognise the duplicate and replay
-    pages it has already released.
-    """
+    node: str
+    request_channel: Direction
+    deputy: Deputy
+    #: Simulated time the deputy was created.  Under a NodeFaultPlan a
+    #: deputy is permanently dead once its node crashed after ``born``.
+    born: float = 0.0
 
-    def __init__(self, request_channel: Direction, deputy: Deputy) -> None:
-        self.request_channel = request_channel
-        self.deputy = deputy
-        self._next_seq = 0
-
-    def next_seq(self) -> int:
-        """Allocate a fresh request sequence ID."""
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
-    def request(
-        self,
-        demand: Sequence[int],
-        prefetch: Sequence[int],
-        now: float,
-        seq: int | None = None,
+    def send(
+        self, demand: Sequence[int], prefetch: Sequence[int], now: float, seq: int | None
     ) -> dict[int, float]:
-        n_pages = len(demand) + len(prefetch)
-        if n_pages == 0:
-            raise MigrationError("paging request without any page")
-        payload = REQUEST_HEADER_BYTES + PAGE_ID_BYTES * n_pages
+        """Send one paging request to this deputy; return the arrivals."""
+        payload = REQUEST_HEADER_BYTES + PAGE_ID_BYTES * (len(demand) + len(prefetch))
         request_arrival = self.request_channel.transfer(payload, now)
         if math.isinf(request_arrival):
             # The request itself was lost; the deputy never sees it, so
@@ -97,60 +101,35 @@ class DeputyPageService:
             return {vpn: math.inf for vpn in [*demand, *prefetch]}
         return self.deputy.serve_pages(demand, prefetch, request_arrival, seq=seq)
 
-    def forward_syscall(
-        self, syscall: Syscall, now: float, seq: int | None = None
-    ) -> float:
-        request_arrival = self.request_channel.transfer(REQUEST_HEADER_BYTES + 64, now)
-        return self.deputy.serve_syscall(
-            request_arrival, syscall.service_time, syscall.reply_bytes, seq=seq
-        )
 
+class DeputyPageService:
+    """Pages served by the process's chain of deputies (sections 2.2, 3.2).
 
-class _Route:
-    """One deputy a :class:`RoutedPageService` can page from."""
+    The chain starts with the home deputy, which answers every fault of a
+    first migration.  After ``n0 -> n1 -> n2`` the pages are split between
+    the home deputy on ``n0`` (pages never fetched) and a transit deputy
+    on ``n1`` (pages fetched on the first leg but left behind by the
+    second freeze); each request is then split by page ownership, one
+    sub-request per owning deputy.  Forwarded system calls always go to
+    the home node — the home dependency does not move.  ``move_to``
+    rebinds every route when the process hops again.
 
-    __slots__ = ("node", "request_channel", "deputy", "born")
-
-    def __init__(
-        self, node: str, request_channel: Direction, deputy: Deputy, born: float = 0.0
-    ) -> None:
-        self.node = node
-        self.request_channel = request_channel
-        self.deputy = deputy
-        #: Simulated time the deputy was created.  Under a NodeFaultPlan a
-        #: deputy is permanently dead once its node crashed after ``born``.
-        self.born = born
-
-
-class RoutedPageService:
-    """Pages served by a *chain* of deputies (multi-hop re-migration).
-
-    After ``n0 -> n1 -> n2`` (paper section 3.2) the process's pages are
-    split between the home deputy on ``n0`` (pages never fetched) and a
-    transit deputy on ``n1`` (pages fetched on the first leg but left
-    behind by the second freeze).  Each paging request is split by page
-    ownership and one sub-request is sent per owning deputy; forwarded
-    system calls always go to the home node — the home dependency does
-    not move.  ``move_to`` rebinds every route's channels when the
-    process hops again, so the chain keeps working for any path length.
+    Every request may carry a sequence ID (``seq``).  Fresh requests are
+    assigned one implicitly; the executor passes an explicit ``seq`` when
+    retransmitting so the deputy can recognise the duplicate and replay
+    pages it has already released.
     """
 
-    def __init__(self, network: Network, home: str, dst: str, home_service: DeputyPageService) -> None:
+    def __init__(self, network: Network, home: str, dst: str, deputy: Deputy) -> None:
         self.network = network
         self.home = home
         self.dst = dst
-        self._routes: list[_Route] = [
-            _Route(home, home_service.request_channel, home_service.deputy)
-        ]
-        # Continue the wrapped service's sequence numbering so a deputy's
-        # retransmission dedup cache stays coherent across the wrap.
-        self._next_seq = home_service._next_seq
+        request = network.direction(dst, home)
+        self._routes: list[_Route] = [_Route(home, request, deputy)]
+        self._next_seq = 0
         #: Every request/reply channel this service has ever used; the
         #: executor folds their wire fault counters at end of run.
-        self.wire_channels: set[Direction] = {
-            home_service.request_channel,
-            home_service.deputy.reply_channel,
-        }
+        self.wire_channels: set[Direction] = {request, deputy.reply_channel}
         #: Transit deputies removed by :meth:`repair_route` (their ledgers
         #: are still audited at end of run: empty HPT, forfeits counted).
         self.dead_deputies: list[Deputy] = []
@@ -171,7 +150,13 @@ class RoutedPageService:
         """The migrant -> home request channel (writeback/monitor path)."""
         return self._routes[0].request_channel
 
+    @property
+    def reply_channel(self) -> Direction:
+        """The home -> migrant reply channel."""
+        return self._routes[0].deputy.reply_channel
+
     def next_seq(self) -> int:
+        """Allocate a fresh request sequence ID."""
         seq = self._next_seq
         self._next_seq += 1
         return seq
@@ -247,27 +232,20 @@ class RoutedPageService:
         return self._routes[0]
 
     def request(
-        self,
-        demand: Sequence[int],
-        prefetch: Sequence[int],
-        now: float,
-        seq: int | None = None,
+        self, demand: Sequence[int], prefetch: Sequence[int], now: float, seq: int | None = None
     ) -> dict[int, float]:
         if len(demand) + len(prefetch) == 0:
             raise MigrationError("paging request without any page")
+        routes = self._routes
+        if len(routes) == 1:
+            return routes[0].send(demand, prefetch, now, seq)
         owner = {vpn: self._owner(vpn) for vpn in [*demand, *prefetch]}
         arrivals: dict[int, float] = {}
-        for route in self._routes:
+        for route in routes:
             d = [vpn for vpn in demand if owner[vpn] is route]
             p = [vpn for vpn in prefetch if owner[vpn] is route]
-            if not d and not p:
-                continue
-            payload = REQUEST_HEADER_BYTES + PAGE_ID_BYTES * (len(d) + len(p))
-            request_arrival = route.request_channel.transfer(payload, now)
-            if math.isinf(request_arrival):
-                arrivals.update({vpn: math.inf for vpn in [*d, *p]})
-            else:
-                arrivals.update(route.deputy.serve_pages(d, p, request_arrival, seq=seq))
+            if d or p:
+                arrivals.update(route.send(d, p, now, seq))
         return arrivals
 
     def forward_syscall(
@@ -304,9 +282,6 @@ class MigrationContext:
     #: The migrant's home node (where the deputy stays).  ``None`` means
     #: ``src`` *is* the home node — true for every first migration.
     home: str | None = None
-    #: Full migration path when this context belongs to a multi-hop
-    #: scenario (informational; strategies only need src/dst/home).
-    path: tuple[str, ...] | None = None
     #: Prefetch-policy name requested by the migrant spec or the
     #: simulation config (``None`` = the strategy's own default).  A name
     #: set directly on the strategy instance wins over this field.
@@ -386,7 +361,7 @@ class MigrationStrategy(abc.ABC):
         ``pages_shipped`` to this *hop's* values (the executor accumulates
         them across legs), update residency/MPT for any pages left
         behind, and rewire ``outcome.page_service`` for the new
-        destination (see :class:`RoutedPageService`).
+        destination (see :meth:`DeputyPageService.move_to`).
         """
         raise MigrationError(f"{self.name} does not support re-migration")
 
@@ -399,35 +374,21 @@ class MigrationStrategy(abc.ABC):
             raise MigrationError("re-migration back to the home node is not supported")
 
     @staticmethod
-    def _ensure_routed(ctx: MigrationContext, outcome: MigrationOutcome) -> RoutedPageService:
-        """Wrap the outcome's page service for multi-hop routing and point
-        it at the new destination.  The first re-migration installs the
-        wrapper; later hops just rebind its routes."""
-        service = outcome.page_service
-        if not isinstance(service, RoutedPageService):
-            if not isinstance(service, DeputyPageService):
-                raise MigrationError(
-                    f"cannot re-route a {type(service).__name__}; multi-hop "
-                    "paths need a deputy-backed page service"
-                )
-            service = RoutedPageService(
-                ctx.network, home=ctx.home or ctx.src, dst=ctx.src, home_service=service
-            )
-            outcome.page_service = service
-        service.move_to(ctx.dst)
-        return service
-
-    @staticmethod
     def _leave_transit_deputy(
-        ctx: MigrationContext, outcome: MigrationOutcome, transit: Sequence[int]
+        ctx: MigrationContext, outcome: MigrationOutcome, trio: Sequence[int]
     ) -> None:
-        """Unmap ``transit`` pages onto a new deputy on ``ctx.src``.
+        """Point the deputy chain at ``ctx.dst`` and unmap every resident
+        page but the shipped ``trio`` onto a new deputy on ``ctx.src``.
 
         These pages were resident on the intermediate node but are not
         re-shipped during the hop's freeze; the node keeps them and serves
         them remotely — deputy chaining per paper section 3.2.
         """
-        routed = MigrationStrategy._ensure_routed(ctx, outcome)
+        transit = sorted(outcome.residency.mapped - set(trio))
+        extra = outcome.extra
+        extra["transit_pages"] = extra.get("transit_pages", 0.0) + float(len(transit))
+        service = outcome.page_service
+        service.move_to(ctx.dst)
         if not transit:
             return
         for vpn in transit:
@@ -440,7 +401,7 @@ class MigrationStrategy(abc.ABC):
             ctx.hardware,
             fault_plan=ctx.fault_plan,
         )
-        routed.add_route(ctx.src, deputy, born=ctx.sim.now)
+        service.add_route(ctx.src, deputy, born=ctx.sim.now)
 
     @staticmethod
     def _state_transfer(ctx: MigrationContext) -> float:
@@ -449,8 +410,24 @@ class MigrationStrategy(abc.ABC):
         return channel.transfer(4096, ctx.sim.now)
 
     @staticmethod
+    def _ship_trio(ctx: MigrationContext, trio: Sequence[int]) -> tuple[float, int]:
+        """Ship the state, then the trio page by page: the freeze ends at
+        the last trio arrival.  Returns the freeze time and the payload."""
+        now = ctx.sim.now
+        hw = ctx.hardware
+        channel = ctx.network.direction(ctx.src, ctx.dst)
+        MigrationStrategy._state_transfer(ctx)
+        arrival = now
+        payload = 0
+        for _vpn in trio:
+            arrival = channel.transfer_page(hw.page_size, ctx.sim.now)
+            payload += hw.page_size + channel.per_page_overhead_bytes
+        return hw.migration_setup_time + (arrival - now), payload
+
+    @staticmethod
     def _make_deputy_service(ctx: MigrationContext, hpt: HomePageTable) -> DeputyPageService:
+        """The deputy chain of a first migration: one deputy on ``ctx.src``,
+        the home node, serving ``hpt``."""
         reply = ctx.network.direction(ctx.src, ctx.dst)
-        request = ctx.network.direction(ctx.dst, ctx.src)
         deputy = Deputy(hpt, reply, ctx.hardware, fault_plan=ctx.fault_plan)
-        return DeputyPageService(request, deputy)
+        return DeputyPageService(ctx.network, ctx.src, ctx.dst, deputy)

@@ -249,8 +249,7 @@ class MigrantExecutor:
         self._degraded = False
         self._compute_since_fault = 0.0
 
-        # Per-fault policy metadata and hot-path aliases, resolved once per
-        # leg (a re-hop may replace the page service).
+        # Per-fault policy metadata and hot-path aliases, resolved once per leg.
         policy = outcome.policy
         self._policy_needs_conditions = (
             getattr(policy, "needs_conditions", True) if policy is not None else False
@@ -329,7 +328,7 @@ class MigrantExecutor:
         kill is a *modelled* outcome, not a checker violation.  Returns the
         journey's result flagged ``killed``."""
         self._write_off_lost()
-        for deputy in self._deputies():
+        for deputy in self.outcome.page_service.deputies:
             deputy.hpt.forfeit_all()
         result = self._result()
         result.extra["killed"] = 1.0
@@ -378,18 +377,9 @@ class MigrantExecutor:
         from ..core.policy import LinkConditions
 
         service = self.outcome.page_service
-        reply = getattr(service, "reply_channel", None)
-        request = getattr(service, "request_channel", None)
-        if reply is None or request is None:
-            deputy = getattr(service, "deputy", None)
-            reply = deputy.reply_channel if deputy is not None else None
-        if reply is None or request is None:
-            raise MigrationError(
-                "prefetching needs either an InfoDaemon or a deputy-backed page service"
-            )
-        rtt = reply.latency_s + request.latency_s
+        reply = service.reply_channel
         return LinkConditions(
-            rtt_s=rtt,
+            rtt_s=reply.latency_s + service.request_channel.latency_s,
             available_bw_bps=reply.bandwidth_bps,
             cpu_share=self.node.cpu.share(),
         )
@@ -509,11 +499,8 @@ class MigrantExecutor:
         self.outcome.mpt.mark_home(victim)
         service = self.outcome.page_service
         self.counters.pages_evicted += 1
-        writeback = getattr(service, "request_channel", None)
-        arrival = self.sim.now
-        if writeback is not None:
-            # Write-behind: occupies the uplink but does not stall us.
-            arrival = writeback.transfer_page(self.hardware.page_size, self.sim.now)
+        # Write-behind: occupies the uplink but does not stall us.
+        arrival = service.request_channel.transfer_page(self.hardware.page_size, self.sim.now)
         if hasattr(service, "store_writeback"):
             # FFA: the file server, not the home node, is the backing
             # store; the page is requestable once the write-back lands.
@@ -883,32 +870,15 @@ class MigrantExecutor:
                 fetched.discard(vpn)
         return lost
 
-    def _deputies(self) -> list:
-        """Every deputy serving this process: the route's chain, or the
-        lone home deputy (none for a scheme without one)."""
-        service = self.outcome.page_service
-        deputies = getattr(service, "deputies", None)
-        if deputies is None:
-            deputy = getattr(service, "deputy", None)
-            deputies = [deputy] if deputy is not None else []
-        return deputies
-
     def _collect_fault_stats(self) -> None:
         """Fold deputy- and link-side fault statistics into the counters
         so results need no private attributes to report them."""
         c = self.counters
         service = self.outcome.page_service
-        deputies = self._deputies()
-        for deputy in deputies:
+        for deputy in service.deputies:
             c.duplicate_pages_deduped += deputy.duplicate_page_requests
             c.pages_replayed += deputy.replayed_pages
-        channels = set(getattr(service, "wire_channels", ()))
-        request = getattr(service, "request_channel", None)
-        if request is not None:
-            channels.add(request)
-        for deputy in deputies:
-            channels.add(deputy.reply_channel)
-        for channel in channels:
+        for channel in service.wire_channels:
             c.messages_dropped += getattr(channel, "dropped_messages", 0)
             c.messages_dropped += getattr(channel, "flap_dropped_messages", 0)
             c.messages_duplicated += getattr(channel, "duplicated_messages", 0)

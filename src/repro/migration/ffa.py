@@ -58,6 +58,22 @@ class FileServerPageService:
         self.deputy = deputy
         self.server_busy_until = 0.0
         self.pages_served = 0
+        #: FFA never chains deputies, so none ever dies with its host.
+        self.dead_deputies: list[Deputy] = []
+
+    @property
+    def deputies(self) -> list[Deputy]:
+        """The lone home deputy (system calls only)."""
+        return [self.deputy]
+
+    @property
+    def wire_channels(self) -> set[Direction]:
+        """The file-server request channel and the deputy's reply channel."""
+        return {self.request_channel, self.deputy.reply_channel}
+
+    def transit_routes(self) -> list[tuple[str, float]]:
+        """None: the file server, not a transit deputy, backs every page."""
+        return []
 
     def request(
         self, demand: Sequence[int], prefetch: Sequence[int], now: float
@@ -109,14 +125,7 @@ class FfaMigration(MigrationStrategy):
         to_fs = ctx.network.direction(ctx.src, ctx.file_server)
         existing = ctx.existing_pages()
         trio = [vpn for vpn in ctx.freeze_trio() if vpn in existing]
-
-        self._state_transfer(ctx)
-        arrival = now
-        payload = 0
-        for _vpn in trio:
-            arrival = to_dst.transfer_page(hw.page_size, ctx.sim.now)
-            payload += hw.page_size + to_dst.per_page_overhead_bytes
-        freeze_time = hw.migration_setup_time + (arrival - now)
+        freeze_time, payload = self._ship_trio(ctx, trio)
 
         # Post-freeze background work at the origin:
         # 1. push the remaining stack pages straight to the migrant;
@@ -195,19 +204,11 @@ class FfaMigration(MigrationStrategy):
             raise MigrationError("FFA needs ctx.file_server (a third node)")
         now = ctx.sim.now
         hw = ctx.hardware
-        to_dst = ctx.network.direction(ctx.src, ctx.dst)
         to_fs = ctx.network.direction(ctx.src, ctx.file_server)
         res = outcome.residency
         service = outcome.page_service
         trio = [vpn for vpn in ctx.freeze_trio() if vpn in res.mapped]
-
-        self._state_transfer(ctx)
-        arrival = now
-        payload = 0
-        for _vpn in trio:
-            arrival = to_dst.transfer_page(hw.page_size, ctx.sim.now)
-            payload += hw.page_size + to_dst.per_page_overhead_bytes
-        freeze_time = hw.migration_setup_time + (arrival - now)
+        freeze_time, payload = self._ship_trio(ctx, trio)
 
         # Flush everything else (dirty by construction) to the file
         # server, in page order, starting when the freeze ends.

@@ -22,19 +22,10 @@ class NoPrefetchMigration(MigrationStrategy):
     name = "NoPrefetch"
 
     def perform(self, ctx: MigrationContext) -> MigrationOutcome:
-        now = ctx.sim.now
         hw = ctx.hardware
-        channel = ctx.network.direction(ctx.src, ctx.dst)
         existing = ctx.existing_pages()
         trio = [vpn for vpn in ctx.freeze_trio() if vpn in existing]
-
-        self._state_transfer(ctx)
-        arrival = now
-        payload = 0
-        for _vpn in trio:
-            arrival = channel.transfer_page(hw.page_size, ctx.sim.now)
-            payload += hw.page_size + channel.per_page_overhead_bytes
-        freeze_time = hw.migration_setup_time + (arrival - now)
+        freeze_time, payload = self._ship_trio(ctx, trio)
 
         mpt, hpt = MasterPageTable.from_migration(
             existing, trio, entry_bytes=hw.mpt_entry_bytes
@@ -60,25 +51,10 @@ class NoPrefetchMigration(MigrationStrategy):
         """Re-migrate: ship the trio only; every other resident page stays
         behind on a transit deputy and is demand-fetched from there."""
         self._guard_rehop(ctx)
-        now = ctx.sim.now
-        hw = ctx.hardware
-        channel = ctx.network.direction(ctx.src, ctx.dst)
-        res = outcome.residency
-        trio = [vpn for vpn in ctx.freeze_trio() if vpn in res.mapped]
+        trio = [vpn for vpn in ctx.freeze_trio() if vpn in outcome.residency.mapped]
+        freeze_time, payload = self._ship_trio(ctx, trio)
 
-        self._state_transfer(ctx)
-        arrival = now
-        payload = 0
-        for _vpn in trio:
-            arrival = channel.transfer_page(hw.page_size, ctx.sim.now)
-            payload += hw.page_size + channel.per_page_overhead_bytes
-        freeze_time = hw.migration_setup_time + (arrival - now)
-
-        transit = sorted(res.mapped - set(trio))
-        self._leave_transit_deputy(ctx, outcome, transit)
+        self._leave_transit_deputy(ctx, outcome, trio)
         outcome.freeze_time = freeze_time
         outcome.bytes_transferred = payload
         outcome.pages_shipped = len(trio)
-        outcome.extra["transit_pages"] = outcome.extra.get("transit_pages", 0.0) + float(
-            len(transit)
-        )

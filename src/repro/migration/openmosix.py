@@ -27,18 +27,10 @@ class OpenMosixMigration(MigrationStrategy):
                 "openMosix copies the whole address space at freeze and "
                 "performs no remote paging; prefetch_policy does not apply"
             )
-        now = ctx.sim.now
         hw = ctx.hardware
-        channel = ctx.network.direction(ctx.src, ctx.dst)
         existing = ctx.existing_pages()
         dirty = sorted(ctx.dirty_pages())
-
-        self._state_transfer(ctx)
-        # One bulk stream of every dirty page (page payload + per-page
-        # protocol overhead each, a single message-level header).
-        bulk_payload = len(dirty) * (hw.page_size + channel.per_page_overhead_bytes)
-        arrival = channel.transfer(bulk_payload, ctx.sim.now)
-        freeze_time = hw.migration_setup_time + (arrival - now)
+        freeze_time, payload = self._freeze(ctx, dirty)
 
         # Everything is local afterwards; clean pages (code) are backed by
         # the local file system at the destination, as in openMosix.
@@ -51,7 +43,7 @@ class OpenMosixMigration(MigrationStrategy):
         return MigrationOutcome(
             strategy=self.name,
             freeze_time=freeze_time,
-            bytes_transferred=bulk_payload + channel.per_message_overhead_bytes,
+            bytes_transferred=payload,
             pages_shipped=len(dirty),
             mpt=mpt,
             hpt=hpt,
@@ -65,17 +57,26 @@ class OpenMosixMigration(MigrationStrategy):
         always moves the whole address space, so nothing stays behind and
         no transit deputy is needed — only the home syscall path rebinds)."""
         self._guard_rehop(ctx)
+        resident = sorted(outcome.residency.mapped)
+        freeze_time, payload = self._freeze(ctx, resident)
+
+        outcome.page_service.move_to(ctx.dst)
+        outcome.freeze_time = freeze_time
+        outcome.bytes_transferred = payload
+        outcome.pages_shipped = len(resident)
+
+    @staticmethod
+    def _freeze(ctx: MigrationContext, pages: list[int]) -> tuple[float, int]:
+        """Ship the state, then ``pages`` in one bulk stream (page payload
+        plus per-page protocol overhead each, a single message-level
+        header).  Returns the freeze time and the bytes transferred."""
         now = ctx.sim.now
         hw = ctx.hardware
         channel = ctx.network.direction(ctx.src, ctx.dst)
-        resident = sorted(outcome.residency.mapped)
-
-        self._state_transfer(ctx)
-        bulk_payload = len(resident) * (hw.page_size + channel.per_page_overhead_bytes)
+        MigrationStrategy._state_transfer(ctx)
+        bulk_payload = len(pages) * (hw.page_size + channel.per_page_overhead_bytes)
         arrival = channel.transfer(bulk_payload, ctx.sim.now)
-        freeze_time = hw.migration_setup_time + (arrival - now)
-
-        self._leave_transit_deputy(ctx, outcome, ())
-        outcome.freeze_time = freeze_time
-        outcome.bytes_transferred = bulk_payload + channel.per_message_overhead_bytes
-        outcome.pages_shipped = len(resident)
+        return (
+            hw.migration_setup_time + (arrival - now),
+            bulk_payload + channel.per_message_overhead_bytes,
+        )

@@ -36,6 +36,7 @@ from .fleet import (
     FleetGaugeSet,
     FleetTelemetry,
     SeriesRing,
+    _check_interval,
 )
 from .inspector import GaugeSampler, RunInspector
 from .journeys import (
@@ -69,6 +70,9 @@ class Observability:
     journeys: JourneyLog | None = None
     #: Simulated seconds between gauge samples (deputy queue depth etc.).
     sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S
+
+    def __post_init__(self) -> None:
+        _check_interval(self.sample_interval_s)
 
     @classmethod
     def enabled(

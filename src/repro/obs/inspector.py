@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .fleet import _check_interval
+
 
 class RunInspector:
     """Samples live run state every ``interval_s`` of simulated time."""
@@ -29,8 +31,7 @@ class RunInspector:
         interval_s: float,
         echo: Callable[[str], None] | None = None,
     ) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive: {interval_s}")
+        _check_interval(interval_s)
         self.interval_s = interval_s
         self.snapshots: list[dict[str, float]] = []
         #: Optional sink for live one-line snapshot reports.
@@ -94,8 +95,7 @@ class GaugeSampler:
         metrics=None,
         tracer=None,
     ) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"sampling interval must be positive: {interval_s}")
+        _check_interval(interval_s)
         self.name = name
         self.track = track
         self.interval_s = interval_s

@@ -28,6 +28,9 @@ def test_scenario_matrix_shape():
     assert {"AMPoM", "NoPrefetch", "openMosix"} <= schemes
     assert any(s.faults.active for s in SCENARIOS), "matrix must cover fault injection"
     assert any(s.node_faults.active for s in SCENARIOS), "matrix must cover node crashes"
+    # Every scheme that can re-migrate pins its re-hop on a multi-hop path.
+    multi_hop = {s.scheme for s in SCENARIOS if len(s.path) > 2}
+    assert {"AMPoM", "NoPrefetch", "openMosix", "FFA"} <= multi_hop
 
 
 @pytest.mark.parametrize(

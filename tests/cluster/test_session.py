@@ -140,6 +140,35 @@ def test_three_hop_completes_under_every_scheme(strategy_cls):
     assert checker is not None and checker.deep_audits > 0
 
 
+@pytest.mark.parametrize(
+    ("strategy_cls", "transit"),
+    ((AmpomMigration, 1), (NoPrefetchMigration, 1), (OpenMosixMigration, 0), (FfaMigration, 0)),
+    ids=("AMPoM", "NoPrefetch", "openMosix", "FFA"),
+)
+def test_rehop_keeps_the_first_page_service(strategy_cls, transit):
+    """A re-hop rewires the page service the first migration built
+    instead of replacing it; only AMPoM and NoPrefetch chain a transit
+    deputy behind the home deputy."""
+    strategy = strategy_cls()
+    built = []
+    perform = strategy.perform
+
+    def recording_perform(ctx):
+        outcome = perform(ctx)
+        built.append(outcome.page_service)
+        return outcome
+
+    strategy.perform = recording_perform
+    # A short first leg: openMosix's whole run takes ~0.01 s after its freeze.
+    runtime = ScenarioRuntime(_three_hop_spec(strategy, hop_delay=0.001))
+    runtime.execute()
+    service = runtime.outcomes[0].page_service
+    assert len(built) == 1 and built[0] is service
+    assert [node for node, _ in service.transit_routes()] == ["n1"] * transit
+    assert len(service.deputies) == 1 + transit
+    assert service.deputy.reply_channel is runtime.cluster.network.direction(HOME, "n2")
+
+
 def test_three_hop_lossy_links():
     faults = FaultSpec(
         loss_rate=0.05, duplicate_rate=0.02, delay_rate=0.1, delay_s=0.005

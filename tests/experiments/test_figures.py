@@ -25,13 +25,6 @@ def test_run_one_returns_result():
     assert result.workload == "STREAM"
 
 
-def test_make_strategy_rejects_unknown():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        figures.make_strategy("Star-Trek")
-
-
 def test_matrix_has_all_cells(matrix):
     assert len(matrix.results) == (5 + 4) * 3
 

@@ -10,10 +10,12 @@ from repro.core.prefetcher import AMPoMPrefetcher
 from repro.errors import MigrationError
 from repro.mem.page_table import PageLocation
 from repro.migration.ampom import AmpomMigration
+from repro.migration.base import PageService
 from repro.migration.ffa import FfaMigration
 from repro.migration.noprefetch import NoPrefetchMigration
 from repro.migration.openmosix import OpenMosixMigration
 from repro.migration.precopy import PrecopyMigration
+from repro.net.link import Direction
 
 from .conftest import make_context
 
@@ -183,3 +185,25 @@ class TestPrecopy:
             PrecopyMigration(dirty_rate_pps=-1)
         with pytest.raises(MigrationError):
             PrecopyMigration(max_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "strategy_cls",
+    (AmpomMigration, NoPrefetchMigration, OpenMosixMigration, FfaMigration, PrecopyMigration),
+    ids=("AMPoM", "NoPrefetch", "openMosix", "FFA", "Precopy"),
+)
+def test_page_service_exposes_the_declared_read_surface(sim, config, strategy_cls):
+    """Every scheme's page service has a home deputy that owns the
+    outcome's HPT, and the read surface the runtime, executor and checker
+    use without probing for it."""
+    ctx, _ = make_context(sim, config, n_pages=128, with_fs=strategy_cls is FfaMigration)
+    outcome = strategy_cls().perform(ctx)
+    service = outcome.page_service
+    assert isinstance(service, PageService)
+    assert outcome.hpt is service.deputy.hpt
+    assert service.deputies == [service.deputy]
+    assert service.dead_deputies == []
+    assert service.transit_routes() == []
+    assert {service.request_channel, service.deputy.reply_channel} <= service.wire_channels
+    for channel in (service.request_channel, service.reply_channel, *service.wire_channels):
+        assert isinstance(channel, Direction)

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, Observability, SpanTracer
 from repro.obs.inspector import GaugeSampler, RunInspector
+
+#: Degenerate sampling intervals: NaN, infinite, zero and negative.
+BAD_INTERVALS = (math.nan, math.inf, 0.0, -1.0)
 
 
 class TestRunInspector:
     def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RunInspector(0.0)
+        for interval_s in BAD_INTERVALS:
+            with pytest.raises(ConfigurationError):
+                RunInspector(interval_s)
+            with pytest.raises(ConfigurationError):
+                Observability.enabled(inspect_interval_s=interval_s)
 
     def test_snapshots_on_boundary_crossings(self):
         insp = RunInspector(1.0)
@@ -85,8 +94,11 @@ class TestGaugeSampler:
         assert [(c.time, c.value) for c in tracer.counters] == [(0.0, 1.0), (0.7, 2.0)]
 
     def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GaugeSampler("q", "t", lambda: 0.0, -1.0)
+        for interval_s in BAD_INTERVALS:
+            with pytest.raises(ConfigurationError):
+                GaugeSampler("q", "t", lambda: 0.0, interval_s)
+            with pytest.raises(ConfigurationError):
+                Observability.enabled(sample_interval_s=interval_s)
 
     def test_zero_duration_run_records_nothing(self):
         metrics = MetricsRegistry()

@@ -270,6 +270,18 @@ def test_trace_run_inspect_echoes_snapshots(capsys):
     assert "[inspect]" in text
 
 
+@pytest.mark.parametrize("command", ["run", "trace run"])
+def test_bad_inspect_interval_exits_2_with_the_message(command, capsys):
+    """A NaN sampling interval would snapshot on every simulator event;
+    ``run`` and ``trace run`` reject it before running anything."""
+    cell = ["--kernel", "STREAM", "--mb", "115", "--scheme", "AMPoM", "--scale", SMALL]
+    rc = main([*command.split(), *cell, "--inspect", "nan"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "sampling interval must be positive and finite: nan" in out
+    assert "[inspect]" not in out
+
+
 def test_trace_run_rejects_mixed_selectors(capsys):
     rc = main(["trace", "run", "--case", "ampom_pipeline", "--kernel", "STREAM"])
     assert rc == 2

@@ -24,6 +24,7 @@ Cheap checks, run on **every** event (O(1)):
 Deep audit, run every ``CheckSpec.deep_audit_interval`` checked events
 and once at end of run (O(pages)):
 
+* every flag array agrees with its running count (residency, MPT, HPT);
 * the four residency sets are pairwise disjoint;
 * ``MPT.LOCAL == MAPPED`` and ``MPT.HOME == BUFFERED | IN_FLIGHT |
   REMOTE`` (the section 2.2 split);
@@ -198,7 +199,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _state_of(self, vpn: int) -> str:
         res = self.outcome.residency
-        if vpn in res.mapped:
+        if res.is_mapped(vpn):
             return "mapped"
         if vpn in res.buffered:
             return "buffered"
@@ -263,6 +264,8 @@ class InvariantChecker:
         self.deep_audits += 1
         res = self.outcome.residency
         sets = res.state_sets()
+        self._check_count("mapped", len(sets["mapped"]), res.n_mapped)
+        self._check_count("remote", len(sets["remote"]), res.n_remote)
 
         names = list(sets)
         for i, a in enumerate(names):
@@ -279,6 +282,7 @@ class InvariantChecker:
         mpt = self.outcome.mpt
         mpt_local = mpt.pages_at(PageLocation.LOCAL)
         mpt_home = mpt.pages_at(PageLocation.HOME)
+        self._check_count("MPT", len(mpt_local) + len(mpt_home), len(mpt))
         if mpt_local != sets["mapped"]:
             drift = mpt_local.symmetric_difference(sets["mapped"])
             self._fail(
@@ -304,7 +308,9 @@ class InvariantChecker:
         deputies = [*service.deputies, *service.dead_deputies]
         hpt_pages = set()
         for deputy in deputies:
-            hpt_pages |= deputy.hpt.pages
+            stored = deputy.hpt.pages
+            self._check_count("HPT", len(stored), len(deputy.hpt))
+            hpt_pages |= stored
         stray = hpt_pages - (sets["remote"] | sets["in_flight"])
         if stray:
             self._fail(
@@ -326,3 +332,11 @@ class InvariantChecker:
         if not self._is_ffa:
             for deputy in deputies:
                 deputy.audit_ledger()
+
+    def _check_count(self, name: str, flagged: int, count: int) -> None:
+        """A dense table's flags must agree with its running count."""
+        if flagged != count:
+            self._fail(
+                "flag-count",
+                f"{name} flags hold {flagged} pages but its running count is {count}",
+            )

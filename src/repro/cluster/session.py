@@ -617,7 +617,9 @@ class ScenarioRuntime:
                 yield from self._freeze(outcome, journey, route, hop)
                 executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
             if len(route) > 2:
-                result.extra["hops"] = float(len(route) - 1)
+                # The hops taken: a trace that ends before a hop's
+                # deadline never re-migrates.
+                result.extra["hops"] = float(hop)
         except ProcessLostError as lost:
             detail = str(lost).splitlines()[0]
             self._recovery("killed", journey, detail, detail=detail)
@@ -633,7 +635,7 @@ class ScenarioRuntime:
             if obs is not None and obs.metrics is not None:
                 self._finalize_metrics(obs.metrics, result)
             if jlog is not None:
-                jlog.finish(jname, sim.now, "completed", hops=len(route) - 1)
+                jlog.finish(jname, sim.now, "completed", hops=hop)
         self.results[index] = result
         return result
 

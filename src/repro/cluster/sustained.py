@@ -164,6 +164,7 @@ class SustainedLoadDriver(SchedulerDriver):
         #: Optional :class:`repro.obs.slo.SLOMonitor` evaluated online on
         #: every sampling tick (utilization imbalance, mean load...).
         self.slo_monitor = None
+        self._tick = None
 
     # ------------------------------------------------------------------
     def _spawn_monitors(self, sim: Simulator, scheduler: ClusterScheduler) -> None:
@@ -249,6 +250,7 @@ class SustainedLoadDriver(SchedulerDriver):
                     )
 
         telemetry.add_tick_hook(tick)
+        self._tick = tick
 
         def sampler():
             while any(t.finished_at is None for t in scheduler.tasks):
@@ -259,6 +261,10 @@ class SustainedLoadDriver(SchedulerDriver):
 
     def plan(self):
         report, decisions = super().plan()
+        # The sampler stopped with phase 1.  Its hook closes over this
+        # driver and its simulations, which a caller that keeps the
+        # Observability bundle must not keep alive.
+        self.telemetry.remove_tick_hook(self._tick)
         completed = sum(
             1 for v in report.per_task_completion.values() if v == v  # non-NaN
         )

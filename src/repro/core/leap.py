@@ -160,12 +160,9 @@ class LeapPrefetcher:
                 vpn + stride * (self.prefetch_pages + 1),
                 stride,
             )
-        remote = residency.remote_set
-        return [
-            p
-            for p in candidates
-            if 0 <= p < self.address_limit and p != vpn and p in remote
-        ]
+        remote = residency.remote_flags
+        limit = min(self.address_limit, len(remote))
+        return [p for p in candidates if 0 <= p < limit and p != vpn and remote[p]]
 
 
 __all__ = ["LeapPrefetcher", "SUFFIX_START", "majority_stride"]

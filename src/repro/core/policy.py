@@ -120,9 +120,9 @@ class FixedReadAheadPolicy:
         residency: "ResidencyTracker",
         conditions: LinkConditions,
     ) -> list[int]:
-        stop = min(vpn + 1 + self.k, self.address_limit)
-        remote = residency.remote_set
-        return [p for p in range(vpn + 1, stop) if p in remote]
+        remote = residency.remote_flags
+        stop = min(vpn + 1 + self.k, self.address_limit, len(remote))
+        return [p for p in range(vpn + 1, stop) if remote[p]]
 
 
 class LinuxReadAheadPolicy:
@@ -145,9 +145,9 @@ class LinuxReadAheadPolicy:
         conditions: LinkConditions,
     ) -> list[int]:
         k = self._window.on_access(vpn)
-        stop = min(vpn + 1 + k, self.address_limit)
-        remote = residency.remote_set
-        return [p for p in range(vpn + 1, stop) if p in remote]
+        remote = residency.remote_flags
+        stop = min(vpn + 1 + k, self.address_limit, len(remote))
+        return [p for p in range(vpn + 1, stop) if remote[p]]
 
 
 # ----------------------------------------------------------------------

@@ -151,9 +151,13 @@ class AMPoMPrefetcher:
             )
         # Only pages still stored at the origin can be requested (a page in
         # the dependent zone that is local, buffered, in flight, or not yet
-        # created consumes zone quota but is not put on the wire).
-        remote = residency.remote_set
-        requested = [p for p in dependent if p != vpn and p in remote]
+        # created consumes zone quota but is not put on the wire).  The
+        # dependent pages lie in [0, address_limit); a tracker narrower
+        # than that holds none of the pages past its end.
+        remote = residency.remote_flags
+        if len(remote) < self.address_limit:
+            dependent = [p for p in dependent if p < len(remote)]
+        requested = [p for p in dependent if p != vpn and remote[p]]
 
         trace = self.last_trace
         trace.score = score

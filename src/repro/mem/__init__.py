@@ -7,7 +7,8 @@ remote-paging support (:mod:`repro.mem.page_table`, paper section 2.2), the
 residency state machine a migrant sees (:mod:`repro.mem.residency`), the
 page-fault taxonomy (:mod:`repro.mem.fault`), a Linux-style read-ahead
 baseline (:mod:`repro.mem.readahead`), and an optional LRU capacity model
-(:mod:`repro.mem.lru`).
+(:mod:`repro.mem.lru`).  Per-page state is dense: one byte per page
+(:mod:`repro.mem.flags`).
 """
 
 from .address_space import AddressSpace, Region

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import MemoryStateError
 from ..units import PAGE_SIZE
+from .flags import flagged
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +60,14 @@ class AddressSpace:
         self.page_size = page_size
         self._regions: dict[str, Region] = {}
         self._next_page = 0
-        self._dirty: set[int] = set()
+        # One byte per page, 1 while dirty, plus the running count.
+        self._dirty = bytearray()
+        self._n_dirty = 0
         self.code = self.allocate_region("code", self.CODE_PAGES)
         self.stack = self.allocate_region("stack", self.STACK_PAGES)
         # Code is clean (backed by the executable); the used stack is dirty.
-        self._dirty.difference_update(range(self.code.start_page, self.code.end_page))
+        self._dirty[self.code.start_page : self.code.end_page] = bytes(self.code.n_pages)
+        self._n_dirty -= self.code.n_pages
 
     # ------------------------------------------------------------------
     def allocate_region(self, name: str, n_pages: int) -> Region:
@@ -75,7 +79,8 @@ class AddressSpace:
         region = Region(name=name, start_page=self._next_page, n_pages=n_pages)
         self._regions[name] = region
         self._next_page += n_pages
-        self._dirty.update(range(region.start_page, region.end_page))
+        self._dirty += b"\x01" * n_pages
+        self._n_dirty += n_pages
         return region
 
     def region(self, name: str) -> Region:
@@ -102,18 +107,26 @@ class AddressSpace:
     @property
     def dirty_pages(self) -> frozenset[int]:
         """Pages that would have to be shipped by openMosix's migration."""
-        return frozenset(self._dirty)
+        return frozenset(flagged(self._dirty))
 
     @property
     def n_dirty_pages(self) -> int:
-        return len(self._dirty)
+        return self._n_dirty
+
+    def dirty_flags(self) -> bytearray:
+        """A copy of the dirty map: one byte per page, 1 for a dirty page."""
+        return bytearray(self._dirty)
 
     def mark_dirty(self, vpn: int) -> None:
         self._check_vpn(vpn)
-        self._dirty.add(vpn)
+        if not self._dirty[vpn]:
+            self._dirty[vpn] = 1
+            self._n_dirty += 1
 
     def mark_clean(self, vpn: int) -> None:
-        self._dirty.discard(vpn)
+        if 0 <= vpn < self._next_page and self._dirty[vpn]:
+            self._dirty[vpn] = 0
+            self._n_dirty -= 1
 
     # ------------------------------------------------------------------
     def currently_accessed_pages(self) -> tuple[int, int, int]:

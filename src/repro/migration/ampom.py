@@ -29,9 +29,7 @@ class AmpomMigration(MigrationStrategy):
         )
         freeze_time, payload, install = self._freeze(ctx, mpt, trio)
 
-        residency = ResidencyTracker(
-            remote_pages=existing - set(trio), mapped_pages=trio
-        )
+        residency = ResidencyTracker.from_mpt(mpt)
         policy = self._resolve_policy(ctx, default="ampom")
         service = self._make_deputy_service(ctx, hpt)
 
@@ -52,7 +50,7 @@ class AmpomMigration(MigrationStrategy):
         """Re-migrate: ship the trio + the (current) MPT again; every other
         resident page stays behind on a transit deputy (section 3.2)."""
         self._guard_rehop(ctx)
-        trio = [vpn for vpn in ctx.freeze_trio() if vpn in outcome.residency.mapped]
+        trio = [vpn for vpn in ctx.freeze_trio() if outcome.residency.is_mapped(vpn)]
         freeze_time, payload, install = self._freeze(ctx, outcome.mpt, trio)
 
         self._leave_transit_deputy(ctx, outcome, trio)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Collection, Protocol, Sequence, runtime_checkable
 
 from ..config import AMPoMConfig, HardwareSpec
 from ..core.policy import PrefetchPolicy
 from ..errors import MigrationError
 from ..mem.address_space import AddressSpace
+from ..mem.flags import flagged
 from ..mem.page_table import HomePageTable, MasterPageTable
 from ..mem.residency import ResidencyTracker
 from ..net.link import Direction
@@ -287,15 +288,21 @@ class MigrationContext:
     #: set directly on the strategy instance wins over this field.
     prefetch_policy: str | None = None
 
-    def existing_pages(self) -> set[int]:
+    def existing_pages(self) -> Collection[int]:
+        """Every page that exists at migration time (read-only)."""
         if self.premigration_pages is not None:
-            return set(self.premigration_pages)
-        return set(range(self.address_space.total_pages))
+            return self.premigration_pages
+        return range(self.address_space.total_pages)
 
-    def dirty_pages(self) -> set[int]:
-        dirty = set(self.address_space.dirty_pages)
-        if self.premigration_pages is not None:
-            dirty &= self.premigration_pages
+    def dirty_flags(self) -> bytearray:
+        """One byte per page of the address space, 1 for every dirty page
+        that exists at migration time."""
+        dirty = self.address_space.dirty_flags()
+        existing = self.premigration_pages
+        if existing is not None:
+            for vpn in flagged(dirty):
+                if vpn not in existing:
+                    dirty[vpn] = 0
         return dirty
 
     def freeze_trio(self) -> tuple[int, int, int]:
@@ -384,7 +391,8 @@ class MigrationStrategy(abc.ABC):
         re-shipped during the hop's freeze; the node keeps them and serves
         them remotely — deputy chaining per paper section 3.2.
         """
-        transit = sorted(outcome.residency.mapped - set(trio))
+        shipped = set(trio)
+        transit = [vpn for vpn in outcome.residency.mapped_pages() if vpn not in shipped]
         extra = outcome.extra
         extra["transit_pages"] = extra.get("transit_pages", 0.0) + float(len(transit))
         service = outcome.page_service

@@ -42,6 +42,7 @@ from ..config import HardwareSpec, RetrySpec
 from ..errors import MigrationError
 from ..faults.log import FaultEventKind, FaultInjectionLog
 from ..mem.fault import FaultKind
+from ..mem.flags import grow
 from ..mem.lru import LruPageCache
 from ..metrics.counters import Counters
 from ..metrics.eventlog import FaultLog
@@ -210,10 +211,12 @@ class MigrantExecutor:
         self.budget = TimeBudget()
         self.counters = Counters()
         self._trace = None
-        # One flag per page, set for every referenced page.  Sized to the
-        # address space; a trace that names a larger page grows it.
+        # One flag per page, set for every referenced page, and one byte
+        # per page, 1 for every page fetched from remote.  Both are sized
+        # to the address space; a trace that names a larger page grows
+        # them, and the residency tracker with them.
         self._touched = np.zeros(workload.address_space.total_pages, dtype=bool)
-        self._fetched: set[int] = set()
+        self._fetched = bytearray(self._touched.size)
         self._window_wraps_seen = 0
         #: Run time of the finished legs (each from its resume to the end
         #: of its quiesce) and the current leg's resume time.
@@ -259,6 +262,8 @@ class MigrantExecutor:
         self._policy = policy
         self._analysis_time = policy.analysis_time if policy is not None else 0.0
         self._res = outcome.residency
+        self._res.reserve(self._touched.size)
+        grow(self._fetched, len(self._res.mapped_flags))
         self._mpt = outcome.mpt
         self._service = outcome.page_service
         self._cpu = node.cpu
@@ -269,7 +274,7 @@ class MigrantExecutor:
         self._lru: LruPageCache | None = None
         if self._capacity_pages is not None:
             self._lru = LruPageCache(self._capacity_pages)
-            for vpn in sorted(outcome.residency.mapped):
+            for vpn in outcome.residency.mapped_pages():
                 self._insert_resident(vpn)
 
     # ------------------------------------------------------------------
@@ -361,14 +366,16 @@ class MigrantExecutor:
             grown[: self._touched.size] = self._touched
             grown[pages] = True
             self._touched = grown
+            grow(self._fetched, grown.size)
+            self._res.reserve(grown.size)
 
     def wasted_pages(self) -> int:
         """Pages fetched from remote but never referenced: the size of
         ``fetched - touched``."""
-        fetched = np.fromiter(self._fetched, dtype=np.int64, count=len(self._fetched))
+        fetched = np.frombuffer(self._fetched, dtype=bool)
         touched = self._touched
-        referenced = touched[fetched[fetched < touched.size]]
-        return int(fetched.size - np.count_nonzero(referenced))
+        n = min(fetched.size, touched.size)
+        return int(np.count_nonzero(fetched) - np.count_nonzero(fetched[:n] & touched[:n]))
 
     # ------------------------------------------------------------------
     # conditions for the prefetcher when no monitoring daemon is attached
@@ -395,7 +402,7 @@ class MigrantExecutor:
     def _run(self):
         sim = self.sim
         res = self.outcome.residency
-        mapped = res.mapped  # direct reference: the hot-path set
+        mapped = res.mapped_flags  # direct reference: the hot-path flags
         cpu = self.node.cpu
         budget = self.budget
         tr = self._tracer
@@ -423,7 +430,7 @@ class MigrantExecutor:
                     if (
                         self._lru is None
                         and not creates
-                        and not res.remote_set
+                        and not res.n_remote
                         and not res.in_flight_map
                         and not res.buffered_set
                     ):
@@ -432,7 +439,7 @@ class MigrantExecutor:
                         acc = 0.0
                         lru = self._lru
                         for vpn, work in zip(chunk.pages.tolist(), chunk.compute.tolist()):
-                            if vpn in mapped:
+                            if mapped[vpn]:
                                 if lru is not None:
                                     lru.touch(vpn)
                                 acc += work
@@ -586,13 +593,13 @@ class MigrantExecutor:
         # crash can kill the process in between, so the in-progress kind
         # is published for the teardown path to reconcile.
         counters = self.counters
-        if vpn in res.mapped:
+        if res.mapped_flags[vpn]:
             kind = FaultKind.MINOR_BUFFERED
             counters.minor_buffered_faults += 1
         elif vpn in res.in_flight_map:
             kind = FaultKind.IN_FLIGHT_WAIT
             counters.inflight_waits += 1
-        elif vpn in res.remote_set:
+        elif res.remote_flags[vpn]:
             kind = FaultKind.MAJOR
             counters.major_faults += 1
         else:
@@ -659,7 +666,7 @@ class MigrantExecutor:
                 fetched = self._fetched
                 for page, t in arrivals.items():
                     res.start_fetch(page, t)
-                    fetched.add(page)
+                    fetched[page] = 1
                 # The demanded page's arrival is already in hand; no yields
                 # occur before the stall computation reads it.
                 demand_arrival = arrivals[vpn]
@@ -678,7 +685,7 @@ class MigrantExecutor:
                 fetched = self._fetched
                 for page, t in arrivals.items():
                     res.start_fetch(page, t)
-                    fetched.add(page)
+                    fetched[page] = 1
 
         # Step 6: resolve the faulting page.
         stall = 0.0
@@ -752,13 +759,13 @@ class MigrantExecutor:
         sight until a retransmission improves it."""
         res = self.outcome.residency
         for page, t in arrivals.items():
-            if page in res.mapped or page in res.buffered:
+            if res.mapped_flags[page] or page in res.buffered_set:
                 continue  # a replayed copy of a page we already have
-            if page in res.in_flight:
+            if page in res.in_flight_map:
                 res.update_arrival(page, t)
-            elif res.is_remote(page):
+            elif res.remote_flags[page]:
                 res.start_fetch(page, t)
-                self._fetched.add(page)
+                self._fetched[page] = 1
 
     def _await_page(self, vpn: int, seq: int | None):
         """Block until ``vpn`` is mapped, retransmitting on timeout.
@@ -784,7 +791,7 @@ class MigrantExecutor:
             res.absorb_arrivals(sim.now)
             if res.buffered_set:
                 yield from self._copy_buffered(res)
-            if vpn in res.mapped:
+            if res.mapped_flags[vpn]:
                 break
             arrival = res.arrival_time(vpn) if vpn in res.in_flight else math.inf
             timed = math.isinf(arrival)
@@ -809,7 +816,7 @@ class MigrantExecutor:
             res.absorb_arrivals(sim.now)
             if res.buffered_set:
                 yield from self._copy_buffered(res)
-            if vpn in res.mapped:
+            if res.mapped_flags[vpn]:
                 break
             if not timed:
                 continue  # recompute: a retransmitted reply may be closer
@@ -867,7 +874,7 @@ class MigrantExecutor:
             self.counters.prefetch_writeoffs += len(lost)
             fetched = self._fetched
             for vpn in lost:
-                fetched.discard(vpn)
+                fetched[vpn] = 0
         return lost
 
     def _collect_fault_stats(self) -> None:

@@ -13,9 +13,12 @@ openMosix property, not an FFA one, but we keep it for comparability).
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Sequence
 
 from ..errors import MemoryStateError, MigrationError
+from ..mem.flags import flagged
 from ..mem.page_table import HomePageTable, MasterPageTable
 from ..mem.residency import ResidencyTracker
 from ..net.link import Direction
@@ -33,15 +36,16 @@ from .base import (
 class FileServerPageService:
     """Serves faults from the file server, honouring flush completion.
 
-    ``flush_times`` maps each page to the moment its copy reaches the file
-    server; a request for it cannot be answered earlier.
+    ``flush_times`` holds, per page, the moment its copy reaches the file
+    server (NaN while the server holds no copy); a request for the page
+    cannot be answered earlier, and serving it takes the copy.
     """
 
     def __init__(
         self,
         request_channel: Direction,
         reply_channel: Direction,
-        flush_times: dict[int, float],
+        flush_times: array,
         page_size: int,
         server_page_time: float,
         deputy_request_channel: Direction,
@@ -85,11 +89,12 @@ class FileServerPageService:
         request_arrival = self.request_channel.transfer(payload, now)
         arrivals: dict[int, float] = {}
         clock = max(request_arrival, self.server_busy_until)
+        times = self.flush_times
         for vpn in pages:
-            try:
-                flushed_at = self.flush_times.pop(vpn)
-            except KeyError:
+            flushed_at = times[vpn] if 0 <= vpn < len(times) else math.nan
+            if math.isnan(flushed_at):
                 raise MemoryStateError(f"page {vpn} is not stored on the file server")
+            times[vpn] = math.nan
             clock = max(clock, flushed_at) + self.server_page_time
             arrivals[vpn] = self.reply_channel.transfer(
                 self.page_size + self.paging_overhead_bytes, clock
@@ -99,12 +104,16 @@ class FileServerPageService:
         return arrivals
 
     def store_writeback(self, vpn: int, available_at: float) -> None:
-        """Accept an evicted dirty page written back by the migrant.
+        """Accept a page written to the file server: an evicted dirty page,
+        or a resident page a re-hop flushes.
 
         The file server is FFA's backing store: once the write-back lands
         the page is requestable again, like any flushed page.
         """
-        self.flush_times[vpn] = available_at
+        times = self.flush_times
+        if vpn >= len(times):
+            times.extend([math.nan] * (vpn + 1 - len(times)))
+        times[vpn] = available_at
 
     def forward_syscall(self, syscall: Syscall, now: float) -> float:
         request_arrival = self.deputy_request_channel.transfer(REQUEST_HEADER_BYTES + 64, now)
@@ -140,22 +149,27 @@ class FfaMigration(MigrationStrategy):
             pushed[vpn] = to_dst.transfer_page(hw.page_size, now + freeze_time)
         # 2. flush every remaining dirty page to the file server, in page
         #    order, starting when the freeze ends.
-        flush_order = sorted(ctx.dirty_pages() - set(trio) - set(stack_rest))
-        flush_times: dict[int, float] = {}
+        shipped = {*trio, *stack_rest}
+        dirty = ctx.dirty_flags()
+        for vpn in shipped:
+            dirty[vpn] = 0
+        flush_order = flagged(dirty)
+        flush_times = array("d", [math.nan]) * ctx.address_space.total_pages
+        flush_complete = now + freeze_time
         for vpn in flush_order:
             # The FIFO channel serializes the flush stream by itself.
-            flush_times[vpn] = to_fs.transfer_page(hw.page_size, now + freeze_time)
-        flush_complete = max(flush_times.values(), default=now + freeze_time)
+            flushed_at = to_fs.transfer_page(hw.page_size, now + freeze_time)
+            flush_times[vpn] = flushed_at
+            flush_complete = max(flush_complete, flushed_at)
         # Clean pages (code) come from the file server immediately.
-        for vpn in existing - set(trio) - set(stack_rest) - set(flush_order):
+        clean = [vpn for vpn in existing if not dirty[vpn] and vpn not in shipped]
+        for vpn in clean:
             flush_times[vpn] = now + freeze_time
 
         mpt, hpt = MasterPageTable.from_migration(
             existing, trio, entry_bytes=hw.mpt_entry_bytes
         )
-        residency = ResidencyTracker(
-            remote_pages=existing - set(trio), mapped_pages=trio
-        )
+        residency = ResidencyTracker.from_mpt(mpt)
         # Pushed stack pages arrive unbidden; model them as in flight.
         for vpn, t in pushed.items():
             residency.start_fetch(vpn, t)
@@ -163,9 +177,8 @@ class FfaMigration(MigrationStrategy):
         # The origin hands everything else to the file server.
         for vpn in flush_order:
             hpt.release(vpn)
-        for vpn in sorted((existing - set(trio) - set(pushed)) - set(flush_order)):
-            if vpn in hpt:
-                hpt.release(vpn)
+        for vpn in clean:
+            hpt.release(vpn)
 
         deputy = Deputy(hpt, to_dst, hw)
         service = FileServerPageService(
@@ -207,16 +220,16 @@ class FfaMigration(MigrationStrategy):
         to_fs = ctx.network.direction(ctx.src, ctx.file_server)
         res = outcome.residency
         service = outcome.page_service
-        trio = [vpn for vpn in ctx.freeze_trio() if vpn in res.mapped]
+        trio = [vpn for vpn in ctx.freeze_trio() if res.is_mapped(vpn)]
         freeze_time, payload = self._ship_trio(ctx, trio)
 
         # Flush everything else (dirty by construction) to the file
         # server, in page order, starting when the freeze ends.
-        rest = sorted(res.mapped - set(trio))
+        rest = [vpn for vpn in res.mapped_pages() if vpn not in trio]
         for vpn in rest:
             res.unmap(vpn)
             outcome.mpt.mark_home(vpn)
-            service.flush_times[vpn] = to_fs.transfer_page(hw.page_size, now + freeze_time)
+            service.store_writeback(vpn, to_fs.transfer_page(hw.page_size, now + freeze_time))
 
         home = ctx.home or ctx.src
         service.request_channel = ctx.network.direction(ctx.dst, ctx.file_server)

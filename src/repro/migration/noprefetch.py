@@ -30,9 +30,7 @@ class NoPrefetchMigration(MigrationStrategy):
         mpt, hpt = MasterPageTable.from_migration(
             existing, trio, entry_bytes=hw.mpt_entry_bytes
         )
-        residency = ResidencyTracker(
-            remote_pages=existing - set(trio), mapped_pages=trio
-        )
+        residency = ResidencyTracker.from_mpt(mpt)
         service = self._make_deputy_service(ctx, hpt)
 
         return MigrationOutcome(
@@ -51,7 +49,7 @@ class NoPrefetchMigration(MigrationStrategy):
         """Re-migrate: ship the trio only; every other resident page stays
         behind on a transit deputy and is demand-fetched from there."""
         self._guard_rehop(ctx)
-        trio = [vpn for vpn in ctx.freeze_trio() if vpn in outcome.residency.mapped]
+        trio = [vpn for vpn in ctx.freeze_trio() if outcome.residency.is_mapped(vpn)]
         freeze_time, payload = self._ship_trio(ctx, trio)
 
         self._leave_transit_deputy(ctx, outcome, trio)

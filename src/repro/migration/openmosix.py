@@ -29,22 +29,22 @@ class OpenMosixMigration(MigrationStrategy):
             )
         hw = ctx.hardware
         existing = ctx.existing_pages()
-        dirty = sorted(ctx.dirty_pages())
-        freeze_time, payload = self._freeze(ctx, dirty)
+        n_dirty = ctx.dirty_flags().count(1)
+        freeze_time, payload = self._freeze(ctx, n_dirty)
 
         # Everything is local afterwards; clean pages (code) are backed by
         # the local file system at the destination, as in openMosix.
         mpt, hpt = MasterPageTable.from_migration(
             existing, existing, entry_bytes=hw.mpt_entry_bytes
         )
-        residency = ResidencyTracker(remote_pages=(), mapped_pages=existing)
+        residency = ResidencyTracker.from_mpt(mpt)
         service = self._make_deputy_service(ctx, hpt)  # empty HPT; syscalls only
 
         return MigrationOutcome(
             strategy=self.name,
             freeze_time=freeze_time,
             bytes_transferred=payload,
-            pages_shipped=len(dirty),
+            pages_shipped=n_dirty,
             mpt=mpt,
             hpt=hpt,
             residency=residency,
@@ -57,24 +57,25 @@ class OpenMosixMigration(MigrationStrategy):
         always moves the whole address space, so nothing stays behind and
         no transit deputy is needed — only the home syscall path rebinds)."""
         self._guard_rehop(ctx)
-        resident = sorted(outcome.residency.mapped)
-        freeze_time, payload = self._freeze(ctx, resident)
+        n_resident = outcome.residency.n_mapped
+        freeze_time, payload = self._freeze(ctx, n_resident)
 
         outcome.page_service.move_to(ctx.dst)
         outcome.freeze_time = freeze_time
         outcome.bytes_transferred = payload
-        outcome.pages_shipped = len(resident)
+        outcome.pages_shipped = n_resident
 
     @staticmethod
-    def _freeze(ctx: MigrationContext, pages: list[int]) -> tuple[float, int]:
-        """Ship the state, then ``pages`` in one bulk stream (page payload
-        plus per-page protocol overhead each, a single message-level
-        header).  Returns the freeze time and the bytes transferred."""
+    def _freeze(ctx: MigrationContext, n_pages: int) -> tuple[float, int]:
+        """Ship the state, then ``n_pages`` pages in one bulk stream (page
+        payload plus per-page protocol overhead each, a single
+        message-level header).  Returns the freeze time and the bytes
+        transferred."""
         now = ctx.sim.now
         hw = ctx.hardware
         channel = ctx.network.direction(ctx.src, ctx.dst)
         MigrationStrategy._state_transfer(ctx)
-        bulk_payload = len(pages) * (hw.page_size + channel.per_page_overhead_bytes)
+        bulk_payload = n_pages * (hw.page_size + channel.per_page_overhead_bytes)
         arrival = channel.transfer(bulk_payload, ctx.sim.now)
         return (
             hw.migration_setup_time + (arrival - now),

@@ -44,7 +44,7 @@ class PrecopyMigration(MigrationStrategy):
         hw = ctx.hardware
         channel = ctx.network.direction(ctx.src, ctx.dst)
         existing = ctx.existing_pages()
-        dirty = len(ctx.dirty_pages())
+        dirty = ctx.dirty_flags().count(1)
         page_wire = hw.page_size + channel.per_page_overhead_bytes
 
         # Iterative rounds (all but the last overlap with execution).
@@ -76,7 +76,7 @@ class PrecopyMigration(MigrationStrategy):
         mpt, hpt = MasterPageTable.from_migration(
             existing, existing, entry_bytes=hw.mpt_entry_bytes
         )
-        residency = ResidencyTracker(remote_pages=(), mapped_pages=existing)
+        residency = ResidencyTracker.from_mpt(mpt)
         service = self._make_deputy_service(ctx, hpt)
 
         return MigrationOutcome(

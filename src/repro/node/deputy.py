@@ -196,7 +196,8 @@ class Deputy:
             hw = self.hardware
             start = max(request_arrival, self.busy_until)
             clock = start + hw.deputy_request_time
-            if vpn in self.hpt:
+            stored = self.hpt.stored
+            if 0 <= vpn < len(stored) and stored[vpn]:
                 self.hpt.release(vpn)
                 if self._replay_capacity > 0:
                     self._remember_released(vpn)
@@ -244,11 +245,12 @@ class Deputy:
         clock = start + hw.deputy_request_time
         page_dt = hw.deputy_page_time
         hpt = self.hpt
+        stored = hpt.stored
         remember = self._replay_capacity > 0
         served = 0
         release_times: list[float] = []
         for vpn in ordered:
-            if vpn in hpt:
+            if 0 <= vpn < len(stored) and stored[vpn]:
                 hpt.release(vpn)
                 if remember:
                     self._remember_released(vpn)

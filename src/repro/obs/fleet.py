@@ -151,6 +151,11 @@ class FleetTelemetry:
         """Register a callback run first on every shared-cadence tick."""
         self._hooks.append(fn)
 
+    def remove_tick_hook(self, fn: Callable[[float], None]) -> None:
+        """Unregister a callback added by :meth:`add_tick_hook`, so a
+        finished run stops being reachable from this collector."""
+        self._hooks.remove(fn)
+
     def tick(self, t: float) -> None:
         """One shared-cadence sample: hooks first, then every probe."""
         self.ticks += 1

@@ -14,6 +14,13 @@ from repro.units import mib
 from repro.workloads.synthetic import SequentialWorkload, StridedWorkload
 
 
+def _leak_a_mapped_page(res):
+    """Drop a mapped page from the tracker without any transition."""
+    vpn = res.mapped_pages()[-1]
+    res.mapped_flags[vpn] = 0
+    res._n_mapped -= 1
+
+
 def _checked_run(workload=None, strategy=None, **spec_kwargs):
     config = SimulationConfig().with_(checks=CheckSpec(enabled=True, **spec_kwargs))
     run = MigrationRun(
@@ -63,22 +70,33 @@ class TestViolationsDetected:
 
     def test_leaked_page_fails_residency_conservation(self):
         run = _checked_run()
-        run.outcome.residency.mapped.pop()
+        _leak_a_mapped_page(run.outcome.residency)
         with pytest.raises(InvariantViolation) as exc:
             run.checker._check_cheap()
         assert exc.value.invariant == "residency-conservation"
 
     def test_duplicated_page_fails_disjointness(self):
         run = _checked_run()
-        vpn = next(iter(run.outcome.residency.mapped))
-        run.outcome.residency.remote_set.add(vpn)
+        res = run.outcome.residency
+        vpn = res.mapped_pages()[0]
+        res.remote_flags[vpn] = 1
+        res._n_remote += 1
         with pytest.raises(InvariantViolation) as exc:
             run.checker.deep_audit()
         assert exc.value.invariant in ("residency-disjointness", "hpt-split")
 
+    def test_flag_without_its_count_fails_flag_count(self):
+        run = _checked_run()
+        res = run.outcome.residency
+        res.mapped_flags[res.mapped_pages()[0]] = 0  # the running count still has it
+        with pytest.raises(InvariantViolation) as exc:
+            run.checker.deep_audit()
+        assert exc.value.invariant == "flag-count"
+        assert "mapped flags hold" in exc.value.detail
+
     def test_mpt_drift_fails_split_audit(self):
         run = _checked_run()
-        vpn = next(iter(run.outcome.residency.mapped))
+        vpn = run.outcome.residency.mapped_pages()[0]
         run.outcome.mpt.mark_home(vpn)
         with pytest.raises(InvariantViolation) as exc:
             run.checker.deep_audit()
@@ -108,14 +126,14 @@ class TestViolationsDetected:
         run = _checked_run()
         vpn = next(iter(run.outcome.residency.remote), None)
         if vpn is None:  # fully fetched: synthesize one
-            vpn = max(run.outcome.residency.mapped) + 1
+            vpn = run.outcome.residency.mapped_pages()[-1] + 1
         with pytest.raises(InvariantViolation) as exc:
             run.checker.on_request([vpn], [vpn])
         assert exc.value.invariant == "duplicate-transfer"
 
     def test_request_for_local_page_detected(self):
         run = _checked_run()
-        vpn = next(iter(run.outcome.residency.mapped))
+        vpn = run.outcome.residency.mapped_pages()[0]
         with pytest.raises(InvariantViolation) as exc:
             run.checker.on_request([vpn], [])
         assert exc.value.invariant == "duplicate-transfer"
@@ -125,7 +143,7 @@ class TestViolationsDetected:
 class TestStructuredException:
     def test_violation_carries_invariant_detail_and_trace(self):
         run = _checked_run()
-        run.outcome.residency.mapped.pop()
+        _leak_a_mapped_page(run.outcome.residency)
         with pytest.raises(InvariantViolation) as exc:
             run.checker._check_cheap()
         violation = exc.value
@@ -137,7 +155,7 @@ class TestStructuredException:
 
     def test_trace_bounded_by_spec_depth(self):
         run = _checked_run(trace_depth=4)
-        run.outcome.residency.mapped.pop()
+        _leak_a_mapped_page(run.outcome.residency)
         with pytest.raises(InvariantViolation) as exc:
             run.checker._check_cheap()
         assert len(exc.value.trace) <= 4

@@ -130,14 +130,32 @@ def test_three_hop_residency_conservation_and_transit_deputy():
     ids=("AMPoM", "openMosix", "NoPrefetch", "FFA"),
 )
 def test_three_hop_completes_under_every_scheme(strategy_cls):
-    runtime = ScenarioRuntime(_three_hop_spec(strategy_cls()))
+    # A short first leg: openMosix's whole run takes ~0.01 s after its freeze.
+    runtime = ScenarioRuntime(_three_hop_spec(strategy_cls(), hop_delay=0.001))
     result = runtime.execute()[0]
     assert result.extra["hops"] == 2.0
+    service = runtime.outcomes[0].page_service
+    assert service.deputy.reply_channel is runtime.cluster.network.direction(HOME, "n2")
     assert result.total_time == pytest.approx(
         result.freeze_time + result.run_time
     )
     checker = runtime.checkers[0]
     assert checker is not None and checker.deep_audits > 0
+
+
+@pytest.mark.parametrize(
+    "strategy_cls",
+    (AmpomMigration, OpenMosixMigration, NoPrefetchMigration, FfaMigration),
+    ids=("AMPoM", "openMosix", "NoPrefetch", "FFA"),
+)
+def test_trace_ending_before_its_hop_reports_one_hop(strategy_cls):
+    """``hops`` counts the hops taken, not the route's length: a migrant
+    whose trace ends before the re-hop deadline stays on n1."""
+    runtime = ScenarioRuntime(_three_hop_spec(strategy_cls(), hop_delay=1000.0))
+    result = runtime.execute()[0]
+    assert result.extra["hops"] == 1.0
+    service = runtime.outcomes[0].page_service
+    assert service.deputy.reply_channel is runtime.cluster.network.direction(HOME, "n1")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ across ``parallel_map`` fan-out widths, and per policy.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.cluster.sustained import SustainedLoadDriver, run_sustained
 from repro.cluster.topology import NodeGraph, SustainedSpec, build_preset
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
+from repro.obs import Observability
 from repro.units import mib
 
 
@@ -156,3 +159,19 @@ def test_sustained_spec_rejects_degenerate_intervals(field, value):
     _, sustained = _small_spec()
     with pytest.raises(ConfigurationError, match=field):
         dataclasses.replace(sustained, **{field: value})
+
+
+def test_finished_run_is_not_reachable_from_its_telemetry():
+    """The utilization sampler drops its tick hook when it stops, so a
+    caller holding the Observability bundle does not keep the driver, its
+    scheduler and its simulations alive."""
+    graph, sustained = _small_spec()
+    obs = Observability.enabled(trace=False, metrics=False, fleet=True, journeys=True)
+    driver = SustainedLoadDriver(graph, sustained, config=SimulationConfig(seed=3))
+    result = driver.execute(obs=obs)
+    assert result.report.completed > 0 and obs.fleet.ticks > 0
+    alive = weakref.ref(driver)
+    del driver, result
+    gc.collect()
+    assert alive() is None
+    assert obs.fleet.nodes()  # the bundle and its series are still held

@@ -50,7 +50,7 @@ def test_page_conservation(strategy_cls):
     # Data region fully mapped at the end.
     data = w.address_space.region("data")
     assert all(
-        vpn in outcome.residency.mapped
+        outcome.residency.is_mapped(vpn)
         for vpn in range(data.start_page, data.end_page)
     )
     # HPT holds exactly the never-transferred pages.

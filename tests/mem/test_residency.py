@@ -16,7 +16,7 @@ def make(remote=range(10), mapped=()):
 
 def test_initial_state():
     res = make(remote=[1, 2], mapped=[0])
-    assert res.mapped == {0}
+    assert res.mapped_pages() == [0]
     assert res.remote == frozenset({1, 2})
     assert res.n_remote == 2 and res.n_in_flight == 0 and res.n_buffered == 0
 
@@ -36,7 +36,7 @@ def test_fetch_lifecycle():
     assert res.absorb_arrivals(1.0) == 1
     assert 3 in res.buffered
     assert res.map_buffered() == [3]
-    assert 3 in res.mapped
+    assert res.is_mapped(3)
 
 
 def test_fetch_non_remote_rejected():
@@ -66,7 +66,7 @@ def test_absorb_in_arrival_order():
 def test_map_created():
     res = make(remote=[1])
     res.map_created(50)
-    assert 50 in res.mapped
+    assert res.is_mapped(50)
     with pytest.raises(MemoryStateError):
         res.map_created(50)
     with pytest.raises(MemoryStateError):
@@ -101,7 +101,7 @@ def test_states_are_disjoint_invariant(remote_pages, data):
             res.absorb_arrivals(clock)
         elif action == "map":
             res.map_buffered()
-        states = [res.mapped, set(res.buffered), set(res.in_flight), set(res.remote)]
+        states = [set(res.mapped_pages()), set(res.buffered), set(res.in_flight), set(res.remote)]
         assert set().union(*states) == universe
         total = sum(len(s) for s in states)
         assert total == len(universe)  # pairwise disjoint

@@ -96,7 +96,7 @@ def test_very_small_address_space_prefetch_clipped():
     run = MigrationRun(w, AmpomMigration())
     result = run.execute()
     limit = w.address_space.total_pages
-    assert all(vpn < limit for vpn in run.outcome.residency.mapped)
+    assert all(vpn < limit for vpn in run.outcome.residency.mapped_pages())
     assert result.counters.pages_prefetched <= limit
 
 

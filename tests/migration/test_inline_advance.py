@@ -22,6 +22,7 @@ from repro.cluster.sustained import run_sustained
 from repro.cluster.topology import build_preset
 from repro.config import NodeFaultSpec
 from repro.experiments.figures import run_one, scaled_config
+from repro.mem.residency import ResidencyTracker
 from repro.migration.ampom import AmpomMigration
 from repro.migration.executor import MigrantExecutor
 from repro.obs import Observability
@@ -98,7 +99,7 @@ def wasted_calls(monkeypatch):
     """Every ``wasted_pages()`` call as ``(bitmap count, set count)``.
 
     A shadow set of referenced pages is kept per migrant, keyed by its
-    fetched set, which every leg of a multi-hop run shares.
+    fetched flags, which every leg of a multi-hop run shares.
     """
     shadows: dict[int, tuple[set, set]] = {}
     calls: list[tuple[int, int]] = []
@@ -114,7 +115,8 @@ def wasted_calls(monkeypatch):
         mark(self, pages)
 
     def spy_count(self):
-        calls.append((count(self), len(self._fetched - shadow(self))))
+        fetched = set(np.flatnonzero(np.frombuffer(self._fetched, dtype=np.uint8)).tolist())
+        calls.append((count(self), len(fetched - shadow(self))))
         return calls[-1][0]
 
     monkeypatch.setattr(MigrantExecutor, "_mark_touched", spy_mark)
@@ -146,11 +148,15 @@ def test_wasted_pages_replay_workload(wasted_calls):
 
 
 def test_touched_bitmap_grows_past_the_address_space():
-    executor = MigrantExecutor.__new__(MigrantExecutor)  # just the bitmap state
+    executor = MigrantExecutor.__new__(MigrantExecutor)  # just the per-page state
     executor._touched = np.zeros(4, dtype=bool)
-    executor._fetched = {2, 9, 40}
+    executor._res = ResidencyTracker(remote_pages=[], mapped_pages=[0, 1, 2, 3])
+    executor._fetched = bytearray(41)
+    for vpn in (2, 9, 40):
+        executor._fetched[vpn] = 1
     executor._mark_touched(np.array([1, 2], dtype=np.int64))
     executor._mark_touched(np.array([2, 9], dtype=np.int64))
     assert executor._touched.size >= 10
+    assert len(executor._res.mapped_flags) >= executor._touched.size  # the tracker grew too
     assert np.flatnonzero(executor._touched).tolist() == [1, 2, 9]
     assert executor.wasted_pages() == 1  # page 40 lies past the bitmap

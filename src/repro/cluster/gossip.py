@@ -213,5 +213,9 @@ class GossipLoadMap:
         return None if entry is None else self.sim.now - entry.sampled_at
 
     def stop(self) -> None:
+        """Terminate the daemons and drop the load sampler.  The sampler
+        usually reads the balancer that holds this map, and the two would
+        otherwise keep each other alive after the run."""
         for proc in self._procs:
             proc.interrupt()
+        self.load_of = None

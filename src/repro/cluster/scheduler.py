@@ -454,77 +454,83 @@ class SchedulerDriver:
         and decision log.  Uses a throwaway simulator — the decisions, not
         the coarse timing, feed phase 2."""
         sim = Simulator()
-        cluster = Cluster(
-            sim, self.config, self.graph.nodes, link_specs=self.graph.spec_overrides()
-        )
-        node_plan = None
-        if self.config.node_faults.active:
-            from ..faults import NodeFaultPlan
-            from .topology import FILE_SERVER
-
-            # Same spec + seed as the runtime's plan, so phase 1 balances
-            # around the very crash schedule phase 2 will execute under.
-            node_plan = NodeFaultPlan(
-                self.config.node_faults,
-                seed=self.config.seed,
-                nodes=self.graph.nodes,
-                protected={FILE_SERVER} if FILE_SERVER in self.graph.nodes else (),
-            )
-        tasks = self._make_tasks()
-        gossip = self.gossip
         own_gossip = None
-        if self.decentralized and gossip is None:
-            from .gossip import GossipLoadMap
+        try:
+            cluster = Cluster(
+                sim, self.config, self.graph.nodes, link_specs=self.graph.spec_overrides()
+            )
+            node_plan = None
+            if self.config.node_faults.active:
+                from ..faults import NodeFaultPlan
+                from .topology import FILE_SERVER
 
-            # Bound to the plan simulator: load updates are real messages
-            # on the plan's links, and every view lags accordingly.
-            own_gossip = GossipLoadMap(
+                # Same spec + seed as the runtime's plan, so phase 1 balances
+                # around the very crash schedule phase 2 will execute under.
+                node_plan = NodeFaultPlan(
+                    self.config.node_faults,
+                    seed=self.config.seed,
+                    nodes=self.graph.nodes,
+                    protected={FILE_SERVER} if FILE_SERVER in self.graph.nodes else (),
+                )
+            tasks = self._make_tasks()
+            gossip = self.gossip
+            if self.decentralized and gossip is None:
+                from .gossip import GossipLoadMap
+
+                # Bound to the plan simulator: load updates are real messages
+                # on the plan's links, and every view lags accordingly.
+                own_gossip = GossipLoadMap(
+                    sim,
+                    cluster,
+                    load_of=lambda name: scheduler.load(name),
+                    interval=self.gossip_interval_s,
+                    seed=self.config.seed,
+                    node_plan=node_plan,
+                )
+                gossip = own_gossip
+            scheduler = ClusterScheduler(
                 sim,
                 cluster,
-                load_of=lambda name: scheduler.load(name),
-                interval=self.gossip_interval_s,
-                seed=self.config.seed,
+                tasks,
+                self.config,
+                freeze_model=self.freeze_model,
+                balance_interval=self.balance_interval,
+                load_gap_threshold=self.load_gap_threshold,
+                time_slice=self.time_slice,
+                min_task_lifetime=self.min_task_lifetime,
+                gossip=gossip,
                 node_plan=node_plan,
+                policy=self._resolve_policy(),
             )
-            gossip = own_gossip
-        scheduler = ClusterScheduler(
-            sim,
-            cluster,
-            tasks,
-            self.config,
-            freeze_model=self.freeze_model,
-            balance_interval=self.balance_interval,
-            load_gap_threshold=self.load_gap_threshold,
-            time_slice=self.time_slice,
-            min_task_lifetime=self.min_task_lifetime,
-            gossip=gossip,
-            node_plan=node_plan,
-            policy=self._resolve_policy(),
-        )
-        jlog = self.obs.journeys if self.obs is not None else None
-        if jlog is not None:
-            # One journey per task, opened at its arrival; every placement
-            # decision is recorded with the (suspicion-filtered) gossip
-            # view that justified it, so the causal chain "this view led
-            # to this move" is reconstructable per migrant.
-            for task in tasks:
-                jlog.start(
-                    task.name, task.arrival_s, node=task.node,
-                    cpu_seconds=task.cpu_seconds, memory_bytes=task.memory_bytes,
-                )
+            jlog = self.obs.journeys if self.obs is not None else None
+            if jlog is not None:
+                # One journey per task, opened at its arrival; every placement
+                # decision is recorded with the (suspicion-filtered) gossip
+                # view that justified it, so the causal chain "this view led
+                # to this move" is reconstructable per migrant.
+                for task in tasks:
+                    jlog.start(
+                        task.name, task.arrival_s, node=task.node,
+                        cpu_seconds=task.cpu_seconds, memory_bytes=task.memory_bytes,
+                    )
 
-            def on_decision(decision, view):
-                jlog.record(
-                    decision.task, "decision", decision.time,
-                    src=decision.src, dst=decision.dst,
-                    view=None if view is None else dict(view),
-                )
+                def on_decision(decision, view):
+                    jlog.record(
+                        decision.task, "decision", decision.time,
+                        src=decision.src, dst=decision.dst,
+                        view=None if view is None else dict(view),
+                    )
 
-            scheduler.on_decision = on_decision
-        self._spawn_monitors(sim, scheduler)
-        report = scheduler.run()
-        if own_gossip is not None:
-            own_gossip.stop()
+                scheduler.on_decision = on_decision
+            self._spawn_monitors(sim, scheduler)
+            report = scheduler.run()
+        finally:
+            # Phase 1 is over, finished or failed.  Stopping the gossip
+            # daemons also drops their load sampler, which closes over the
+            # scheduler; closing the simulator drops the remaining wake-ups.
+            if own_gossip is not None:
+                own_gossip.stop()
+            sim.close()
         if jlog is not None:
             for name, done_at in report.per_task_completion.items():
                 if done_at == done_at:  # non-NaN: the plan completed it
@@ -652,16 +658,20 @@ class SchedulerDriver:
         plan = runtime.node_plan
         if plan is None:
             return
+        # The hook is stored on the runtime, so it captures what it reads,
+        # never the runtime or this driver (which holds the runtime).
+        nodes = self.graph.nodes
+        cluster = runtime.cluster
 
         def retarget(route, hop, now):
             taken = set(route)
             candidates = [
                 n
-                for n in self.graph.nodes
+                for n in nodes
                 if n not in taken and n != FILE_SERVER and not plan.down(n, now)
             ]
             if not candidates:
                 return None
-            return min(candidates, key=lambda n: (runtime.cluster.node(n).load, n))
+            return min(candidates, key=lambda n: (cluster.node(n).load, n))
 
         runtime.retarget = retarget

@@ -374,10 +374,16 @@ class ScenarioRuntime:
         for i, migrant in enumerate(migrants):
             name = migrant.name or ("scenario" if single else f"migrant-{i}")
             procs.append(self.sim.spawn(self._migrant(i, migrant), name=name))
-        for proc in procs:
-            self.sim.run_until_complete(proc, max_events=self.spec.max_events)
-        for infod in self._infods.values():
-            infod.stop()
+        try:
+            for proc in procs:
+                self.sim.run_until_complete(proc, max_events=self.spec.max_events)
+        finally:
+            # The run is over, finished or failed: stop the daemons and
+            # release the simulator's pending wake-ups and observers, so
+            # nothing left behind refers back to this runtime.
+            for infod in self._infods.values():
+                infod.stop()
+            self.sim.close()
         assert all(r is not None for r in self.results)
         return list(self.results)  # type: ignore[arg-type]
 
@@ -584,7 +590,7 @@ class ScenarioRuntime:
                 proc = executor.start()
                 result = yield proc
                 if proc.error is not None:
-                    raise proc.error
+                    raise proc.take_error()
                 if not executor.preempted:
                     break
 
@@ -616,14 +622,14 @@ class ScenarioRuntime:
                         deputy.obs = self._deputy_obs
                 yield from self._freeze(outcome, journey, route, hop)
                 executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
-            if len(route) > 2:
-                # The hops taken: a trace that ends before a hop's
-                # deadline never re-migrates.
-                result.extra["hops"] = float(hop)
         except ProcessLostError as lost:
             detail = str(lost).splitlines()[0]
             self._recovery("killed", journey, detail, detail=detail)
             result = executor.kill()
+        if len(route) > 2:
+            # The hops taken: a trace that ends before a hop's deadline
+            # never re-migrates, and a kill ends the journey where it is.
+            result.extra["hops"] = float(hop)
         if checker is not None:
             checker.final_audit()
             sim.remove_observer(checker.on_sim_event)
@@ -753,7 +759,8 @@ class ScenarioRuntime:
     ) -> ExecutionResult:
         """The home node crashed while the process still lived on it: the
         process dies without ever migrating.  Nothing to tear down — no
-        outcome, no ledgers — just a zeroed result flagged killed."""
+        outcome, no ledgers — just a zeroed result flagged killed, after
+        zero hops."""
         from ..metrics.counters import Counters
         from ..metrics.timeline import TimeBudget
 
@@ -765,7 +772,7 @@ class ScenarioRuntime:
             run_time=0.0,
             budget=TimeBudget(),
             counters=Counters(),
-            extra={"killed": 1.0},
+            extra={"killed": 1.0, "hops": 0.0},
         )
 
     # ------------------------------------------------------------------

@@ -260,11 +260,16 @@ class SustainedLoadDriver(SchedulerDriver):
         sim.spawn(sampler(), name="utilization-sampler")
 
     def plan(self):
-        report, decisions = super().plan()
-        # The sampler stopped with phase 1.  Its hook closes over this
-        # driver and its simulations, which a caller that keeps the
-        # Observability bundle must not keep alive.
-        self.telemetry.remove_tick_hook(self._tick)
+        try:
+            report, decisions = super().plan()
+        finally:
+            # The sampler stopped with phase 1.  Its hook closes over this
+            # driver and the plan's scheduler: telemetry that a caller
+            # keeps must not hold it, and the driver holding it would form
+            # a reference cycle.
+            if self._tick is not None:
+                self.telemetry.remove_tick_hook(self._tick)
+                self._tick = None
         completed = sum(
             1 for v in report.per_task_completion.values() if v == v  # non-NaN
         )

@@ -1,6 +1,6 @@
 """Histogram / counter / gauge registry for simulated-time telemetry.
 
-The registry is write-cheap (one list append or dict add per observation)
+The registry is write-cheap (one array append or dict add per observation)
 and derives summaries on demand: each histogram reports count/min/max/mean
 plus nearest-rank p50/p95/p99 — the percentile definition is deterministic
 and needs no interpolation choices, so summaries are reproducible across
@@ -13,6 +13,8 @@ runs without.
 
 from __future__ import annotations
 
+from array import array
+
 from ..metrics.report import format_table
 
 #: Percentiles every histogram summary reports.
@@ -20,16 +22,22 @@ PERCENTILES = (50, 95, 99)
 
 
 class Histogram:
-    """Streaming value collector with on-demand quantile summaries."""
+    """Streaming value collector with on-demand quantile summaries.
+
+    Samples are float64, 8 bytes each, in one ``array("d")``: no Python
+    object per sample and nothing for the garbage collector to track.  A
+    float reads back exactly as observed; anything else is converted to a
+    float on the way in (``observe(3)`` reads back ``3.0``).
+    """
 
     __slots__ = ("name", "_values", "observe")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        values: list[float] = []
+        values = array("d")
         self._values = values
         #: Recording is the registry's only hot operation — ``observe``
-        #: is the value list's own ``append``, one C call per sample.
+        #: is the sample array's own ``append``, one C call per sample.
         self.observe = values.append
 
     def __len__(self) -> int:

@@ -53,12 +53,15 @@ class Simulator:
     [2.5]
     """
 
-    __slots__ = ("_now", "_queue", "_running", "_observers", "_horizon", "_budget")
+    __slots__ = (
+        "_now", "_queue", "_running", "_closed", "_observers", "_horizon", "_budget",
+    )
 
     def __init__(self) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
+        self._closed = False
         #: Pure observers invoked after every fired event (and every inline
         #: advance) with the clock at that point.  Observers must not
         #: schedule or mutate model state; the repro.check invariant
@@ -94,6 +97,23 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still in the heap (including cancelled ones)."""
         return len(self._queue)
+
+    def close(self) -> None:
+        """Drop every pending event and observer; the clock stays readable.
+
+        The owner of a run calls this once the run is over.  Pending
+        wake-ups and observers are what tie a simulator to the processes
+        and samplers that refer back to it, so after ``close()`` a finished
+        run is freed by reference counting alone, and a suspended process
+        that nothing else holds has its generator finalized here.  Running
+        or stepping a closed simulator raises :class:`SimulationError`;
+        closing it again does nothing.
+        """
+        if self._running:
+            raise SimulationError("cannot close a simulator inside its run loop")
+        self._closed = True
+        self._queue._heap.clear()
+        self._observers.clear()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -135,6 +155,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the earliest event.  Returns ``False`` if none remained."""
+        if self._closed:
+            raise SimulationError("simulator is closed")
         time = self._queue.peek_time()
         if time is None:
             return False
@@ -190,6 +212,8 @@ class Simulator:
         because the inline-advance bound and budget belong to one loop."""
         if self._running:
             raise SimulationError("simulator is already running (nested run loop)")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._running = True
         self._horizon = _INF if until is None else until
         self._budget = _INF if max_events is None else max_events
@@ -246,8 +270,10 @@ class Simulator:
         """Run events until ``proc`` finishes; return its result value.
 
         Raises :class:`SimulationError` if the heap drains with the process
-        still alive (a deadlock in the modelled system).  ``max_events``
-        counts fired events and inline advances alike.
+        still alive (a deadlock in the modelled system), and the process's
+        own error if it failed (taken off the process, see
+        :meth:`SimProcess.take_error`).  ``max_events`` counts fired events
+        and inline advances alike.
         """
         self._enter_loop(None, max_events)
         heap = self._queue._heap
@@ -284,5 +310,5 @@ class Simulator:
         finally:
             self._exit_loop()
         if proc.error is not None:
-            raise proc.error
+            raise proc.take_error()
         return proc.result

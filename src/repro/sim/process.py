@@ -168,6 +168,15 @@ class SimProcess:
     # ------------------------------------------------------------------
     # user API
     # ------------------------------------------------------------------
+    def take_error(self) -> BaseException | None:
+        """Return the error the process ended with, and forget it.
+
+        For a caller that raises the error on: its traceback runs through
+        frames that hold this process, so a process that kept the error
+        would form a reference cycle with it."""
+        error, self.error = self.error, None
+        return error
+
     def interrupt(self) -> None:
         """Terminate the process; it will never be resumed again."""
         if not self.finished:

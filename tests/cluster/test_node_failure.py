@@ -102,7 +102,7 @@ def test_home_crash_before_migration_kills_without_progress():
     # object, so it serializes like any other result.
     payload = json.loads(json.dumps(result.to_dict()))
     assert payload["strategy"] == "openMosix"
-    assert payload["extra"] == {"killed": 1.0}
+    assert payload["extra"] == {"killed": 1.0, "hops": 0.0}
 
 
 def test_destination_crash_inside_a_rehop_freeze_kills():

@@ -22,7 +22,7 @@ from repro.cluster.topology import (
     build_preset,
     two_node_spec,
 )
-from repro.config import CheckSpec, FaultSpec, SimulationConfig
+from repro.config import CheckSpec, FaultSpec, NodeFaultSpec, SimulationConfig
 from repro.errors import MigrationError, SimulationError
 from repro.migration.ampom import AmpomMigration
 from repro.migration.ffa import FfaMigration
@@ -156,6 +156,34 @@ def test_trace_ending_before_its_hop_reports_one_hop(strategy_cls):
     assert result.extra["hops"] == 1.0
     service = runtime.outcomes[0].page_service
     assert service.deputy.reply_channel is runtime.cluster.network.direction(HOME, "n1")
+
+
+@pytest.mark.parametrize(
+    ("preset", "scale", "window", "extra"),
+    (
+        # Home dies before the first freeze: killed at home, zero hops.
+        ("pair", 1 / 32, ("home", 0.0, 10.0), {"killed": 1.0, "hops": 0.0}),
+        # n2 dies after the re-hop: killed there, after both hops.
+        (
+            "three-hop", 1 / 16, ("n2", 0.6, 10.0),
+            {
+                "mpt_bytes": 11532.0, "mpt_install_s": 0.005766,
+                "transit_pages": 690.0, "killed": 1.0, "hops": 2.0,
+            },
+        ),
+    ),
+    ids=("pair-home-down", "three-hop-n2-down"),
+)
+def test_killed_migrant_reports_the_hops_it_took(preset, scale, window, extra):
+    """A kill ends the journey where it stands: ``hops`` counts the hops
+    taken, by the same rule as a completed run (a two-node route that
+    migrated reports none)."""
+    spec = build_preset(preset, "AMPoM", scale=scale)
+    spec.config = spec.config.with_(node_faults=NodeFaultSpec(crash_windows=(window,)))
+    runtime = ScenarioRuntime(spec)
+    (result,) = runtime.execute()
+    assert runtime.node_stats.kills == 1
+    assert result.extra == extra
 
 
 @pytest.mark.parametrize(

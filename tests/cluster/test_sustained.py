@@ -164,14 +164,20 @@ def test_sustained_spec_rejects_degenerate_intervals(field, value):
 def test_finished_run_is_not_reachable_from_its_telemetry():
     """The utilization sampler drops its tick hook when it stops, so a
     caller holding the Observability bundle does not keep the driver, its
-    scheduler and its simulations alive."""
+    scheduler and its simulations alive, and reference counting alone
+    frees them: the cyclic collector stays off."""
     graph, sustained = _small_spec()
     obs = Observability.enabled(trace=False, metrics=False, fleet=True, journeys=True)
     driver = SustainedLoadDriver(graph, sustained, config=SimulationConfig(seed=3))
-    result = driver.execute(obs=obs)
-    assert result.report.completed > 0 and obs.fleet.ticks > 0
-    alive = weakref.ref(driver)
-    del driver, result
-    gc.collect()
-    assert alive() is None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = driver.execute(obs=obs)
+        assert result.report.completed > 0 and obs.fleet.ticks > 0
+        alive = [weakref.ref(driver), weakref.ref(driver.runtime)]
+        del driver, result
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
     assert obs.fleet.nodes()  # the bundle and its series are still held

@@ -93,3 +93,80 @@ class TestRegistry:
         assert "p95" in out
         assert "stall_s" in out
         assert "wasted_pages" in out
+
+
+class TestPinnedValues:
+    """Exact summaries of a fixed float sample set.  The values were read
+    from the registry before its samples moved into a float64 array;
+    storage must not change a single digit of them."""
+
+    SAMPLES = (0.1, 0.2, 0.3, 1e-9, 2.5, 0.7, 1 / 3, 3.0e-4, 12.75, 0.05, 0.30000000000000004)
+
+    def _registry(self) -> MetricsRegistry:
+        reg = MetricsRegistry()
+        for v in self.SAMPLES:
+            reg.histogram("stall_s").observe(v)
+        for v in (3.0, 1.0, 2.0, 40.0):
+            reg.histogram("zone_size_pages").observe(v)
+        for i, v in enumerate((0.0, 0.004, 0.0125, 0.001, 0.0)):
+            reg.sample_gauge("deputy_queue_depth_s", i * 0.5, v)
+        reg.set_counter("wasted_pages", 3.0)
+        reg.set_counter("prefetch_accuracy", 0.9)
+        return reg
+
+    def test_summary_and_percentiles(self):
+        h = Histogram("stall_s")
+        for v in self.SAMPLES:
+            h.observe(v)
+        s = h.summary()
+        assert s == {
+            "count": 11,
+            "min": 1e-09,
+            "max": 12.75,
+            "mean": 1.5666939394848485,
+            "p50": 0.3,
+            "p95": 12.75,
+            "p99": 12.75,
+        }
+        assert all(type(v) is float for k, v in s.items() if k != "count")
+        assert [h.percentile(p) for p in (1, 10, 50, 90, 95, 99, 100)] == [
+            1e-09, 0.0003, 0.3, 2.5, 12.75, 12.75, 12.75,
+        ]
+
+    def test_registry_summary_includes_gauges(self):
+        assert self._registry().summary() == {
+            "histograms": {
+                "stall_s": {
+                    "count": 11, "min": 1e-09, "max": 12.75,
+                    "mean": 1.5666939394848485, "p50": 0.3, "p95": 12.75, "p99": 12.75,
+                },
+                "zone_size_pages": {
+                    "count": 4, "min": 1.0, "max": 40.0,
+                    "mean": 11.5, "p50": 2.0, "p95": 40.0, "p99": 40.0,
+                },
+            },
+            "counters": {"wasted_pages": 3.0, "prefetch_accuracy": 0.9},
+            "gauges": {
+                "deputy_queue_depth_s": {
+                    "samples": 5, "count": 5, "min": 0.0, "max": 0.0125,
+                    "mean": 0.0035000000000000005, "p50": 0.001, "p95": 0.0125,
+                    "p99": 0.0125,
+                },
+            },
+        }
+
+    def test_render(self):
+        assert self._registry().render() == "\n".join(
+            [
+                "              metric   n    min    mean    p50    p95    p99    max",
+                "--------------------  --  -----  ------  -----  -----  -----  -----",
+                "             stall_s  11  1e-09   1.567    0.3  12.75  12.75  12.75",
+                "     zone_size_pages   4      1    11.5      2     40     40     40",
+                "deputy_queue_depth_s   5      0  0.0035  0.001  0.013  0.013  0.013",
+                "",
+                "          counter  value",
+                "-----------------  -----",
+                "     wasted_pages      3",
+                "prefetch_accuracy    0.9",
+            ]
+        )

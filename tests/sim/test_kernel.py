@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -109,6 +111,9 @@ def test_run_until_complete_propagates_errors(sim):
     p = sim.spawn(proc())
     with pytest.raises(ValueError, match="boom"):
         sim.run_until_complete(p)
+    # The raised error's traceback holds the process, so the process no
+    # longer holds the error.
+    assert p.finished and p.error is None
 
 
 def test_deterministic_ordering_of_simultaneous_events(sim):
@@ -301,3 +306,83 @@ def test_inline_advances_count_toward_max_events():
     with pytest.raises(SimulationError, match="max_events"):
         run_sim.run(max_events=10)
     assert run_sim.now == 9.0
+
+
+# ----------------------------------------------------------------------
+# close(): the owner's end of a run
+# ----------------------------------------------------------------------
+class _Probe:
+    """An observer that can be weakly referenced."""
+
+    def __call__(self, t: float) -> None:
+        pass
+
+
+def test_close_keeps_the_clock_and_drops_events_and_observers(sim):
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(5.0, lambda: None)
+    probe = _Probe()
+    sim.add_observer(probe)
+    observer = weakref.ref(probe)
+    del probe
+    sim.run(until=2.0)
+    assert sim.pending_events == 1
+    sim.close()
+    assert sim.now == 2.0
+    assert sim.pending_events == 0
+    assert observer() is None  # the simulator no longer holds it
+    sim.close()  # closing again does nothing
+    assert sim.now == 2.0
+
+
+def test_close_finalizes_a_suspended_process(sim):
+    finalized = []
+
+    def waiter():
+        try:
+            yield Timeout(10.0)
+        finally:
+            finalized.append(sim.now)
+
+    sim.spawn(waiter())  # only its pending wake-up holds the process
+    sim.run(until=1.0)
+    assert finalized == []
+    sim.close()
+    assert finalized == [1.0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sim, proc: sim.run(),
+        lambda sim, proc: sim.run(until=5.0),
+        lambda sim, proc: sim.run_until_complete(proc),
+        lambda sim, proc: sim.step(),
+    ],
+    ids=["run", "run-until", "run_until_complete", "step"],
+)
+def test_a_closed_simulator_refuses_to_run(sim, call):
+    def proc():
+        yield Timeout(1.0)
+
+    p = sim.spawn(proc())
+    sim.close()
+    with pytest.raises(SimulationError, match="closed"):
+        call(sim, p)
+    assert sim.now == 0.0 and not p.finished
+
+
+def test_close_inside_the_run_loop_raises(sim):
+    errors = []
+
+    def close_now():
+        try:
+            sim.close()
+        except SimulationError as exc:
+            errors.append(str(exc))
+
+    sim.schedule(1.0, close_now)
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    assert errors == ["cannot close a simulator inside its run loop"]
+    assert sim.now == 2.0

@@ -446,7 +446,7 @@ def test_cluster_run_json_with_a_migrant_killed_before_migration(tmp_path, capsy
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["strategy"] == "openMosix"
-    assert payload[0]["extra"] == {"killed": 1.0}
+    assert payload[0]["extra"] == {"killed": 1.0, "hops": 0.0}
 
 
 def test_cluster_run_spec_rejects_preset_options(tmp_path, capsys):

@@ -452,6 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     from .experiments.bench import CASES as _BENCH_CASES
+    from .experiments.bench import TRACE_CASES as _TRACE_CASES
 
     bench = sub.add_parser(
         "bench",
@@ -566,9 +567,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trun.add_argument(
         "--case",
-        choices=tuple(_BENCH_CASES),
+        choices=_TRACE_CASES,
         default=None,
-        help="a `repro bench` case to trace (alternative to --kernel/--mb/--scheme)",
+        help="a single-migrant `repro bench` case to trace "
+        "(alternative to --kernel/--mb/--scheme)",
     )
     trun.add_argument("--kernel", choices=KERNEL_CHOICES, default=None)
     trun.add_argument("--mb", type=float, default=None, help="program size in paper MB")

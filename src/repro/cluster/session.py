@@ -23,6 +23,7 @@ sequence exactly (same events, same floats).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..errors import MigrationError, ProcessLostError
@@ -141,7 +142,10 @@ class ScenarioRuntime:
         self._fleet_residencies: dict[str, list] = {}
         self._fleet_deputies: dict[str, list] = {}
         self._fleet_tracked: set[tuple[str, str]] = set()
-        self._fleet_gauges = None  # lazy FleetGaugeSet (one per runtime)
+        self._fleet_gauges = None  # lazy GaugeSet (one per runtime)
+        #: ``(counters, budget, home deputy)`` of every migrant the
+        #: run-wide inspector watches; its probes sum over them.
+        self._inspected: list[tuple] = []
         #: Optional re-targeting hook ``f(route, hop, now) -> node | None``
         #: installed by :class:`repro.cluster.scheduler.SchedulerDriver`;
         #: consulted when a migration's destination is dark.
@@ -499,9 +503,7 @@ class ScenarioRuntime:
                 # crashed: it dies before migrating at all.
                 detail = f"home {home} crashed before migration"
                 self._recovery("killed", journey, detail, detail=detail)
-                result = self._killed_before_migration(migrant, strategy)
-                self.results[index] = result
-                return result
+                return self._settle(index, self._killed_before_migration(migrant, strategy))
             if plan is not None and plan.down(route[1], sim.now):
                 # The destination is dark before the freeze even starts:
                 # the connect attempt times out, then re-target or wait.
@@ -642,7 +644,19 @@ class ScenarioRuntime:
                 self._finalize_metrics(obs.metrics, result)
             if jlog is not None:
                 jlog.finish(jname, sim.now, "completed", hops=hop)
+        return self._settle(index, result)
+
+    def _settle(self, index: int, result: ExecutionResult) -> ExecutionResult:
+        """Store migrant ``index``'s result.  The last migrant to settle
+        detaches the run-wide inspector, as each migrant detaches its own
+        gauges, so the inspector sees no event after the run's work ends."""
         self.results[index] = result
+        if (
+            self.obs is not None
+            and self.obs.inspector is not None
+            and all(r is not None for r in self.results)
+        ):
+            self.sim.remove_observer(self.obs.inspector.on_sim_event)
         return result
 
     def _freeze(self, outcome: MigrationOutcome, journey: str | None, route: list, hop: int):
@@ -794,18 +808,20 @@ class ScenarioRuntime:
     def _attach_observers(
         self, outcome: MigrationOutcome, executor: MigrantExecutor, home: str, dst: str
     ):
-        """Register obs gauge samplers / inspector probes with the
-        simulator; returns the observer callbacks to detach at run end.
+        """Register the migrant's obs gauges with the simulator; returns
+        the observer callbacks to detach at the migrant's end.
 
         ``home``/``dst`` name the migrant's home and first-destination
         nodes for fleet telemetry: armed ``obs.fleet`` samples the deputy
         queue depth under ``home`` and the resident/remote/in-flight page
         counts under ``dst``, aggregated node-wide when several migrants
-        share a node."""
+        share a node.  The inspector is attached once, by the first
+        migrant, and reports run-wide sums over every migrant it
+        watches."""
         obs = self.obs
         if obs is None:
             return ()
-        from ..obs import GaugeSampler
+        from ..obs import DEFAULT_SAMPLE_INTERVAL_S, GaugeSet
         from ..obs.spans import DEPUTY_TRACK
 
         sim = self.sim
@@ -816,24 +832,20 @@ class ScenarioRuntime:
             # Fleet gauges aggregate every live migrant on a node, so they
             # stay attached for the whole run (the runtime is single-use)
             # rather than detaching with the migrant that created them.
-            # One FleetGaugeSet carries every series behind a single
-            # simulator observer so the per-event cost stays flat as
-            # migrants accumulate.
-            from ..obs.fleet import FleetGaugeSet
-
+            # One GaugeSet carries every series behind a single simulator
+            # observer so the per-event cost stays flat as migrants
+            # accumulate.
             gauges = self._fleet_gauges
             if gauges is None:
-                gauges = self._fleet_gauges = FleetGaugeSet(
-                    fleet, fleet.interval_s
-                )
+                gauges = self._fleet_gauges = GaugeSet(fleet.interval_s)
                 sim.add_observer(gauges.on_sim_event)
             queue = self._fleet_deputies.setdefault(home, [])
             queue.append(deputy)
             if ("deputy", home) not in self._fleet_tracked:
                 self._fleet_tracked.add(("deputy", home))
                 gauges.add(
-                    home, "deputy_queue_depth_s",
                     lambda q=queue: sum(max(0.0, d.busy_until - sim.now) for d in q),
+                    partial(fleet.push, home, "deputy_queue_depth_s"),
                 )
             residencies = self._fleet_residencies.setdefault(dst, [])
             residencies.append(outcome.residency)
@@ -845,34 +857,38 @@ class ScenarioRuntime:
                     ("in_flight_pages", "n_in_flight"),
                 ):
                     gauges.add(
-                        dst, series,
                         lambda rs=residencies, a=attr: float(sum(getattr(r, a) for r in rs)),
+                        partial(fleet.push, dst, series),
                     )
         if self._deputy_obs is not None:
             deputy.obs = obs
-            sampler = GaugeSampler(
-                "deputy_queue_depth_s",
-                DEPUTY_TRACK,
-                lambda: max(0.0, deputy.busy_until - sim.now),
-                obs.sample_interval_s,
-                metrics=obs.metrics,
-                tracer=obs.tracer,
-            )
-            sim.add_observer(sampler.on_sim_event)
-            observers.append(sampler.on_sim_event)
+
+            def queue_depth() -> float:
+                return max(0.0, deputy.busy_until - sim.now)
+
+            depth = GaugeSet(DEFAULT_SAMPLE_INTERVAL_S)
+            name = "deputy_queue_depth_s"
+            if obs.metrics is not None:
+                depth.add(queue_depth, partial(obs.metrics.sample_gauge, name))
+            if obs.tracer is not None:
+                depth.add(queue_depth, partial(obs.tracer.counter, DEPUTY_TRACK, name))
+            sim.add_observer(depth.on_sim_event)
+            observers.append(depth.on_sim_event)
         inspector = obs.inspector
         if inspector is not None:
-            counters = executor.counters
-            budget = executor.budget
-            inspector.add_probe("major_faults", lambda: float(counters.major_faults))
-            inspector.add_probe(
-                "prefetched", lambda: float(counters.pages_prefetched)
-            )
-            inspector.add_probe("stall_s", lambda: budget.stall)
-            inspector.add_probe("compute_s", lambda: budget.compute)
-            inspector.add_probe("deputy_queue_s", lambda: max(0.0, deputy.busy_until - sim.now))
-            sim.add_observer(inspector.on_sim_event)
-            observers.append(inspector.on_sim_event)
+            watched = self._inspected
+            if not watched:
+                add = inspector.add_probe
+                add("major_faults", lambda: sum(c.major_faults for c, _, _ in watched))
+                add("prefetched", lambda: sum(c.pages_prefetched for c, _, _ in watched))
+                add("stall_s", lambda: sum(b.stall for _, b, _ in watched))
+                add("compute_s", lambda: sum(b.compute for _, b, _ in watched))
+                add(
+                    "deputy_queue_s",
+                    lambda: sum(max(0.0, d.busy_until - sim.now) for _, _, d in watched),
+                )
+                sim.add_observer(inspector.on_sim_event)
+            watched.append((executor.counters, executor.budget, deputy))
         return observers
 
     @staticmethod

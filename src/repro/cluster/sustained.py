@@ -153,31 +153,24 @@ class SustainedLoadDriver(SchedulerDriver):
         self.worker_nodes = worker_nodes
         self.samples: list[UtilizationSample] = []
         self.report: SustainedReport | None = None
-        #: The shared sampling path (docs/OBSERVABILITY.md, "Fleet
-        #: telemetry"): the phase-1 ``utilization-sampler`` process drives
-        #: one :class:`repro.obs.fleet.FleetTelemetry` tick per cadence.
-        #: When ``obs.fleet`` is armed this IS the caller's collector;
-        #: otherwise a throwaway instance carries the utilization hook
-        #: alone.  Either way the sampler's event schedule is identical,
-        #: which is what keeps armed runs byte-identical to unarmed ones.
-        self.telemetry = None
         #: Optional :class:`repro.obs.slo.SLOMonitor` evaluated online on
         #: every sampling tick (utilization imbalance, mean load...).
         self.slo_monitor = None
-        self._tick = None
 
     # ------------------------------------------------------------------
     def _spawn_monitors(self, sim: Simulator, scheduler: ClusterScheduler) -> None:
-        from ..obs.fleet import FleetTelemetry
-
+        """Spawn the ``utilization-sampler`` process: one tick per
+        ``sample_interval_s`` records the utilization sample, evaluates
+        the SLO monitor and, with ``obs.fleet`` armed, pushes the per-node
+        series (docs/OBSERVABILITY.md, "Fleet telemetry").  The process
+        keeps the identical ``Timeout`` schedule armed or not, which is
+        what keeps armed runs byte-identical to unarmed ones."""
         self.samples = []
         obs = self.obs
         fleet = obs.fleet if obs is not None else None
-        telemetry = fleet if fleet is not None else FleetTelemetry()
         if fleet is not None:
-            # Align the phase-2 gauge samplers to this run's cadence.
+            # Align the phase-2 gauges to this run's cadence.
             fleet.interval_s = self.sustained.sample_interval_s
-        self.telemetry = telemetry
         monitor = self.slo_monitor
         worker = self.worker_nodes
         gossip = scheduler.gossip
@@ -194,9 +187,6 @@ class SustainedLoadDriver(SchedulerDriver):
         )
 
         def tick(t: float) -> None:
-            # The legacy utilization sample is now a thin view over the
-            # shared tick: same loads pass, same cadence, same values —
-            # SustainedReport.utilization serializes unchanged.
             loads = scheduler._loads()
             w = [loads[n] for n in worker]
             busy = sum(1 for v in w if v > 0)
@@ -249,27 +239,15 @@ class SustainedLoadDriver(SchedulerDriver):
                         n, "suspected_peers", t, float(len(suspect_sets[n]))
                     )
 
-        telemetry.add_tick_hook(tick)
-        self._tick = tick
-
         def sampler():
             while any(t.finished_at is None for t in scheduler.tasks):
-                telemetry.tick(sim.now)
+                tick(sim.now)
                 yield Timeout(self.sustained.sample_interval_s)
 
         sim.spawn(sampler(), name="utilization-sampler")
 
     def plan(self):
-        try:
-            report, decisions = super().plan()
-        finally:
-            # The sampler stopped with phase 1.  Its hook closes over this
-            # driver and the plan's scheduler: telemetry that a caller
-            # keeps must not hold it, and the driver holding it would form
-            # a reference cycle.
-            if self._tick is not None:
-                self.telemetry.remove_tick_hook(self._tick)
-                self._tick = None
+        report, decisions = super().plan()
         completed = sum(
             1 for v in report.per_task_completion.values() if v == v  # non-NaN
         )

@@ -194,7 +194,7 @@ def _run_arena(obs=None):
 
 #: name -> runner (optionally taking an Observability bundle); the first
 #: four are the same workloads as the pytest cases.
-CASES: dict[str, Callable[[], ExecutionResult]] = {
+CASES: dict[str, Callable[..., object]] = {
     "local_fast": _run_local_fast,
     "demand_paging": _run_demand_paging,
     "ampom_pipeline": _run_ampom_pipeline,
@@ -207,6 +207,18 @@ CASES: dict[str, Callable[[], ExecutionResult]] = {
     "cluster_300_smoke": _run_cluster_300_smoke,
     "arena": _run_arena,
 }
+
+#: The cases that run one migrant with the given Observability bundle and
+#: return its ExecutionResult — the ones ``repro trace run --case`` can
+#: trace.  The rest return reports and ignore or replace the bundle.
+TRACE_CASES = (
+    "local_fast",
+    "demand_paging",
+    "ampom_pipeline",
+    "random_faults",
+    "three_hop",
+    "ampom_traced",
+)
 
 
 def calibrate(repeats: int = 3) -> float:

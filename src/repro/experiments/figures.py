@@ -431,7 +431,7 @@ def cluster_node_heatmap(
     driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
     driver.obs = Observability.enabled(trace=False, metrics=False, fleet=True)
     driver.plan()
-    fleet = driver.telemetry
+    fleet = driver.obs.fleet
     nodes = [n for n in fleet.nodes() if fleet.series(n, series)]
     times = sorted({t for n in nodes for t, _ in fleet.series(n, series)})
     index = {t: i for i, t in enumerate(times)}

@@ -109,10 +109,6 @@ class AddressSpace:
         """Pages that would have to be shipped by openMosix's migration."""
         return frozenset(flagged(self._dirty))
 
-    @property
-    def n_dirty_pages(self) -> int:
-        return self._n_dirty
-
     def dirty_flags(self) -> bytearray:
         """A copy of the dirty map: one byte per page, 1 for a dirty page."""
         return bytearray(self._dirty)

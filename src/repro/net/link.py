@@ -174,11 +174,6 @@ class Direction:
         del self._cum_bytes[:k]
         return k
 
-    @property
-    def log_entries(self) -> int:
-        """Number of per-transfer log entries currently retained."""
-        return len(self._ends)
-
 
 class Link:
     """A duplex link between two named endpoints."""

@@ -1,7 +1,7 @@
 """repro.obs — unified tracing & telemetry for simulated runs.
 
-One opt-in bundle, :class:`Observability`, carries the three instruments a
-run can attach:
+One opt-in bundle, :class:`Observability`, carries the instruments a run
+can attach:
 
 * :class:`SpanTracer` — nested spans of every fault lifecycle, migration
   freeze, deputy service and wire transfer, in simulated time, with
@@ -9,15 +9,15 @@ run can attach:
 * :class:`MetricsRegistry` — histograms (stall latency, zone size ``N``,
   locality score ``S``), counters (prefetch accuracy/waste) and sampled
   gauges (deputy queue depth);
-* :class:`RunInspector` — periodic live snapshots via the simulator's
-  observer hook;
+* :class:`RunInspector` — periodic live snapshots of the whole run via
+  the simulator's observer hook;
 * :class:`FleetTelemetry` — cluster-wide per-node time series on the
   sustained sampling cadence, with JSONL/OpenMetrics exporters;
 * :class:`JourneyLog` — causal per-migrant journey traces (arrival,
   policy decision + gossip snapshot, freezes, recoveries, terminal
   state) that reconcile exactly against the run's counters.
 
-All three are pure observers: they read the simulated clock and model
+All of them are pure observers: they read the simulated clock and model
 state but never schedule events or mutate anything, so instrumented runs
 are float-identical to bare runs (gated by the golden-trace harness).
 Default runs pass ``obs=None`` everywhere and skip every hook — the
@@ -30,15 +30,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .flame import flame_rows, flame_summary
-from .fleet import (
-    DEFAULT_RING_CAPACITY,
-    FleetGauge,
-    FleetGaugeSet,
-    FleetTelemetry,
-    SeriesRing,
-    _check_interval,
-)
-from .inspector import GaugeSampler, RunInspector
+from .fleet import DEFAULT_RING_CAPACITY, FleetTelemetry, SeriesRing
+from .inspector import GaugeSet, RunInspector
 from .journeys import (
     Journey,
     JourneyEvent,
@@ -51,7 +44,7 @@ from .perfetto import to_perfetto, trace_events, write_perfetto, write_spans_jso
 from .slo import SLOBreach, SLOMonitor, SLOSpec, journey_summary_metrics
 from .spans import DEPUTY_TRACK, MIGRANT_TRACK, Span, SpanTracer, wire_track
 
-#: Default simulated-time period of the gauge samplers (deputy queue depth).
+#: Simulated-time period of each migrant's deputy queue-depth gauge.
 DEFAULT_SAMPLE_INTERVAL_S = 0.05
 
 
@@ -68,11 +61,6 @@ class Observability:
     #: Causal per-migrant journey traces (arrival -> decision -> hops ->
     #: completion/kill), reconcilable against the run's counters.
     journeys: JourneyLog | None = None
-    #: Simulated seconds between gauge samples (deputy queue depth etc.).
-    sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S
-
-    def __post_init__(self) -> None:
-        _check_interval(self.sample_interval_s)
 
     @classmethod
     def enabled(
@@ -81,7 +69,6 @@ class Observability:
         metrics: bool = True,
         inspect_interval_s: float | None = None,
         echo: Callable[[str], None] | None = None,
-        sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
         fleet: bool = False,
         journeys: bool = False,
     ) -> "Observability":
@@ -96,7 +83,6 @@ class Observability:
             ),
             fleet=FleetTelemetry() if fleet else None,
             journeys=JourneyLog() if journeys else None,
-            sample_interval_s=sample_interval_s,
         )
 
     @property
@@ -115,10 +101,8 @@ __all__ = [
     "DEFAULT_RING_CAPACITY",
     "DEFAULT_SAMPLE_INTERVAL_S",
     "DEPUTY_TRACK",
-    "FleetGauge",
-    "FleetGaugeSet",
     "FleetTelemetry",
-    "GaugeSampler",
+    "GaugeSet",
     "Histogram",
     "Journey",
     "JourneyEvent",

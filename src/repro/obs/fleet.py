@@ -1,20 +1,21 @@
 """Fleet telemetry: per-node time series sampled on a simulated cadence.
 
 :class:`FleetTelemetry` is the cluster-wide counterpart of the per-run
-instruments in this package.  One collector instance rides a sustained or
-chaos run and samples every registered probe on each *tick* of the shared
-sampling path — the same simulated-time cadence the sustained driver's
-utilization sampler has always used — into bounded per-``(node, series)``
-ring buffers.  Typical series are local load, resident/remote page counts,
-deputy queue depth, gossip-view staleness, in-flight migrations and
-suspicion state.
+instruments in this package: a pure collector of bounded per-``(node,
+series)`` ring buffers that one sustained or chaos run pushes samples
+into.  Typical series are local load, resident/remote page counts, deputy
+queue depth, gossip-view staleness, in-flight migrations and suspicion
+state.
 
-The collector is a pure observer with a twist: the *cadence* it rides is
-driven by the sustained driver's sampler process, which runs with the
-identical ``Timeout`` schedule whether or not a collector is attached.
-Arming telemetry therefore records more data at the same ticks but never
-adds, removes or reorders simulator events — armed runs stay byte-identical
-to unarmed ones, gated by the golden matrix and the CI ``cmp`` job.
+Two writers share one simulated-time cadence.  The sustained driver's
+utilization-sampler process pushes the per-node load and gossip series on
+each of its ticks, and runs with the identical ``Timeout`` schedule
+whether or not a collector is attached.  During phase 2 a
+:class:`repro.obs.inspector.GaugeSet` observer samples the per-node page
+and deputy-queue series at ``interval_s``.  Arming telemetry therefore
+records more data but never adds, removes or reorders simulator events —
+armed runs stay byte-identical to unarmed ones, gated by the golden
+matrix and the CI ``cmp`` job.
 
 Exports: one-sample-per-line JSONL (``write_jsonl``) and an
 OpenMetrics/Prometheus text snapshot of the latest value of every series
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ..errors import ConfigurationError
 
@@ -101,19 +102,12 @@ class SeriesRing:
 class FleetTelemetry:
     """Cluster-wide per-node time-series collector (pure observer).
 
-    Three recording surfaces:
-
-    * :meth:`push` — direct ``(node, series, t, value)`` writes from
-      instrumented call sites (e.g. phase-2 gauge samplers);
-    * :meth:`add_probe` — a named zero-argument live-state reader sampled
-      on every :meth:`tick` of the shared sampling path;
-    * :meth:`add_tick_hook` — a ``fn(t)`` callback invoked first on every
-      tick, for batch recorders that read shared state once and push many
-      series (the sustained driver's per-node load/gossip sweep), and for
-      online :class:`repro.obs.slo.SLOMonitor` evaluation.
+    Callers record with :meth:`push`, one ``(node, series, t, value)``
+    sample at a time: the sustained driver's per-node sweep on every
+    utilization tick, and the phase-2 gauges of the scenario runtime.
     """
 
-    __slots__ = ("capacity", "interval_s", "ticks", "_rings", "_probes", "_hooks")
+    __slots__ = ("capacity", "interval_s", "_rings")
 
     def __init__(
         self,
@@ -123,18 +117,13 @@ class FleetTelemetry:
         _check_capacity(capacity)
         _check_interval(interval_s)
         self.capacity = capacity
-        #: Sampling cadence in simulated seconds.  Gauge samplers riding a
-        #: scenario runtime read it when they attach; the sustained driver
+        #: Sampling cadence in simulated seconds.  The scenario runtime's
+        #: phase-2 gauges read it when they attach; the sustained driver
         #: overwrites it with the run's ``sample_interval_s`` so both
         #: phases land on the same grid.
         self.interval_s = interval_s
-        #: Number of shared-cadence ticks observed so far.
-        self.ticks = 0
         self._rings: dict[tuple[str, str], SeriesRing] = {}
-        self._probes: dict[tuple[str, str], Callable[[], float]] = {}
-        self._hooks: list[Callable[[float], None]] = []
 
-    # -- recording -----------------------------------------------------
     def push(self, node: str, series: str, t: float, value: float) -> None:
         """Append one sample to the ``(node, series)`` ring."""
         key = (node, series)
@@ -142,27 +131,6 @@ class FleetTelemetry:
         if ring is None:
             ring = self._rings[key] = SeriesRing(self.capacity)
         ring.push(t, float(value))
-
-    def add_probe(self, node: str, series: str, fn: Callable[[], float]) -> None:
-        """Register a live-state reader sampled on every tick."""
-        self._probes[(node, series)] = fn
-
-    def add_tick_hook(self, fn: Callable[[float], None]) -> None:
-        """Register a callback run first on every shared-cadence tick."""
-        self._hooks.append(fn)
-
-    def remove_tick_hook(self, fn: Callable[[float], None]) -> None:
-        """Unregister a callback added by :meth:`add_tick_hook`, so a
-        finished run stops being reachable from this collector."""
-        self._hooks.remove(fn)
-
-    def tick(self, t: float) -> None:
-        """One shared-cadence sample: hooks first, then every probe."""
-        self.ticks += 1
-        for hook in self._hooks:
-            hook(t)
-        for (node, series), fn in self._probes.items():
-            self.push(node, series, t, float(fn()))
 
     # -- reading -------------------------------------------------------
     def nodes(self) -> list[str]:
@@ -253,78 +221,6 @@ class FleetTelemetry:
             fh.write(self.prometheus_text(extra=extra))
 
 
-class FleetGauge:
-    """Simulator-observer sampler feeding one fleet series (pure observer).
-
-    The phase-2 counterpart of :class:`repro.obs.inspector.GaugeSampler`:
-    samples ``fn()`` whenever the simulated clock crosses the next
-    ``interval_s`` boundary and pushes the ``(t, value)`` pair into the
-    collector's ring for ``(node, series)``.  Registered via
-    ``Simulator.add_observer`` — it reads state but never schedules, so
-    attaching it cannot perturb the run.
-    """
-
-    __slots__ = ("node", "series", "interval_s", "_fn", "_fleet", "_next_t")
-
-    def __init__(
-        self,
-        fleet: FleetTelemetry,
-        node: str,
-        series: str,
-        fn: Callable[[], float],
-        interval_s: float,
-    ) -> None:
-        _check_interval(interval_s)
-        self.node = node
-        self.series = series
-        self.interval_s = interval_s
-        self._fn = fn
-        self._fleet = fleet
-        self._next_t = 0.0
-
-    def on_sim_event(self, t: float) -> None:
-        if t < self._next_t:
-            return
-        self._next_t = t + self.interval_s
-        self._fleet.push(self.node, self.series, t, float(self._fn()))
-
-
-class FleetGaugeSet:
-    """One simulator observer sampling many fleet series together.
-
-    Collapses what would be one :class:`FleetGauge` observer per
-    ``(node, series)`` into a single callback with a shared interval
-    boundary: the cheap ``t < next_t`` check runs once per simulator
-    event no matter how many series are tracked, which is what keeps an
-    armed phase-2 run inside the benchmarked overhead envelope
-    (``cluster_sustained_telemetry`` vs ``cluster_sustained``).
-    Entries added mid-run start sampling at the next shared boundary.
-    """
-
-    __slots__ = ("interval_s", "_fleet", "_entries", "_next_t")
-
-    def __init__(self, fleet: FleetTelemetry, interval_s: float) -> None:
-        _check_interval(interval_s)
-        self.interval_s = interval_s
-        self._fleet = fleet
-        self._entries: list[tuple[str, str, Callable[[], float]]] = []
-        self._next_t = 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add(self, node: str, series: str, fn: Callable[[], float]) -> None:
-        self._entries.append((node, series, fn))
-
-    def on_sim_event(self, t: float) -> None:
-        if t < self._next_t:
-            return
-        self._next_t = t + self.interval_s
-        push = self._fleet.push
-        for node, series, fn in self._entries:
-            push(node, series, t, float(fn()))
-
-
 def _check_capacity(capacity: int) -> None:
     if not isinstance(capacity, int) or capacity <= 0:
         raise ConfigurationError(f"ring capacity must be a positive int: {capacity!r}")
@@ -362,8 +258,6 @@ def _sanitize(name: str) -> str:
 __all__ = [
     "DEFAULT_FLEET_INTERVAL_S",
     "DEFAULT_RING_CAPACITY",
-    "FleetGauge",
-    "FleetGaugeSet",
     "FleetTelemetry",
     "SeriesRing",
 ]

@@ -1,15 +1,22 @@
-"""Live run inspector: periodic snapshots of an executing simulation.
+"""Clock-boundary samplers: the live run inspector and gauge sets.
 
-The inspector registers as a :meth:`repro.sim.kernel.Simulator.add_observer`
-hook — the same pure-observer seam the invariant checker uses — and takes a
-snapshot whenever the simulated clock crosses the next sampling boundary.
-Each snapshot captures the simulated time, events fired so far, and every
-registered probe (a named zero-argument callable reading live state:
-counters, budget buckets, queue depths).  Snapshots are kept in memory and
-optionally echoed live (``repro trace run --inspect SECONDS``), so a long
-sweep can be watched while it runs instead of post-mortem.
+Both register as :meth:`repro.sim.kernel.Simulator.add_observer` hooks —
+the same pure-observer seam the invariant checker uses — and sample
+whenever the simulated clock crosses their next boundary.  One crossing
+takes one sample; an idle gap skips boundaries rather than emitting a
+backlog of identical samples.
 
-Observers never schedule or mutate model state, so attaching an inspector
+* :class:`RunInspector` snapshots the simulated time, the events fired so
+  far and every registered probe (a named zero-argument callable reading
+  live state: counters, budget buckets, queue depths).  Snapshots are
+  kept in memory and optionally echoed live (``repro trace run --inspect
+  SECONDS``), so a long sweep can be watched while it runs instead of
+  post-mortem.
+* :class:`GaugeSet` samples ``(fn, sink)`` entries on one shared
+  boundary and hands each ``(t, value)`` pair to its sink: a metrics
+  gauge, a tracer counter track or a fleet-telemetry series.
+
+Observers never schedule or mutate model state, so attaching a sampler
 cannot perturb the simulation — it only forgoes the kernel's no-observer
 fast path for the run being watched.
 """
@@ -76,43 +83,38 @@ class RunInspector:
         return self._events
 
 
-class GaugeSampler:
-    """Periodic gauge probe driven by simulator events (pure observer).
+class GaugeSet:
+    """Gauges sampled together on one clock boundary (pure observer).
 
-    Samples ``fn()`` whenever the clock crosses the next ``interval_s``
-    boundary, writing each ``(t, value)`` pair to the metrics registry
-    and, when a tracer is attached, to a Perfetto counter track.
+    Each entry is a ``(fn, sink)`` pair: on every boundary crossing the
+    set calls ``sink(t, float(fn()))`` for each entry in the order they
+    were added.  The cheap ``t < next_t`` check runs once per simulator
+    event however many entries share it, which keeps an armed fleet run
+    inside its benchmarked overhead.  Entries added mid-run start
+    sampling at the next shared boundary.
     """
 
-    __slots__ = ("name", "track", "interval_s", "_fn", "_metrics", "_tracer", "_next_t")
+    __slots__ = ("interval_s", "_entries", "_next_t")
 
-    def __init__(
-        self,
-        name: str,
-        track: str,
-        fn: Callable[[], float],
-        interval_s: float,
-        metrics=None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, interval_s: float) -> None:
         _check_interval(interval_s)
-        self.name = name
-        self.track = track
         self.interval_s = interval_s
-        self._fn = fn
-        self._metrics = metrics
-        self._tracer = tracer
+        self._entries: list[tuple[Callable[[], float], Callable[[float, float], None]]] = []
         self._next_t = 0.0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, fn: Callable[[], float], sink: Callable[[float, float], None]) -> None:
+        """Sample ``fn()`` into ``sink(t, value)`` from the next boundary on."""
+        self._entries.append((fn, sink))
 
     def on_sim_event(self, t: float) -> None:
         if t < self._next_t:
             return
         self._next_t = t + self.interval_s
-        value = float(self._fn())
-        if self._metrics is not None:
-            self._metrics.sample_gauge(self.name, t, value)
-        if self._tracer is not None:
-            self._tracer.counter(self.track, self.name, t, value)
+        for fn, sink in self._entries:
+            sink(t, float(fn()))
 
 
-__all__ = ["GaugeSampler", "RunInspector"]
+__all__ = ["GaugeSet", "RunInspector"]

@@ -21,6 +21,18 @@ from ..metrics.report import format_table
 PERCENTILES = (50, 95, 99)
 
 
+def nearest_rank(p: float, n: int) -> int:
+    """1-based rank of the nearest-rank ``p``-th percentile (0 < p <= 100)
+    of ``n >= 1`` sorted values.
+
+    Nearest-rank is the smallest value with at least p% of the mass at or
+    below it: rank ``ceil(p*n/100)``, clamped to ``[1, n]``.  An integer
+    ``p`` is computed in integer arithmetic, so there is no
+    platform-dependent float drift.
+    """
+    return min(max(int(-(-p * n // 100)), 1), n)
+
+
 class Histogram:
     """Streaming value collector with on-demand quantile summaries.
 
@@ -48,18 +60,13 @@ class Histogram:
         return len(self._values)
 
     def percentile(self, p: int) -> float:
-        """Nearest-rank percentile (0 < p <= 100); 0.0 on an empty histogram.
-
-        Nearest-rank is the smallest value with at least p% of the mass at
-        or below it; the rank is computed in integer arithmetic
-        (``ceil(p*n/100)``), so there is no platform-dependent float drift.
-        """
+        """Nearest-rank percentile (0 < p <= 100, see :func:`nearest_rank`);
+        0.0 on an empty histogram."""
         values = self._values
         if not values:
             return 0.0
         ordered = sorted(values)
-        rank = min(max(-(-p * len(ordered) // 100), 1), len(ordered))
-        return ordered[rank - 1]
+        return ordered[nearest_rank(p, len(ordered)) - 1]
 
     def summary(self) -> dict[str, float]:
         """Zero-filled summary; never raises or returns NaN on empty data."""
@@ -81,8 +88,7 @@ class Histogram:
             "mean": sum(ordered) / n,
         }
         for p in PERCENTILES:
-            rank = min(max(-(-p * n // 100), 1), n)
-            out[f"p{p}"] = ordered[rank - 1]
+            out[f"p{p}"] = ordered[nearest_rank(p, n) - 1]
         return out
 
 
@@ -177,4 +183,4 @@ class MetricsRegistry:
         return "\n\n".join(blocks) if blocks else "(no metrics recorded)"
 
 
-__all__ = ["Histogram", "MetricsRegistry", "PERCENTILES"]
+__all__ = ["Histogram", "MetricsRegistry", "PERCENTILES", "nearest_rank"]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ConfigurationError
+from .metrics import nearest_rank
 
 #: Retained breach events per spec; later repeats only bump the count.
 MAX_BREACHES_PER_SPEC = 100
@@ -175,14 +176,12 @@ class SLOMonitor:
 
 
 def percentile(values, q: float) -> float:
-    """Nearest-rank percentile (matches obs.metrics.Histogram); 0.0 empty."""
-    import math
-
+    """Nearest-rank ``q``-quantile (0 < q <= 1) by the rank rule of
+    :func:`repro.obs.metrics.nearest_rank`; 0.0 when empty."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return ordered[nearest_rank(q * 100, len(ordered)) - 1]
 
 
 def journey_summary_metrics(journeys, stats=None) -> dict[str, float]:

@@ -113,19 +113,17 @@ class CounterSample:
 class SpanTracer:
     """Records spans, instants and counter samples of one simulated run.
 
-    Two recording styles:
-
-    * :meth:`complete` — the caller knows the start and the exact duration
-      (the common case: every ``TimeBudget`` charge site records the span
-      right where it charges the bucket);
-    * :meth:`begin` / :meth:`end` — for enclosing spans whose extent is
-      only known at the end (the per-fault lifecycle wrapper).  These
-      nest per track; ``end`` closes the innermost open span.
-
-    High-volume callers should resolve a per-site recorder once
-    (:meth:`span_site`, :meth:`open_span_site`, :meth:`instant_site`,
-    :meth:`wire_hook`) and call that instead.  All paths write the same
-    ring columns; read :attr:`spans` for the object view.
+    Spans are recorded either whole, when the caller knows the start and
+    the exact duration (:meth:`complete`, and its per-site form
+    :meth:`span_site`: every ``TimeBudget`` charge site records the span
+    right where it charges the bucket), or as an enclosing span whose
+    extent is only known at its end (:meth:`open_span_site`, the
+    per-fault lifecycle wrapper), inside which other spans nest.
+    Instants come from :meth:`instant` or a per-site :meth:`instant_site`,
+    wire messages from :meth:`wire_hook`, and counter samples from
+    :meth:`counter`.  High-volume callers resolve a per-site recorder
+    once and call that.  All paths write the same ring columns; read
+    :attr:`spans` for the object view.
     """
 
     __slots__ = (
@@ -178,7 +176,7 @@ class SpanTracer:
         self._i_meta = array("q", bytes(8 * cap))
         self._i_time = array("d", bytes(8 * cap))
         self._i_args: list = []
-        # Per-track stacks of open (name, start, depth, args) records.
+        # Per-track stacks of open (start, depth, args) records.
         self._open: dict[str, list] = {}
         # meta id -> fixed arg key for single-arg recording sites; lets
         # those sites store the bare value with no per-event tuple.
@@ -243,90 +241,12 @@ class SpanTracer:
         self._s_dur[row] = dur
         self._s_n = row + 1
 
-    def complete_kv(
-        self,
-        track: str,
-        name: str,
-        start: float,
-        dur: float,
-        bucket: str | None,
-        key: str,
-        value: object,
-    ) -> None:
-        """Positional fast path of :meth:`complete` for exactly one
-        argument pair.  Skips the keyword-call machinery; the pair is
-        stored unboxed and turned into the usual args dict only when
-        :attr:`spans` materializes.
-        """
-        if dur < 0.0:
-            raise SimulationError(f"span {name!r} has negative duration {dur}")
-        mkey = (track, name, bucket)
-        mid = self._meta_ids.get(mkey)
-        if mid is None:
-            mid = self._meta_id(mkey)
-        stack = self._open.get(track)
-        row = self._s_n
-        if row == self._s_cap:
-            self._grow_spans()
-        self._s_args.append((key, value))
-        self._s_md[row] = mid << 16 | (len(stack) if stack else 0)
-        self._s_start[row] = start
-        self._s_dur[row] = dur
-        self._s_n = row + 1
-
-    def begin(self, track: str, name: str, t: float, **args: object) -> None:
-        """Open a nested span; close it with :meth:`end`."""
-        stack = self._open.setdefault(track, [])
-        stack.append((name, t, len(stack), args or None))
-
-    def begin_kv(
-        self, track: str, name: str, t: float, key: str, value: object
-    ) -> None:
-        """Positional fast path of :meth:`begin` for one argument pair."""
-        stack = self._open.setdefault(track, [])
-        stack.append((name, t, len(stack), (key, value)))
-
-    def end(self, track: str, t: float, **args: object) -> None:
-        """Close the innermost open span on ``track`` at time ``t``."""
-        self.end_d(track, t, args or None)
-
-    def end_d(self, track: str, t: float, args: dict | None) -> None:
-        """Positional variant of :meth:`end` taking a prebuilt args dict
-        (or None)."""
-        stack = self._open.get(track)
-        if not stack:
-            raise SimulationError(f"end() without begin() on track {track!r}")
-        name, start, depth, open_args = stack.pop()
-        if t < start:
-            raise SimulationError(
-                f"span {name!r} ends before it starts ({t} < {start})"
-            )
-        if type(open_args) is tuple:
-            open_args = {open_args[0]: open_args[1]}
-        if args:
-            open_args = {**open_args, **args} if open_args else args
-        row = self._s_n
-        if row == self._s_cap:
-            self._grow_spans()
-        self._s_args.append(open_args)
-        self._s_md[row] = self._meta_id((track, name, None)) << 16 | depth
-        self._s_start[row] = start
-        self._s_dur[row] = t - start
-        self._s_n = row + 1
-
     def instant(self, track: str, name: str, t: float, **args: object) -> None:
         """Record a zero-duration marker."""
-        self.instant_d(track, name, t, args or None)
-
-    def instant_d(
-        self, track: str, name: str, t: float, args: dict | None
-    ) -> None:
-        """Positional variant of :meth:`instant` taking a prebuilt args
-        dict (or None)."""
         row = self._i_n
         if row == self._i_cap:
             self._grow_instants()
-        self._i_args.append(args)
+        self._i_args.append(args or None)
         self._i_meta[row] = self._meta_id((track, name, None))
         self._i_time[row] = t
         self._i_n = row + 1
@@ -395,20 +315,18 @@ class SpanTracer:
 
         return rec
 
-    def open_span_site(self, track: str, name: str, end_keys: tuple[str, str, str] | None = None):
-        """Paired ``(begin, end)`` recorders for one fixed begin/end site
-        — the executor's per-fault wrapper.  The meta triple is interned
-        once; ``begin(t, key, value)`` pushes the open record.  With
-        ``end_keys`` (exactly three) the end closure is ``end(t, v1, v2,
-        v3)`` and the span's args are the begin pair plus the three fixed
-        pairs, stored as one flat tuple and promoted to a dict only when
-        :attr:`spans` materializes; without it the closure is ``end(t,
-        args)`` with a prebuilt dict.
+    def open_span_site(self, track: str, name: str, end_keys: tuple[str, str, str]):
+        """Paired ``(begin, end)`` recorders for one enclosing span whose
+        extent is only known at its end — the executor's per-fault
+        wrapper.  The meta triple is interned once; ``begin(t, key,
+        value)`` opens the span on the track's stack, and ``end(t, v1, v2,
+        v3)`` closes the innermost open span with the begin pair plus the
+        three ``end_keys`` pairs as its args, stored as one flat tuple and
+        promoted to a dict only when :attr:`spans` materializes.
 
-        The closures share the generic API's per-track stack and record
-        shape, so complete-style children still nest correctly — but the
-        site must strictly pair its own begin/end (the popped record is
-        assumed to be this site's).
+        Spans recorded on the track while one is open nest one level
+        deeper.  The site must strictly pair its own begin/end (the popped
+        record is assumed to be this site's).
         """
         mid = self._meta_id((track, name, None)) << 16
         stack = self._open.setdefault(track, [])
@@ -416,59 +334,27 @@ class SpanTracer:
         stack_pop = stack.pop
         args_append = self._s_args.append
         s_md, s_start, s_dur = self._s_md, self._s_start, self._s_dur
+        k1, k2, k3 = end_keys
 
         def begin(t: float, key: str, value: object) -> None:
-            stack_append((name, t, len(stack), (key, value)))
+            stack_append((t, len(stack), (key, value)))
 
-        if end_keys is not None:
-            k1, k2, k3 = end_keys
-
-            def end(t: float, v1: object, v2: object, v3: object) -> None:
-                if not stack:
-                    raise SimulationError(
-                        f"end() without begin() on track {track!r}"
-                    )
-                _, start, depth, open_args = stack_pop()
-                if t < start:
-                    raise SimulationError(
-                        f"span {name!r} ends before it starts ({t} < {start})"
-                    )
-                pairs = (k1, v1, k2, v2, k3, v3)
-                row = self._s_n
-                if row == self._s_cap:
-                    self._grow_spans()
-                args_append(
-                    open_args + pairs if type(open_args) is tuple else pairs
+        def end(t: float, v1: object, v2: object, v3: object) -> None:
+            if not stack:
+                raise SimulationError(f"end() without begin() on track {track!r}")
+            start, depth, open_args = stack_pop()
+            if t < start:
+                raise SimulationError(
+                    f"span {name!r} ends before it starts ({t} < {start})"
                 )
-                s_md[row] = mid | depth
-                s_start[row] = start
-                s_dur[row] = t - start
-                self._s_n = row + 1
-
-        else:
-
-            def end(t: float, args: dict | None) -> None:
-                if not stack:
-                    raise SimulationError(
-                        f"end() without begin() on track {track!r}"
-                    )
-                _, start, depth, open_args = stack_pop()
-                if t < start:
-                    raise SimulationError(
-                        f"span {name!r} ends before it starts ({t} < {start})"
-                    )
-                if type(open_args) is tuple:
-                    open_args = {open_args[0]: open_args[1]}
-                if args:
-                    open_args = {**open_args, **args} if open_args else args
-                row = self._s_n
-                if row == self._s_cap:
-                    self._grow_spans()
-                args_append(open_args)
-                s_md[row] = mid | depth
-                s_start[row] = start
-                s_dur[row] = t - start
-                self._s_n = row + 1
+            row = self._s_n
+            if row == self._s_cap:
+                self._grow_spans()
+            args_append(open_args + (k1, v1, k2, v2, k3, v3))
+            s_md[row] = mid | depth
+            s_start[row] = start
+            s_dur[row] = t - start
+            self._s_n = row + 1
 
         return begin, end
 

@@ -26,7 +26,7 @@ from repro.mem.residency import ResidencyTracker
 from repro.migration.ampom import AmpomMigration
 from repro.migration.executor import MigrantExecutor
 from repro.obs import Observability
-from repro.obs.fleet import FleetGaugeSet
+from repro.obs.inspector import GaugeSet
 from repro.sim import Simulator, Timeout
 from repro.workloads.replay import ReplayWorkload
 
@@ -70,13 +70,13 @@ def test_lossy_multihop_identical_on_event_path(event_path):
 
 def test_armed_fleet_run_identical_on_event_path(monkeypatch, event_path):
     seen: list[float] = []
-    sample = FleetGaugeSet.on_sim_event
+    sample = GaugeSet.on_sim_event
 
     def recording(self, t):
         seen.append(t)
         sample(self, t)
 
-    monkeypatch.setattr(FleetGaugeSet, "on_sim_event", recording)
+    monkeypatch.setattr(GaugeSet, "on_sim_event", recording)
 
     def run():
         seen.clear()

@@ -8,6 +8,7 @@ import math
 import pickle
 import tracemalloc
 from collections import deque
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -15,13 +16,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import Observability
-from repro.obs.fleet import (
-    DEFAULT_RING_CAPACITY,
-    FleetGauge,
-    FleetGaugeSet,
-    FleetTelemetry,
-    SeriesRing,
-)
+from repro.obs.fleet import DEFAULT_RING_CAPACITY, FleetTelemetry, SeriesRing
+from repro.obs.inspector import GaugeSet
 
 
 def _armed(fleet=True, journeys=False):
@@ -134,16 +130,6 @@ class TestFleetTelemetry:
         assert fleet.series("n1", "load") == [(0.0, 2.0)]
         assert fleet.series("n1", "missing") == []
 
-    def test_tick_runs_hooks_then_probes(self):
-        fleet = FleetTelemetry()
-        order = []
-        fleet.add_tick_hook(lambda t: order.append(("hook", t)))
-        fleet.add_probe("n0", "depth", lambda: order.append(("probe", None)) or 7.0)
-        fleet.tick(1.5)
-        assert order == [("hook", 1.5), ("probe", None)]
-        assert fleet.series("n0", "depth") == [(1.5, 7.0)]
-        assert fleet.ticks == 1
-
     def test_latest_and_dropped(self):
         fleet = FleetTelemetry(capacity=2)
         for i in range(4):
@@ -220,11 +206,21 @@ class TestFleetTelemetry:
         assert float(text).hex() == value.hex()
 
 
+def _gauges(fleet, interval_s, *entries):
+    """A GaugeSet feeding ``(node, series, fn)`` entries into ``fleet``."""
+    gauges = GaugeSet(interval_s)
+    for node, series, fn in entries:
+        gauges.add(fn, partial(fleet.push, node, series))
+    return gauges
+
+
 class TestFleetGauges:
+    """Phase-2 fleet series: GaugeSet entries whose sink is a fleet push."""
+
     def test_gauge_samples_on_boundary_crossings(self):
         fleet = FleetTelemetry()
         state = {"v": 1.0}
-        gauge = FleetGauge(fleet, "n0", "depth", lambda: state["v"], 1.0)
+        gauge = _gauges(fleet, 1.0, ("n0", "depth", lambda: state["v"]))
         gauge.on_sim_event(0.0)
         state["v"] = 9.0
         gauge.on_sim_event(0.5)  # inside the window: skipped
@@ -234,15 +230,11 @@ class TestFleetGauges:
     def test_gauge_interval_must_be_positive(self):
         for interval_s in BAD_INTERVALS:
             with pytest.raises(ConfigurationError):
-                FleetGauge(FleetTelemetry(), "n0", "s", lambda: 0.0, interval_s)
-            with pytest.raises(ConfigurationError):
-                FleetGaugeSet(FleetTelemetry(), interval_s)
+                GaugeSet(interval_s)
 
     def test_gauge_set_shares_one_boundary(self):
         fleet = FleetTelemetry()
-        gauges = FleetGaugeSet(fleet, 1.0)
-        gauges.add("n0", "a", lambda: 1.0)
-        gauges.add("n1", "b", lambda: 2.0)
+        gauges = _gauges(fleet, 1.0, ("n0", "a", lambda: 1.0), ("n1", "b", lambda: 2.0))
         assert len(gauges) == 2
         gauges.on_sim_event(0.0)
         gauges.on_sim_event(0.5)
@@ -252,10 +244,9 @@ class TestFleetGauges:
 
     def test_entry_added_mid_run_waits_for_next_boundary(self):
         fleet = FleetTelemetry()
-        gauges = FleetGaugeSet(fleet, 1.0)
-        gauges.add("n0", "a", lambda: 1.0)
+        gauges = _gauges(fleet, 1.0, ("n0", "a", lambda: 1.0))
         gauges.on_sim_event(0.0)
-        gauges.add("n1", "b", lambda: 2.0)
+        gauges.add(lambda: 2.0, partial(fleet.push, "n1", "b"))
         gauges.on_sim_event(0.2)  # inside the shared window
         assert fleet.series("n1", "b") == []
         gauges.on_sim_event(1.1)
@@ -263,13 +254,12 @@ class TestFleetGauges:
 
     def test_zero_duration_run_samples_nothing(self):
         fleet = FleetTelemetry()
-        FleetGaugeSet(fleet, 1.0).add("n0", "a", lambda: 1.0)
+        _gauges(fleet, 1.0, ("n0", "a", lambda: 1.0))
         assert fleet.series("n0", "a") == []
 
     def test_interval_longer_than_run_samples_once(self):
         fleet = FleetTelemetry()
-        gauges = FleetGaugeSet(fleet, 100.0)
-        gauges.add("n0", "a", lambda: 1.0)
+        gauges = _gauges(fleet, 100.0, ("n0", "a", lambda: 1.0))
         for t in (0.0, 0.5, 1.0, 2.0):
             gauges.on_sim_event(t)
         assert fleet.series("n0", "a") == [(0.0, 1.0)]
@@ -290,13 +280,13 @@ class TestSustainedIntegration:
         armed_obs = _armed(fleet=True, journeys=True)
         armed = self._run(obs=armed_obs)
         assert armed.to_json() == bare.to_json()
-        assert armed_obs.fleet.ticks > 0
+        assert "load" in armed_obs.fleet.series_names()
         assert armed_obs.journeys.journeys
 
     def test_utilization_json_shape_unchanged_when_armed(self):
-        # The legacy utilization sampler is now a thin view over the
-        # shared FleetTelemetry tick: values and serialization must not
-        # move when the collector is armed.
+        # The utilization sampler's tick also pushes the fleet series:
+        # its own values and serialization must not move when the
+        # collector is armed.
         bare = self._run().report.to_dict()["utilization"]
         armed = self._run(obs=_armed(fleet=True)).report.to_dict()["utilization"]
         assert armed == bare

@@ -118,6 +118,21 @@ class TestSustainedReconciliation:
         assert jlog.count("arrival") == res.report.arrivals
         assert jlog.reconcile(report=res.report) == []
 
+    def test_completed_journey_hops_equal_its_freezes(self):
+        """``hops`` counts the hops a migrant took, one freeze each; a
+        task that never left its node completes with no freeze."""
+        from repro.cluster.sustained import run_sustained
+        from repro.cluster.topology import build_preset
+
+        obs = _armed()
+        run_sustained(build_preset("cluster_32", seed=7), obs=obs)
+        completed = [
+            j for j in obs.journeys.journeys.values() if j.outcome == "completed"
+        ]
+        assert any(j.count("freeze") for j in completed)
+        for journey in completed:
+            assert journey.events[-1].args["hops"] == journey.count("freeze"), journey.task
+
 
 class TestChaosJourneys:
     def test_kill_and_detection_counts_match_chaos_counters(self):

@@ -35,44 +35,62 @@ class TestComplete:
         assert tr.spans[-1].args is None
 
 
+def _fault_site(tr, track=MIGRANT_TRACK, name="fault"):
+    """The executor's per-fault wrapper: an open-span site closed with
+    ``kind``/``prefetch``/``stall`` pairs."""
+    return tr.open_span_site(track, name, end_keys=("kind", "prefetch", "stall"))
+
+
 class TestBeginEnd:
+    """Enclosing spans opened and closed through an open-span site."""
+
     def test_nesting_depth_per_track(self):
         tr = SpanTracer()
-        tr.begin(MIGRANT_TRACK, "fault", 0.0)
+        begin, end = _fault_site(tr)
+        begin(0.0, "vpn", 7)
         tr.complete(MIGRANT_TRACK, "stall", 0.1, 0.2, "stall")
         inner = tr.spans[-1]
         assert inner.depth == 1
-        tr.end(MIGRANT_TRACK, 0.5)
+        end(0.5, "MAJOR", 0, 0.2)
         outer = tr.spans[-1]
         assert outer.depth == 0
         assert outer.name == "fault"
         assert outer.dur == pytest.approx(0.5)
+        assert tr.open_spans == 0
 
     def test_end_merges_args(self):
         tr = SpanTracer()
-        tr.begin(MIGRANT_TRACK, "fault", 0.0, vpn=7)
-        tr.end(MIGRANT_TRACK, 1.0, kind="MAJOR")
-        assert tr.spans[-1].args == {"vpn": 7, "kind": "MAJOR"}
+        begin, end = _fault_site(tr)
+        begin(0.0, "vpn", 7)
+        end(1.0, "MAJOR", 4, 0.25)
+        assert tr.spans[-1].args == {
+            "vpn": 7, "kind": "MAJOR", "prefetch": 4, "stall": 0.25,
+        }
 
     def test_end_without_begin_raises(self):
         tr = SpanTracer()
+        _, end = _fault_site(tr)
         with pytest.raises(SimulationError):
-            tr.end(MIGRANT_TRACK, 1.0)
+            end(1.0, "MAJOR", 0, 0.0)
 
     def test_end_before_start_raises(self):
         tr = SpanTracer()
-        tr.begin(MIGRANT_TRACK, "fault", 2.0)
+        begin, end = _fault_site(tr)
+        begin(2.0, "vpn", 1)
         with pytest.raises(SimulationError):
-            tr.end(MIGRANT_TRACK, 1.0)
+            end(1.0, "MAJOR", 0, 0.0)
 
     def test_tracks_nest_independently(self):
         tr = SpanTracer()
-        tr.begin(MIGRANT_TRACK, "fault", 0.0)
-        tr.begin(DEPUTY_TRACK, "serve", 0.0)
+        fault_begin, fault_end = _fault_site(tr)
+        serve_begin, serve_end = _fault_site(tr, DEPUTY_TRACK, "serve")
+        fault_begin(0.0, "vpn", 1)
+        serve_begin(0.0, "vpn", 1)
         assert tr.open_spans == 2
-        tr.end(DEPUTY_TRACK, 0.1)
-        tr.end(MIGRANT_TRACK, 0.2)
+        serve_end(0.1, "MAJOR", 0, 0.0)
+        fault_end(0.2, "MAJOR", 0, 0.0)
         assert tr.open_spans == 0
+        assert [s.depth for s in tr.spans] == [0, 0]
 
 
 class TestBucketSums:
@@ -151,10 +169,13 @@ class TestRecordingSites:
     def test_span_site_depth_tracks_open_stack(self):
         tr = SpanTracer()
         rec = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
-        tr.begin(MIGRANT_TRACK, "fault", 0.0)
+        begin, end = _fault_site(tr)
+        begin(0.0, "vpn", 9)
         rec(0.1, 0.2, 9)
         assert tr.spans[-1].depth == 1
-        tr.end(MIGRANT_TRACK, 0.5)
+        end(0.5, "MAJOR", 0, 0.2)
+        rec(0.6, 0.1, 9)
+        assert tr.spans[-1].depth == 0
 
     def test_open_span_site_merges_end_keys(self):
         tr = SpanTracer()
@@ -186,19 +207,6 @@ class TestRecordingSites:
         two(2.0, 9, 3)
         slow.instant(MIGRANT_TRACK, "prefetch_request", 1.0, pages=4)
         slow.instant(MIGRANT_TRACK, "demand_request", 2.0, vpn=9, prefetch=3)
-        assert fast.instants == slow.instants
-
-    def test_kv_fast_paths_match_kwargs(self):
-        fast, slow = SpanTracer(), SpanTracer()
-        fast.complete_kv(DEPUTY_TRACK, "serve", 0.0, 0.1, None, "pages", 4)
-        fast.begin_kv(MIGRANT_TRACK, "fault", 0.2, "vpn", 7)
-        fast.end_d(MIGRANT_TRACK, 0.9, {"kind": "MAJOR"})
-        fast.instant_d(MIGRANT_TRACK, "timeout", 1.0, {"vpn": 7})
-        slow.complete(DEPUTY_TRACK, "serve", 0.0, 0.1, pages=4)
-        slow.begin(MIGRANT_TRACK, "fault", 0.2, vpn=7)
-        slow.end(MIGRANT_TRACK, 0.9, kind="MAJOR")
-        slow.instant(MIGRANT_TRACK, "timeout", 1.0, vpn=7)
-        assert fast.spans == slow.spans
         assert fast.instants == slow.instants
 
     def test_ring_growth_preserves_site_recorders(self):

@@ -222,6 +222,32 @@ def test_trace_run_case(tmp_path, capsys):
     assert doc["displayTimeUnit"] == "ms"
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["node_churn", "cluster_sustained", "cluster_sustained_telemetry", "cluster_300_smoke", "arena"],
+)
+def test_trace_run_rejects_cases_without_one_result(case, capsys):
+    """Only the single-migrant bench cases return one ExecutionResult to
+    trace; argparse rejects the others before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "run", "--case", case])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_trace_run_multi_hop_case(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "trace.jsonl"
+    rc = main(
+        ["trace", "run", "--case", "three_hop", "--format", "jsonl", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "span-exact" in capsys.readouterr().out
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert sum(1 for r in rows if r["name"] == "freeze") == 2  # one per hop
+
+
 def test_trace_run_custom_cell_flame(capsys):
     rc = main(
         [

@@ -4,7 +4,9 @@ Links default to the config's shared :class:`NetworkSpec`; ``link_specs``
 replaces individual links (keyed by either endpoint order) for
 heterogeneous topologies — e.g. a slow WAN hop in a migration path.
 Each link is created on first use (:class:`repro.net.network.Network`),
-so a 300-node fleet holds only the links its traffic actually crosses.
+and each of its directions on first lookup, so a 300-node fleet holds only
+the links its traffic actually crosses, mostly in the one direction its
+gossip took.
 
 The paper's testbed (HKU Gideon 300) is a Fast-Ethernet switched cluster;
 for the two- and three-node experiments a full mesh of point-to-point

@@ -95,6 +95,17 @@ class LinkSpec:
             raise MigrationError(
                 "shaped_bandwidth_bps and shaped_latency_s must be set together"
             )
+        if self.shaped_bandwidth_bps is not None:
+            if not 0 < self.shaped_bandwidth_bps < math.inf:
+                raise MigrationError(
+                    "shaped_bandwidth_bps must be positive and finite, "
+                    f"got {self.shaped_bandwidth_bps}"
+                )
+            if not 0 <= self.shaped_latency_s < math.inf:
+                raise MigrationError(
+                    "shaped_latency_s must be non-negative and finite, "
+                    f"got {self.shaped_latency_s}"
+                )
 
     @property
     def pair(self) -> tuple[str, str]:

@@ -8,6 +8,7 @@ The defaults reproduce the paper's testbed: the HKU Gideon 300 cluster
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -79,12 +80,20 @@ class NetworkSpec:
     counter_horizon_s: float = 16.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigurationError("bandwidth_bps must be positive")
-        if self.latency_s < 0:
-            raise ConfigurationError("latency_s must be non-negative")
-        if self.counter_horizon_s < 0:
-            raise ConfigurationError("counter_horizon_s must be non-negative")
+        # Written so that NaN fails every test.
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise ConfigurationError(
+                f"bandwidth_bps must be positive and finite, got {self.bandwidth_bps}"
+            )
+        if not 0 <= self.latency_s < math.inf:
+            raise ConfigurationError(
+                f"latency_s must be non-negative and finite, got {self.latency_s}"
+            )
+        if not 0 <= self.counter_horizon_s < math.inf:
+            raise ConfigurationError(
+                "counter_horizon_s must be non-negative and finite, "
+                f"got {self.counter_horizon_s}"
+            )
 
     @classmethod
     def fast_ethernet(cls) -> "NetworkSpec":

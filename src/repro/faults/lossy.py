@@ -35,6 +35,14 @@ from .plan import FaultPlan
 class LossyDirection(Direction):
     """One direction of a duplex link subject to a fault plan."""
 
+    __slots__ = (
+        "plan",
+        "dropped_messages",
+        "flap_dropped_messages",
+        "duplicated_messages",
+        "delayed_messages",
+    )
+
     def __init__(self, spec: NetworkSpec, name: str, plan: FaultPlan) -> None:
         super().__init__(spec, name=name)
         self.plan = plan

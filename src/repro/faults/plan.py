@@ -49,6 +49,34 @@ def _window_contains(windows: tuple[tuple[float, float], ...], t: float) -> bool
     return i >= 0 and windows[i][0] <= t < windows[i][1]
 
 
+class _UniformStream:
+    """One channel's uniforms, drawn from its generator a block at a time.
+
+    ``Generator.random`` fills doubles in stream order, so handing out a
+    block of ``BLOCK`` triples gives the same values as ``BLOCK`` calls of
+    ``random(3)``, for one call into numpy instead of ``BLOCK``.
+    """
+
+    BLOCK = 128
+
+    __slots__ = ("_rng", "_block", "_pos")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block: list[float] = []
+        self._pos = 0
+
+    def take3(self) -> tuple[float, float, float]:
+        """The next three uniforms of the stream."""
+        pos = self._pos
+        block = self._block
+        if pos == len(block):
+            block = self._block = self._rng.random(3 * self.BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 3
+        return block[pos], block[pos + 1], block[pos + 2]
+
+
 class FaultPlan:
     """Deterministic fault decisions for one seeded experiment."""
 
@@ -64,7 +92,7 @@ class FaultPlan:
         self.log = log
         #: Simulated time before which random injection is suppressed.
         self.active_from = active_from
-        self._rngs: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, _UniformStream] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -77,14 +105,6 @@ class FaultPlan:
         self.active_from = time
 
     # ------------------------------------------------------------------
-    def _rng_for(self, channel: str) -> np.random.Generator:
-        try:
-            return self._rngs[channel]
-        except KeyError:
-            rng = child_rng(self.seed, f"faults:{channel}")
-            self._rngs[channel] = rng
-            return rng
-
     def draw(self, channel: str, now: float) -> FaultDecision:
         """Draw the fate of one message submitted on ``channel`` at ``now``.
 
@@ -94,12 +114,22 @@ class FaultPlan:
         """
         if now < self.active_from:
             return CLEAN
+        stream = self._streams.get(channel)
+        if stream is None:
+            stream = self._streams[channel] = _UniformStream(
+                child_rng(self.seed, f"faults:{channel}")
+            )
+        u0, u1, u2 = stream.take3()
         spec = self.spec
-        u = self._rng_for(channel).random(3)
+        drop = u0 < spec.loss_rate
+        duplicate = u1 < spec.duplicate_rate
+        delay = u2 < spec.delay_rate
+        if not (drop or duplicate or delay):
+            return CLEAN
         return FaultDecision(
-            drop=bool(u[0] < spec.loss_rate),
-            duplicate=bool(u[1] < spec.duplicate_rate),
-            extra_delay=spec.delay_s if u[2] < spec.delay_rate else 0.0,
+            drop=drop,
+            duplicate=duplicate,
+            extra_delay=spec.delay_s if delay else 0.0,
         )
 
     # ------------------------------------------------------------------

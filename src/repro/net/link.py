@@ -10,24 +10,68 @@ including queuing delay when the channel is saturated by prefetch traffic.
 
 Every transfer is logged (start, end, size) so the monitoring daemon can
 read "RX/TX bytes" counters at arbitrary times, exactly like the paper's
-``/sbin/ifconfig`` sampling.  The log is three ``array("d")`` columns,
-8 bytes per value instead of a list slot and a float or int object.
+``/sbin/ifconfig`` sampling.  The log is one ``array("d")``, allocated on
+the first message: the cumulative byte count of everything compacted away,
+then one (start, end, cumulative bytes) triple per retained transfer, 8
+bytes per value instead of a list slot and a float or int object.
+
+A :class:`Link` builds each of its two directions the first time it is
+looked up, so a fleet whose gossip crosses a link one way pays for one
+direction, and a direction pays for its log only once it carries traffic.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 
 from ..config import NetworkSpec
 from ..errors import NetworkError
 
-#: Transfer-log length at which old entries are considered for compaction.
+#: Transfer-log length (entries) at which old entries are considered for
+#: compaction.
 COMPACT_THRESHOLD = 8192
+
+# Log length (values) of COMPACT_THRESHOLD entries plus the baseline.
+_COMPACT_LEN = 1 + 3 * COMPACT_THRESHOLD
+
+
+def check_shape(bandwidth_bps: float, latency_s: float) -> None:
+    """Raise :class:`NetworkError` unless ``0 < bandwidth_bps < inf`` and
+    ``0 <= latency_s < inf`` (NaN fails both)."""
+    if not 0.0 < bandwidth_bps < math.inf:
+        raise NetworkError(f"bandwidth must be positive and finite: {bandwidth_bps}")
+    if not 0.0 <= latency_s < math.inf:
+        raise NetworkError(f"latency must be non-negative and finite: {latency_s}")
+
+
+def _ended_by(log: array, t: float) -> int:
+    """How many entries of a transfer log finished serializing by ``t``."""
+    # Bisect the end times through a strided view, released on return so
+    # that the caller may resize the log.
+    with memoryview(log) as view, view[2::3] as ends:
+        return bisect_right(ends, t)
 
 
 class Direction:
     """One direction of a duplex link."""
+
+    # No slot may be named ``_log``: LossyDirection's ``_log`` method would
+    # hide it, and assigning it would raise "attribute is read-only".
+    __slots__ = (
+        "name",
+        "bandwidth_bps",
+        "latency_s",
+        "per_message_overhead_bytes",
+        "per_page_overhead_bytes",
+        "counter_horizon_s",
+        "busy_until",
+        "total_bytes",
+        "total_messages",
+        "trace_hook",
+        "_transfers",
+    )
 
     def __init__(self, spec: NetworkSpec, name: str = "") -> None:
         self.name = name
@@ -45,17 +89,17 @@ class Direction:
         #: it must not call back into the link.  None on untraced runs, so
         #: the hot path pays one attribute test per transfer.
         self.trace_hook = None
-        # Parallel columns logging each transfer for counter reads.  The
-        # log is periodically compacted: entries that finished serializing
-        # more than ``counter_horizon_s`` before the latest transfer are
-        # folded into ``_compacted_bytes`` so the log stays bounded.  The
+        # The transfer log, None until the first message: ``[base, s0, e0,
+        # c0, s1, e1, c1, ...]``.  Entry ``j`` serialized over ``[sj, ej]``
+        # and ``cj`` counts the bytes of every transfer up to it, so the
+        # bytes sent before entry ``i`` are ``log[3 * i]`` (``base`` for
+        # the first).  The log is compacted in batches: entries that
+        # finished serializing more than ``counter_horizon_s`` before the
+        # latest transfer fold into ``base`` so the log stays bounded.  The
         # cumulative byte counts are whole numbers far below 2**53, which
         # doubles hold exactly, and a float-valued overhead from a spec
         # file stays accepted.
-        self._starts = array("d")
-        self._ends = array("d")
-        self._cum_bytes = array("d")
-        self._compacted_bytes = 0
+        self._transfers: array | None = None
 
     # ------------------------------------------------------------------
     def reconfigure(self, bandwidth_bps: float, latency_s: float) -> None:
@@ -64,10 +108,7 @@ class Direction:
         In-flight transfers keep their original timing, mirroring how a
         ``tc`` qdisc change affects only newly enqueued packets.
         """
-        if bandwidth_bps <= 0:
-            raise NetworkError(f"bandwidth must be positive: {bandwidth_bps}")
-        if latency_s < 0:
-            raise NetworkError(f"latency must be non-negative: {latency_s}")
+        check_shape(bandwidth_bps, latency_s)
         self.bandwidth_bps = bandwidth_bps
         self.latency_s = latency_s
 
@@ -81,12 +122,15 @@ class Direction:
         self.busy_until = end
         self.total_bytes += size
         self.total_messages += 1
-        self._starts.append(start)
-        self._ends.append(end)
-        prev = self._cum_bytes[-1] if self._cum_bytes else self._compacted_bytes
-        self._cum_bytes.append(prev + size)
-        if len(self._ends) >= COMPACT_THRESHOLD:
-            self.compact(now - self.counter_horizon_s)
+        log = self._transfers
+        if log is None:
+            log = self._transfers = array("d", (0.0,))
+        prev = log[-1]
+        log.append(start)
+        log.append(end)
+        log.append(prev + size)
+        if len(log) >= _COMPACT_LEN:
+            self._compact_batch(now)
         arrival = end + self.latency_s
         if self.trace_hook is not None:
             self.trace_hook(self.name, start, end, size, arrival)
@@ -115,26 +159,36 @@ class Direction:
         size = payload_bytes + self.per_message_overhead_bytes
         duration = size / self.bandwidth_bps
         latency = self.latency_s
-        horizon = self.counter_horizon_s
-        starts, ends, cum = self._starts, self._ends, self._cum_bytes
+        log = self._transfers
+        if log is None:
+            log = self._transfers = array("d", (0.0,))
+        append = log.append
         busy = self.busy_until
-        prev = cum[-1] if cum else self._compacted_bytes
+        prev = log[-1]
         arrivals: list[float] = []
         for now in times:
             start = busy if busy > now else now
             busy = start + duration
-            starts.append(start)
-            ends.append(busy)
+            append(start)
+            append(busy)
             prev += size
-            cum.append(prev)
+            append(prev)
             arrivals.append(busy + latency)
-            if len(ends) >= COMPACT_THRESHOLD:
-                self.compact(now - horizon)
-                prev = cum[-1] if cum else self._compacted_bytes
+            if len(log) >= _COMPACT_LEN:
+                self._compact_batch(now)
         self.busy_until = busy
         self.total_bytes += size * len(times)
         self.total_messages += len(times)
         return arrivals
+
+    def _compact_batch(self, now: float) -> None:
+        """Compact to ``now - counter_horizon_s`` once the oldest entry
+        ended an eighth of a horizon before that, so each compaction drops
+        a batch of entries instead of shifting the log for one or two."""
+        horizon = self.counter_horizon_s
+        cutoff = now - horizon
+        if self._transfers[2] <= cutoff - horizon / 8:
+            self.compact(cutoff)
 
     # ------------------------------------------------------------------
     def queuing_delay(self, now: float) -> float:
@@ -150,12 +204,14 @@ class Direction:
         query); for older, compacted times it returns the compaction
         baseline, which keeps the counter monotone non-decreasing.
         """
-        i = bisect_right(self._ends, t)
-        done = float(self._cum_bytes[i - 1]) if i > 0 else float(self._compacted_bytes)
-        if i < len(self._starts) and self._starts[i] < t:
-            start, end = self._starts[i], self._ends[i]
-            prev = self._cum_bytes[i - 1] if i > 0 else self._compacted_bytes
-            size = self._cum_bytes[i] - prev
+        log = self._transfers
+        if log is None:
+            return 0.0
+        at = 3 * _ended_by(log, t)
+        done = log[at]
+        if at + 1 < len(log) and log[at + 1] < t:
+            start, end = log[at + 1], log[at + 2]
+            size = log[at + 3] - done
             done += size * (t - start) / (end - start)
         return done
 
@@ -165,18 +221,26 @@ class Direction:
         :meth:`bytes_sent_by` stays exact for every later time.  Returns
         how many entries were dropped.
         """
-        k = bisect_right(self._ends, before)
-        if k == 0:
+        log = self._transfers
+        if log is None:
             return 0
-        self._compacted_bytes = self._cum_bytes[k - 1]
-        del self._starts[:k]
-        del self._ends[:k]
-        del self._cum_bytes[:k]
+        k = _ended_by(log, before)
+        if k:
+            log[0] = log[3 * k]
+            del log[1 : 3 * k + 1]
         return k
 
 
 class Link:
-    """A duplex link between two named endpoints."""
+    """A duplex link between two named endpoints.
+
+    Each direction is built the first time it is looked up; a shape set
+    by :meth:`reconfigure` before then applies to it when it is built.  A
+    direction that has carried nothing is in the same state as a new one,
+    so when it is built cannot change a result.
+    """
+
+    __slots__ = ("a", "b", "spec", "_ab", "_ba", "_shape")
 
     def __init__(self, a: str, b: str, spec: NetworkSpec) -> None:
         if a == b:
@@ -184,23 +248,37 @@ class Link:
         self.a = a
         self.b = b
         self.spec = spec
-        self._directions = {
-            (a, b): Direction(spec, name=f"{a}->{b}"),
-            (b, a): Direction(spec, name=f"{b}->{a}"),
-        }
+        self._ab: Direction | None = None
+        self._ba: Direction | None = None
+        #: ``(bandwidth_bps, latency_s)`` of the last reconfigure, if any.
+        self._shape: tuple[float, float] | None = None
+
+    def _build(self, src: str, dst: str) -> Direction:
+        direction = Direction(self.spec, name=f"{src}->{dst}")
+        if self._shape is not None:
+            direction.reconfigure(*self._shape)
+        return direction
 
     def direction(self, src: str, dst: str) -> Direction:
         """The one-way channel from ``src`` to ``dst``."""
-        try:
-            return self._directions[(src, dst)]
-        except KeyError:
-            raise NetworkError(f"link {self.a!r}<->{self.b!r} does not connect {src!r}->{dst!r}")
+        if src == self.a and dst == self.b:
+            if self._ab is None:
+                self._ab = self._build(src, dst)
+            return self._ab
+        if src == self.b and dst == self.a:
+            if self._ba is None:
+                self._ba = self._build(src, dst)
+            return self._ba
+        raise NetworkError(f"link {self.a!r}<->{self.b!r} does not connect {src!r}->{dst!r}")
 
     def replace_direction(self, src: str, dst: str, direction: Direction) -> None:
         """Swap in a replacement channel (e.g. a fault-injecting wrapper)."""
-        if (src, dst) not in self._directions:
+        if src == self.a and dst == self.b:
+            self._ab = direction
+        elif src == self.b and dst == self.a:
+            self._ba = direction
+        else:
             raise NetworkError(f"link {self.a!r}<->{self.b!r} does not connect {src!r}->{dst!r}")
-        self._directions[(src, dst)] = direction
 
     @property
     def endpoints(self) -> tuple[str, str]:
@@ -208,5 +286,8 @@ class Link:
 
     def reconfigure(self, bandwidth_bps: float, latency_s: float) -> None:
         """Reshape both directions (symmetric shaping, as in the paper)."""
-        for direction in self._directions.values():
-            direction.reconfigure(bandwidth_bps, latency_s)
+        check_shape(bandwidth_bps, latency_s)
+        self._shape = (bandwidth_bps, latency_s)
+        for direction in (self._ab, self._ba):
+            if direction is not None:
+                direction.reconfigure(bandwidth_bps, latency_s)

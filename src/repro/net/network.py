@@ -20,11 +20,14 @@ class Network:
 
     Given ``nodes`` and a default ``spec``, the registry is a lazy full
     mesh: the link between two of those nodes is created (through
-    :meth:`connect`) the first time it is looked up, with ``spec`` or its
-    ``link_specs`` override.  An override keyed in ``nodes`` order wins
-    over the reversed key.  A link that has carried nothing is in the same
-    state as a new one, so when it is created cannot change a result, and
-    a fleet pays only for the pairs that talk.
+    :meth:`connect`, the one place a link is made) the first time it is
+    looked up, with ``spec`` or its ``link_specs`` override.  An override
+    keyed in ``nodes`` order wins over the reversed key.  The link in turn
+    builds each direction on its first lookup, and a direction allocates
+    its transfer log on its first message.  A link or direction that has
+    carried nothing is in the same state as a new one, so when it is
+    created cannot change a result, and a fleet pays only for the pairs
+    that talk, and only in the directions they talk in.
     """
 
     def __init__(

@@ -76,3 +76,14 @@ def test_cluster_300_connects_only_pairs_that_talk(connects):
     result = run_sustained(build_preset("cluster_300", seed=0))
     assert result.report.completed == result.report.arrivals
     assert 0 < len(connects) < 5000
+
+
+def test_cluster_300_plan_builds_only_directions_that_carry(directions):
+    """Gossip crosses most links one way: the ``cluster_300`` plan builds
+    a direction only where a message goes, never its idle reverse."""
+    from repro.cluster.sustained import SustainedLoadDriver
+
+    spec = build_preset("cluster_300", seed=7)
+    SustainedLoadDriver(spec.graph, spec.sustained, config=spec.config).plan()
+    assert len(directions) > 1000
+    assert all(d.total_messages > 0 for d in directions)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.cluster.topology import (
     two_node_spec,
 )
 from repro.config import FaultSpec, NetworkSpec, SimulationConfig
-from repro.errors import MigrationError
+from repro.errors import ConfigurationError, MigrationError
 from repro.migration.ampom import AmpomMigration
 from repro.migration.ffa import FfaMigration
 from repro.units import mib
@@ -254,6 +255,27 @@ def test_scenario_from_dict_roundtrip():
     assert spec.resolved_config().faults.loss_rate == 0.03
     assert spec.migrants[0].path == ("home", "n1", "n2")
     assert spec.migrants[0].hop_delays == (0.25,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_link_spec_rejects_non_finite_shaping(bad):
+    with pytest.raises(MigrationError, match="shaped_bandwidth_bps"):
+        LinkSpec(HOME, DEST, shaped_bandwidth_bps=bad, shaped_latency_s=0.002)
+    with pytest.raises(MigrationError, match="shaped_latency_s"):
+        LinkSpec(HOME, DEST, shaped_bandwidth_bps=6e6, shaped_latency_s=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scenario_from_dict_rejects_non_finite_links(bad):
+    """Both used to be accepted and fail mid-run with a SimulationError
+    from a non-finite Timeout delay."""
+    base = {"nodes": [HOME, DEST], "migrants": [{"scale": 0.03125}]}
+    shaped = {"a": HOME, "b": DEST, "shaped_bandwidth_bps": bad, "shaped_latency_s": 0.002}
+    with pytest.raises(MigrationError, match="shaped_bandwidth_bps"):
+        scenario_from_dict({**base, "links": [shaped]})
+    slow = {"a": HOME, "b": DEST, "network": {"latency_s": bad}}
+    with pytest.raises(ConfigurationError, match="latency_s"):
+        scenario_from_dict({**base, "links": [slow]})
 
 
 def test_scenario_from_dict_missing_keys():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro.config import AMPoMConfig, HardwareSpec, NetworkSpec, SimulationConfig
+from repro.net.link import Direction
 from repro.net.network import Network
 from repro.sim import Simulator
 
@@ -56,3 +57,17 @@ def connects(monkeypatch) -> list[tuple[str, str, NetworkSpec]]:
 
     monkeypatch.setattr(Network, "connect", recording)
     return calls
+
+
+@pytest.fixture
+def directions(monkeypatch) -> list[Direction]:
+    """Every ``Direction`` (lossy ones included) built while the test runs."""
+    built: list[Direction] = []
+    init = Direction.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Direction, "__init__", recording)
+    return built

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import FaultSpec
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.faults import CLEAN, FaultInjectionLog, FaultPlan
+from repro.sim.rng import child_rng
 
 
 def test_default_spec_is_inactive():
@@ -70,6 +72,38 @@ def test_channels_have_independent_streams():
         b.draw("dest->home", float(i))
         seq_b.append(b.draw("home->dest", float(i)))
     assert seq_a == seq_b
+
+
+def test_block_draws_match_one_draw_per_message():
+    """Fates handed out from per-channel blocks equal one ``random(3)``
+    per message on the channel's own stream, draws before activation
+    consume nothing, and a message no fault hits gets the shared CLEAN."""
+    spec = FaultSpec(loss_rate=0.2, duplicate_rate=0.1, delay_rate=0.3, delay_s=0.002)
+    channels = ["home->n1", "n1->home", "n1->n2", "n2->n1", "n2->home"]
+    plan = FaultPlan(spec, seed=5, active_from=float("inf"))
+    reference = {ch: child_rng(5, f"faults:{ch}") for ch in channels}
+    pick = np.random.default_rng(0)
+    clean = 0
+    for i in range(12_000):
+        now = i * 1e-3
+        if i == 2_500:
+            plan.activate(now)
+        ch = channels[int(pick.integers(len(channels)))]
+        fate = plan.draw(ch, now)
+        if i < 2_500:
+            assert fate is CLEAN
+            continue
+        u = reference[ch].random(3)
+        drop, duplicate, delay = (
+            bool(u[0] < spec.loss_rate),
+            bool(u[1] < spec.duplicate_rate),
+            bool(u[2] < spec.delay_rate),
+        )
+        assert (fate.drop, fate.duplicate) == (drop, duplicate)
+        assert fate.extra_delay == (spec.delay_s if delay else 0.0)
+        assert (fate is CLEAN) == (not (drop or duplicate or delay))
+        clean += fate is CLEAN
+    assert 0 < clean < 12_000 - 2_500
 
 
 def test_random_injection_gated_on_activation():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import NetworkSpec
@@ -38,6 +40,18 @@ def test_cannot_shape_above_capacity():
     shaper = TrafficShaper(make_link())
     with pytest.raises(NetworkError):
         shaper.apply(mbit_per_s(1000.0), ms(1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_shape_rejected(bad):
+    link = make_link()
+    shaper = TrafficShaper(link)
+    with pytest.raises(NetworkError):
+        shaper.apply(bad, ms(2.0))
+    with pytest.raises(NetworkError):
+        shaper.apply(mbit_per_s(6.0), bad)
+    assert not shaper.active
+    assert link.direction("a", "b").latency_s == NetworkSpec().latency_s
 
 
 def test_current_reflects_state():

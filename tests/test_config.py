@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import (
@@ -48,6 +50,14 @@ class TestNetworkSpec:
             NetworkSpec(bandwidth_bps=0)
         with pytest.raises(ConfigurationError):
             NetworkSpec(latency_s=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bandwidth_bps", "latency_s", "counter_horizon_s"])
+    def test_non_finite_rejected(self, field, bad):
+        # A NaN horizon used to make every compaction drop the whole log,
+        # and a NaN or infinite latency to fail mid-run as a Timeout.
+        with pytest.raises(ConfigurationError, match=field):
+            NetworkSpec(**{field: bad})
 
 
 class TestAMPoMConfig:

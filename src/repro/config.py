@@ -89,11 +89,16 @@ class NetworkSpec:
             raise ConfigurationError(
                 f"latency_s must be non-negative and finite, got {self.latency_s}"
             )
-        if not 0 <= self.counter_horizon_s < math.inf:
-            raise ConfigurationError(
-                "counter_horizon_s must be non-negative and finite, "
-                f"got {self.counter_horizon_s}"
-            )
+        for field_name in (
+            "counter_horizon_s",
+            "per_message_overhead_bytes",
+            "per_page_overhead_bytes",
+        ):
+            value = getattr(self, field_name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{field_name} must be non-negative and finite, got {value}"
+                )
 
     @classmethod
     def fast_ethernet(cls) -> "NetworkSpec":

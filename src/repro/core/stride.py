@@ -51,10 +51,6 @@ def positions_by_page(pages: Sequence[int]) -> dict[int, list[int]]:
     return index
 
 
-# Backwards-compatible private alias (pre-refactor name).
-_positions_by_page = positions_by_page
-
-
 def stride_counts(
     pages: Sequence[int],
     dmax: int,

@@ -83,7 +83,7 @@ def install_lossy_link(network: Network, a: str, b: str, plan: FaultPlan) -> Non
     """Replace both directions of the ``a``<->``b`` link with lossy ones.
 
     Must run before the link carries any traffic (the wrapper starts with
-    fresh channel state).
+    fresh channel state); a shape already applied to the link carries over.
     """
     link = network.link_between(a, b)
     for src, dst in ((a, b), (b, a)):

@@ -403,13 +403,6 @@ class MigrantExecutor:
         sim = self.sim
         res = self.outcome.residency
         mapped = res.mapped_flags  # direct reference: the hot-path flags
-        cpu = self.node.cpu
-        budget = self.budget
-        tr = self._tracer
-        # Traced-only clock reads below use ``sim._now`` directly: ``now``
-        # is a trivial property over that attribute, and skipping the
-        # property call keeps tracing overhead off the untraced path.
-        rec_compute = self._rec_compute
         creates = self.workload.creates_pages
         self._leg_start = start_time = sim.now
         self._last_fault_time = start_time
@@ -445,31 +438,12 @@ class MigrantExecutor:
                                 acc += work
                                 continue
                             if acc > 0.0:
-                                # _compute, inlined: the fault path runs it before
-                                # and after every fault, so the generator hop is
-                                # worth spelling out.
-                                wall = acc * cpu.stretch()
-                                t0 = sim._now if tr is not None else 0.0
-                                if not sim.try_advance(wall):
-                                    yield Timeout(wall)
-                                budget.compute += wall
-                                if rec_compute is not None:
-                                    rec_compute(t0, wall)
-                                cpu.charge(acc)
-                                self._compute_since_fault += acc
+                                yield from self._compute(acc)
                                 acc = 0.0
                             yield from self._fault(vpn)
                             acc += work
                         if acc > 0.0:
-                            wall = acc * cpu.stretch()
-                            t0 = sim._now if tr is not None else 0.0
-                            if not sim.try_advance(wall):
-                                yield Timeout(wall)
-                            budget.compute += wall
-                            if rec_compute is not None:
-                                rec_compute(t0, wall)
-                            cpu.charge(acc)
-                            self._compute_since_fault += acc
+                            yield from self._compute(acc)
                 # Whole-node crash check, same granularity as preemption:
                 # a kill lands at the next trace-event boundary.
                 if self.hazard is not None:
@@ -531,6 +505,8 @@ class MigrantExecutor:
         """Consume ``cpu_work`` seconds of CPU under the current load."""
         wall = cpu_work * self.node.cpu.stretch()
         rec = self._rec_compute
+        # Traced-only clock reads here and below use ``sim._now``: ``now``
+        # is a trivial property over that attribute.
         t0 = self.sim._now if rec is not None else 0.0
         if not self.sim.try_advance(wall):
             yield Timeout(wall)
@@ -583,9 +559,7 @@ class MigrantExecutor:
         # (stale heap entries drain lazily on the next live absorb).
         if res.in_flight_map:
             res.absorb_arrivals(now)
-            if res.buffered_set:
-                yield from self._copy_buffered(res)
-        elif res.buffered_set:
+        if res.buffered_set:
             yield from self._copy_buffered(res)
 
         # Classify the fault.  The counter is bumped at onset but the
@@ -648,7 +622,6 @@ class MigrantExecutor:
         # Step 5: send the paging request.
         service = self._service
         demand_seq: int | None = None
-        demand_arrival = -1.0
         if kind is FaultKind.MAJOR:
             counters.demand_requests += 1
             counters.pages_demand_fetched += 1
@@ -667,9 +640,6 @@ class MigrantExecutor:
                 for page, t in arrivals.items():
                     res.start_fetch(page, t)
                     fetched[page] = 1
-                # The demanded page's arrival is already in hand; no yields
-                # occur before the stall computation reads it.
-                demand_arrival = arrivals[vpn]
         elif prefetch:
             counters.prefetch_requests += 1
             counters.pages_prefetched += len(prefetch)
@@ -699,8 +669,7 @@ class MigrantExecutor:
                 yield from self._await_page(vpn, demand_seq)
                 stall = self._await_stall
             else:
-                arrival = demand_arrival if demand_arrival >= 0.0 else res.arrival_time(vpn)
-                stall = arrival - t_req
+                stall = res.arrival_time(vpn) - t_req
                 if stall < 0.0:
                     stall = 0.0
                 if stall > 0.0:

@@ -140,47 +140,6 @@ class Direction:
         """Submit one page payload (page + per-page protocol overhead)."""
         return self.transfer(page_size + self.per_page_overhead_bytes, now)
 
-    def transfer_batch(self, payload_bytes: int, times: list[float]) -> list[float]:
-        """Submit one ``payload_bytes`` message at each time in ``times``
-        (non-decreasing); return the per-message arrival times.
-
-        Bit-identical to calling :meth:`transfer` once per entry — same
-        serialization, log and compaction arithmetic — but the bookkeeping
-        locals are bound once per batch instead of once per message, which
-        matters when the deputy serializes a deep prefetch train.
-        """
-        if type(self).transfer is not Direction.transfer or self.trace_hook is not None:
-            # A subclass customises transfer (e.g. fault injection) or a
-            # tracer wants per-message spans; take the exact per-message
-            # path so their behaviour is preserved.
-            return [self.transfer(payload_bytes, t) for t in times]
-        if payload_bytes < 0:
-            raise NetworkError(f"payload_bytes must be non-negative: {payload_bytes}")
-        size = payload_bytes + self.per_message_overhead_bytes
-        duration = size / self.bandwidth_bps
-        latency = self.latency_s
-        log = self._transfers
-        if log is None:
-            log = self._transfers = array("d", (0.0,))
-        append = log.append
-        busy = self.busy_until
-        prev = log[-1]
-        arrivals: list[float] = []
-        for now in times:
-            start = busy if busy > now else now
-            busy = start + duration
-            append(start)
-            append(busy)
-            prev += size
-            append(prev)
-            arrivals.append(busy + latency)
-            if len(log) >= _COMPACT_LEN:
-                self._compact_batch(now)
-        self.busy_until = busy
-        self.total_bytes += size * len(times)
-        self.total_messages += len(times)
-        return arrivals
-
     def _compact_batch(self, now: float) -> None:
         """Compact to ``now - counter_horizon_s`` once the oldest entry
         ended an eighth of a horizon before that, so each compaction drops
@@ -272,13 +231,18 @@ class Link:
         raise NetworkError(f"link {self.a!r}<->{self.b!r} does not connect {src!r}->{dst!r}")
 
     def replace_direction(self, src: str, dst: str, direction: Direction) -> None:
-        """Swap in a replacement channel (e.g. a fault-injecting wrapper)."""
+        """Swap in a replacement channel (e.g. a fault-injecting wrapper).
+
+        A shape set by :meth:`reconfigure` applies to the replacement too.
+        """
         if src == self.a and dst == self.b:
             self._ab = direction
         elif src == self.b and dst == self.a:
             self._ba = direction
         else:
             raise NetworkError(f"link {self.a!r}<->{self.b!r} does not connect {src!r}->{dst!r}")
+        if self._shape is not None:
+            direction.reconfigure(*self._shape)
 
     @property
     def endpoints(self) -> tuple[str, str]:

@@ -171,64 +171,26 @@ class Deputy:
         """Process one paging request; return each page's arrival time at
         the migrant.
 
-        ``demand`` pages are served first so a blocked process resumes as
-        soon as possible; ``prefetch`` pages follow in request order.  A
-        page listed in both is served once (demand wins).  Every freshly
-        served page is deleted from the origin (HPT release); a page
-        already released is re-sent from the replay cache when the request
-        carries a sequence ID (a retransmission), and is an error
-        otherwise.
+        ``demand`` holds at most one page, served first so a blocked
+        process resumes as soon as possible; ``prefetch`` pages follow in
+        request order.  A page listed in both is served once (demand wins).
+        Every freshly served page is deleted from the origin (HPT release);
+        a page already released is re-sent from the replay cache when the
+        request carries a sequence ID (a retransmission), and is an error
+        otherwise.  Each page leaves on the reply channel as one message,
+        released ``deputy_page_time`` after the one before it.
         """
-        if len(demand) == 1 and not prefetch:
-            # The dominant request shape — one demand page, nothing else —
-            # takes a scalar path: no dedup possible, no page list to
-            # build, and the reply goes out as one transfer() call.  The
-            # arithmetic is the exact per-page sequence of the general
-            # path below, so arrival times are bit-identical.
-            vpn = demand[0]
-            if math.isinf(request_arrival):
-                return {vpn: math.inf}
-            if self._down_at(request_arrival):
-                self._log_ignored(request_arrival, "pages=1")
-                return {vpn: math.inf}
-            if seq is not None and self._remember_seq(self._seen_seqs, seq):
-                self.duplicate_requests += 1
-            hw = self.hardware
-            start = max(request_arrival, self.busy_until)
-            clock = start + hw.deputy_request_time
-            stored = self.hpt.stored
-            if 0 <= vpn < len(stored) and stored[vpn]:
-                self.hpt.release(vpn)
-                if self._replay_capacity > 0:
-                    self._remember_released(vpn)
-                self.pages_served += 1
-            elif seq is not None and vpn in self._replay_pages:
-                self.replayed_pages += 1
-            else:
-                raise MemoryStateError(
-                    f"page {vpn} requested but the origin no longer stores it"
-                )
-            clock += hw.deputy_page_time
-            self.busy_until = clock
-            self.requests_served += 1
-            if self.obs is not None:
-                self._trace_serve(request_arrival, start, clock, 1, seq)
-            end = self.reply_channel.transfer(
-                hw.page_size + hw.remote_paging_overhead_bytes, clock
-            )
-            return {vpn: end}
-        if len(demand) <= 1 and not prefetch:
-            # Empty or single-demand without prefetch: no duplicate possible.
-            ordered = list(demand)
-        else:
+        if prefetch:
             ordered = []
             seen: set[int] = set()
-            for vpn in list(demand) + list(prefetch):
+            for vpn in [*demand, *prefetch]:
                 if vpn in seen:
                     self.duplicate_page_requests += 1
                     continue
                 seen.add(vpn)
                 ordered.append(vpn)
+        else:
+            ordered = demand
 
         if math.isinf(request_arrival):
             # The request was lost in the network: the deputy never saw it.
@@ -242,13 +204,13 @@ class Deputy:
 
         hw = self.hardware
         start = max(request_arrival, self.busy_until)
-        clock = start + hw.deputy_request_time
+        ready = start + hw.deputy_request_time
         page_dt = hw.deputy_page_time
         hpt = self.hpt
         stored = hpt.stored
         remember = self._replay_capacity > 0
         served = 0
-        release_times: list[float] = []
+        clock = ready
         for vpn in ordered:
             if 0 <= vpn < len(stored) and stored[vpn]:
                 hpt.release(vpn)
@@ -262,18 +224,22 @@ class Deputy:
                     f"page {vpn} requested but the origin no longer stores it"
                 )
             clock += page_dt
-            release_times.append(clock)
         self.pages_served += served
         self.busy_until = clock
         self.requests_served += 1
         if self.obs is not None:
+            # Before the sends, so a traced run records the serve span
+            # ahead of its reply's wire spans.
             self._trace_serve(request_arrival, start, clock, len(ordered), seq)
-        # One batched serialization pass over the reply channel — same
-        # per-page arithmetic as transfer(), paid for once per request.
-        ends = self.reply_channel.transfer_batch(
-            hw.page_size + hw.remote_paging_overhead_bytes, release_times
-        )
-        return dict(zip(ordered, ends))
+        # Send each page at its release time, summed as in the loop above.
+        size = hw.page_size + hw.remote_paging_overhead_bytes
+        transfer = self.reply_channel.transfer
+        arrivals: dict[int, float] = {}
+        clock = ready
+        for vpn in ordered:
+            clock += page_dt
+            arrivals[vpn] = transfer(size, clock)
+        return arrivals
 
     # ------------------------------------------------------------------
     def holds_replay(self, vpn: int) -> bool:

@@ -137,9 +137,7 @@ class SimProcess:
             self._wait_on(condition)
 
     def _wait_on(self, condition: object) -> None:
-        if isinstance(condition, Timeout):
-            self.sim.schedule(condition.delay, self._resume)
-        elif isinstance(condition, Completion):
+        if isinstance(condition, Completion):
             condition._add_waiter(self)
         elif isinstance(condition, SimProcess):
             condition._add_joiner(self)

@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.net.link import Direction
 from repro.net.network import Network
+from repro.net.shaper import TrafficShaper
 from repro.sim import Simulator
 
 
@@ -95,6 +96,27 @@ def test_install_lossy_link_replaces_both_directions():
     assert isinstance(net.direction("home", "dest"), LossyDirection)
     assert isinstance(net.direction("dest", "home"), LossyDirection)
     assert math.isinf(net.direction("home", "dest").transfer(100, 0.0))
+
+
+def test_install_lossy_link_keeps_the_link_shape():
+    # The wrapper is built from the link's spec; it used to come out at
+    # the native 12.5e6 B/s and 0.15 ms, dropping an applied shape.
+    net = Network(Simulator())
+    net.connect("home", "dest", NetworkSpec())
+    shaper = TrafficShaper(net.link_between("home", "dest"))
+    shaper.apply(1e5, 0.01)
+    install_lossy_link(net, "home", "dest", FaultPlan(FaultSpec(), seed=0))
+    channels = [net.direction("home", "dest"), net.direction("dest", "home")]
+    for channel in channels:
+        assert isinstance(channel, LossyDirection)
+        assert (channel.bandwidth_bps, channel.latency_s) == (1e5, 0.01)
+    shaper.revert()
+    native = NetworkSpec()
+    for channel in channels:
+        assert (channel.bandwidth_bps, channel.latency_s) == (
+            native.bandwidth_bps,
+            native.latency_s,
+        )
 
 
 def test_install_refuses_a_used_link():

@@ -193,12 +193,10 @@ class TestLink:
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     horizon=st.sampled_from([0.0, 0.05, 1.0, 4.0]),
-    batched=st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
-@example(seed=0, horizon=4.0, batched=False)
-@example(seed=1, horizon=4.0, batched=True)
-def test_batched_compaction_keeps_every_reading_after_the_cutoff(seed, horizon, batched):
+@example(seed=0, horizon=4.0)
+def test_batched_compaction_keeps_every_reading_after_the_cutoff(seed, horizon):
     """For every ``t`` at or after ``now - counter_horizon_s``, the counter
     of a compacting channel equals that of a twin whose horizon is so long
     that it never compacts, while the compacting log stays within an
@@ -214,16 +212,10 @@ def test_batched_compaction_keeps_every_reading_after_the_cutoff(seed, horizon, 
     gaps += np.where(rng.random(n) < 1e-4, rng.exponential(horizon + 1e-3, n), 0.0)
     now = 0.0
     for i in range(0, n, 64):
-        if batched:
-            times = list(np.cumsum(gaps[i : i + 64]) + now)
-            compacted.transfer_batch(int(sizes[i]), times)
-            reference.transfer_batch(int(sizes[i]), times)
-            now = times[-1]
-        else:
-            for gap, size in zip(gaps[i : i + 64], sizes[i : i + 64]):
-                now += gap
-                compacted.transfer(int(size), now)
-                reference.transfer(int(size), now)
+        for gap, size in zip(gaps[i : i + 64], sizes[i : i + 64]):
+            now += gap
+            compacted.transfer(int(size), now)
+            reference.transfer(int(size), now)
         cutoff = now - horizon
         late = max(compacted.busy_until, now) + 1e-3
         for t in (cutoff, now, *np.linspace(cutoff, late, 7), late):

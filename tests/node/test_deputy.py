@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.config import HardwareSpec, NetworkSpec
+from repro.config import FaultSpec, HardwareSpec, NetworkSpec
 from repro.errors import MemoryStateError
+from repro.faults import FaultEventKind, FaultInjectionLog, FaultPlan
 from repro.mem.page_table import HomePageTable
 from repro.net.link import Direction
 from repro.node.deputy import Deputy
+from repro.obs import Observability, SpanTracer
 
 
-def make(pages=range(10)):
+def make(pages=range(10), fault_plan=None):
     hw = HardwareSpec()
     reply = Direction(NetworkSpec())
-    deputy = Deputy(HomePageTable(pages), reply, hw)
+    deputy = Deputy(HomePageTable(pages), reply, hw, fault_plan)
     return deputy, reply, hw
+
+
+#: A one-page request and a multi-page one whose prefetch repeats the
+#: demand page, each as (demand, prefetch, pages served in order).
+REQUESTS = [([3], [], [3]), ([0], [1, 0, 2, 3], [0, 1, 2, 3])]
 
 
 def test_demand_page_is_served_first():
@@ -80,3 +89,78 @@ def test_syscall_negative_service_time():
     deputy, _, _ = make()
     with pytest.raises(MemoryStateError):
         deputy.serve_syscall(0.0, -0.1)
+
+
+@pytest.mark.parametrize("demand, prefetch, served", REQUESTS)
+def test_arrivals_are_those_of_one_transfer_per_page(demand, prefetch, served):
+    # The request queues behind an earlier one, then each page leaves as
+    # one message at its release time, as on a twin channel fed the same
+    # release times.
+    deputy, _, hw = make()
+    twin = Direction(NetworkSpec())
+    size = hw.page_size + hw.remote_paging_overhead_bytes
+    first = deputy.serve_pages([9], [], request_arrival=0.0)
+    clock = hw.deputy_request_time + hw.deputy_page_time
+    assert first == {9: twin.transfer(size, clock)}
+    arrivals = deputy.serve_pages(demand, prefetch, request_arrival=1e-6)
+    clock = max(1e-6, clock) + hw.deputy_request_time
+    expected = {}
+    for vpn in served:
+        clock += hw.deputy_page_time
+        expected[vpn] = twin.transfer(size, clock)
+    assert arrivals == expected
+    assert list(arrivals) == served
+    assert deputy.busy_until == clock
+
+
+def test_a_repeated_seq_counts_as_a_duplicate_request():
+    deputy, _, _ = make()
+    deputy.serve_pages([1], [], request_arrival=0.0, seq=7)
+    deputy.serve_pages([2], [3], request_arrival=0.0, seq=7)
+    deputy.serve_pages([4], [], request_arrival=0.0, seq=8)
+    assert deputy.duplicate_requests == 1
+    assert deputy.requests_served == 3
+
+
+@pytest.mark.parametrize("demand, prefetch, served", REQUESTS)
+def test_a_released_page_is_replayed_only_for_a_seq(demand, prefetch, served):
+    deputy, reply, _ = make(fault_plan=FaultPlan(FaultSpec(), seed=0))
+    deputy.serve_pages(demand, prefetch, request_arrival=0.0, seq=0)
+    # A retransmission re-sends every page from the replay cache.
+    again = deputy.serve_pages(demand, prefetch, request_arrival=1.0, seq=0)
+    assert list(again) == served
+    assert deputy.replayed_pages == len(served)
+    assert deputy.pages_served == len(served)
+    assert reply.total_messages == 2 * len(served)
+    # The same request without a seq is no retransmission.
+    with pytest.raises(MemoryStateError):
+        deputy.serve_pages(demand, prefetch, request_arrival=2.0)
+
+
+@pytest.mark.parametrize("demand, prefetch, served", REQUESTS)
+def test_a_request_inside_a_crash_window_is_ignored(demand, prefetch, served):
+    log = FaultInjectionLog()
+    plan = FaultPlan(FaultSpec(deputy_crash_windows=((1.0, 2.0),)), seed=0, log=log)
+    deputy, reply, _ = make(fault_plan=plan)
+    arrivals = deputy.serve_pages(demand, prefetch, request_arrival=1.5, seq=0)
+    assert arrivals == dict.fromkeys(served, math.inf)
+    assert deputy.requests_ignored == 1
+    assert [(e.time, e.channel, e.detail) for e in log.events(FaultEventKind.CRASH_IGNORE)] == [
+        (1.5, "deputy", f"pages={len(served)}")
+    ]
+    assert deputy.pages_served == 0 and deputy.requests_served == 0
+    assert reply.total_messages == 0
+    assert all(vpn in deputy.hpt for vpn in served)
+
+
+@pytest.mark.parametrize("seq", [None, 0])
+@pytest.mark.parametrize("demand, prefetch, served", REQUESTS)
+def test_the_serve_span_precedes_its_wire_spans(demand, prefetch, served, seq):
+    deputy, reply, _ = make()
+    tracer = SpanTracer()
+    deputy.obs = Observability(tracer=tracer)
+    reply.trace_hook = tracer.wire_hook()
+    deputy.serve_pages(demand, prefetch, request_arrival=0.0, seq=seq)
+    spans = tracer.spans
+    assert [s.name for s in spans] == ["serve"] + ["msg"] * len(served)
+    assert spans[0].args["pages"] == len(served)

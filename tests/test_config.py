@@ -13,6 +13,7 @@ from repro.config import (
     NetworkSpec,
     SimulationConfig,
 )
+from repro.cluster.topology import scenario_from_dict
 from repro.errors import ConfigurationError
 
 
@@ -52,12 +53,37 @@ class TestNetworkSpec:
             NetworkSpec(latency_s=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["bandwidth_bps", "latency_s", "counter_horizon_s"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bandwidth_bps",
+            "latency_s",
+            "counter_horizon_s",
+            "per_message_overhead_bytes",
+            "per_page_overhead_bytes",
+        ],
+    )
     def test_non_finite_rejected(self, field, bad):
         # A NaN horizon used to make every compaction drop the whole log,
-        # and a NaN or infinite latency to fail mid-run as a Timeout.
+        # a NaN or infinite latency to fail mid-run as a Timeout, and an
+        # infinite overhead to give an infinite ("lost") arrival.
         with pytest.raises(ConfigurationError, match=field):
             NetworkSpec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["per_message_overhead_bytes", "per_page_overhead_bytes"])
+    def test_negative_overhead_rejected(self, field):
+        # -1000 per message used to make a 100-byte message count as -900
+        # bytes sent.
+        with pytest.raises(ConfigurationError, match=field):
+            NetworkSpec(**{field: -1000})
+        with pytest.raises(ConfigurationError, match=field):
+            scenario_from_dict(
+                {
+                    "nodes": ["home", "dest"],
+                    "links": [{"a": "home", "b": "dest", "network": {field: -1}}],
+                    "migrants": [{"scale": 0.03125}],
+                }
+            )
 
 
 class TestAMPoMConfig:

@@ -212,8 +212,12 @@ class FaultSpec:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]: {rate}")
-        if self.delay_s < 0:
-            raise ConfigurationError(f"delay_s must be non-negative: {self.delay_s}")
+        # Written so that NaN fails: a NaN delay would make ``active``
+        # false and silently inject nothing.
+        if not 0 <= self.delay_s < math.inf:
+            raise ConfigurationError(
+                f"delay_s must be non-negative and finite: {self.delay_s}"
+            )
         if self.replay_cache_pages < 0:
             raise ConfigurationError("replay_cache_pages must be non-negative")
         for label in ("link_down_windows", "deputy_crash_windows"):
@@ -343,10 +347,14 @@ class RetrySpec:
     jitter_frac: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be positive: {self.timeout_s}")
-        if self.backoff < 1.0:
-            raise ConfigurationError(f"backoff must be >= 1: {self.backoff}")
+        # Written so that NaN fails: a NaN timeout would retransmit with
+        # no wait at all.
+        if not 0 < self.timeout_s < math.inf:
+            raise ConfigurationError(
+                f"timeout_s must be positive and finite: {self.timeout_s}"
+            )
+        if not 1.0 <= self.backoff < math.inf:
+            raise ConfigurationError(f"backoff must be >= 1 and finite: {self.backoff}")
         if self.max_attempts < 0:
             raise ConfigurationError("max_attempts must be non-negative")
         if not (0.0 <= self.jitter_frac < 1.0):

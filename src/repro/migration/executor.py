@@ -146,8 +146,8 @@ class MigrantExecutor:
         self._tracer = obs.tracer if obs is not None else None
         self._obs_metrics = obs.metrics if obs is not None else None
         # Per-site span recorders: each budget-charge site interns its
-        # (track, name, bucket) triple once and writes the tracer's ring
-        # columns directly on every fault (see SpanTracer.span_site).
+        # meta and arg names once and appends to the tracer's columns
+        # directly on every fault (see SpanTracer.span_site).
         tr = self._tracer
         if tr is not None:
             self._rec_compute = tr.span_site(MIGRANT_TRACK, "compute", "compute")
@@ -155,7 +155,7 @@ class MigrantExecutor:
             self._rec_stall = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
             self._rec_copy = tr.span_site(MIGRANT_TRACK, "copy", "copy", arg="pages")
             self._rec_fault_begin, self._rec_fault_end = tr.open_span_site(
-                MIGRANT_TRACK, "fault", end_keys=("kind", "prefetch", "stall")
+                MIGRANT_TRACK, "fault", "vpn", ("kind", "prefetch", "stall")
             )
             self._rec_demand_req = tr.instant_site(
                 MIGRANT_TRACK, "demand_request", "vpn", "prefetch"
@@ -543,7 +543,7 @@ class MigrantExecutor:
         now = sim.now
         tr = self._tracer
         if tr is not None:
-            self._rec_fault_begin(now, "vpn", vpn)
+            self._rec_fault_begin(now, vpn)
 
         # C_i: CPU share consumed since the previous fault.
         elapsed = now - self._last_fault_time

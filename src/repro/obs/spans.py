@@ -15,17 +15,21 @@ The tracer is a pure observer: it reads the simulated clock but never
 schedules events or mutates model state, so a traced run is float-identical
 to an untraced one (the golden-trace harness gates this in CI).
 
-Storage is a **preallocated columnar ring**: spans and instants land in
-flat ``array`` columns (one packed int64 ``meta_id << 16 | depth`` word
-plus float64 times) indexed by a running row counter, doubling capacity
-when full — no per-event Python object is allocated on the hot path.  A
-span's ``(track, name, bucket)`` triple is interned to one integer id on
-first sight (instrumentation sites reuse a handful of triples thousands
-of times); args ride in a dense side list as unboxed key/value tuples.
-Hot instrumentation sites go one step further: :meth:`span_site`,
-:meth:`open_span_site`, :meth:`instant_site` and :meth:`wire_hook` hand
-out per-site closures with the meta id pre-interned, so recording is a
-handful of column stores with no lookups at all.  The object views
+Storage is **append-grown columns**: every span appends one packed int64
+``meta_id << 16 | depth`` word and its float64 start and duration to flat
+``array`` columns, and every instant its meta id and time, so a column's
+length is its row count and it holds no capacity beyond ``array``'s own
+growth slack (about 1/16).  A recording site interns its meta ``(track,
+name, bucket, keys)`` once, ``keys`` being the names of its args, so a
+row's args are one entry of a side list: ``None`` (no keys), the bare
+value (one key) or a tuple of values (several), turned into a dict only
+when the object view materializes.  :meth:`complete` and :meth:`instant`
+intern their kwargs' names on each call; the hot sites go one step
+further: :meth:`span_site`, :meth:`open_span_site`, :meth:`instant_site`
+and :meth:`wire_hook` hand out per-site closures with the meta
+pre-interned, so recording is a handful of appends with no lookups.
+Recording is not allocation-free: a multi-key row keeps its tuple of
+values, and the columns reallocate as they grow.  The object views
 (:attr:`SpanTracer.spans`, :attr:`SpanTracer.instants`) are materialized
 lazily and cached — exporters and tests pay for objects, the simulation
 never does — and :meth:`bucket_sums` folds straight over the columns in
@@ -43,24 +47,30 @@ from ..errors import SimulationError
 MIGRANT_TRACK = "dest/migrant"
 DEPUTY_TRACK = "home/deputy"
 
-#: Initial ring capacity (rows); doubled whenever full.
-_INITIAL_CAPACITY = 1024
-
 
 def wire_track(direction_name: str) -> str:
     """Track name for one wire direction (e.g. ``wire/home->dest``)."""
     return f"wire/{direction_name}"
 
 
-def _promote(a, mid, arg_keys):
-    """Materialize a stored args value: dicts pass through; unboxed
-    ``(k1, v1, k2, v2, ...)`` tuples from the fast paths become dicts; a
-    bare scalar is the value of its site's registered fixed key."""
-    if a is None or type(a) is dict:
-        return a
-    if type(a) is tuple:
-        return {a[0]: a[1]} if len(a) == 2 else dict(zip(a[::2], a[1::2]))
-    return {arg_keys[mid]: a}
+def _pack(args: dict):
+    """A kwargs dict as a row's stored args: None, the bare value or a
+    tuple of values (the names go to the row's meta)."""
+    if not args:
+        return None
+    if len(args) == 1:
+        (value,) = args.values()
+        return value
+    return tuple(args.values())
+
+
+def _unpack(keys: tuple[str, ...], value) -> dict | None:
+    """A row's args dict: its meta's ``keys`` paired with the stored value."""
+    if not keys:
+        return None
+    if len(keys) == 1:
+        return {keys[0]: value}
+    return dict(zip(keys, value))
 
 
 @dataclass(slots=True)
@@ -122,7 +132,7 @@ class SpanTracer:
     Instants come from :meth:`instant` or a per-site :meth:`instant_site`,
     wire messages from :meth:`wire_hook`, and counter samples from
     :meth:`counter`.  High-volume callers resolve a per-site recorder
-    once and call that.  All paths write the same ring columns; read
+    once and call that.  All paths append to the same columns; read
     :attr:`spans` for the object view.
     """
 
@@ -130,87 +140,64 @@ class SpanTracer:
         "counters",
         "_meta_ids",
         "_metas",
-        "_s_n",
-        "_s_cap",
         "_s_md",
         "_s_start",
         "_s_dur",
         "_s_args",
-        "_i_n",
-        "_i_cap",
         "_i_meta",
         "_i_time",
         "_i_args",
         "_open",
-        "_arg_keys",
         "_view",
-        "_view_n",
         "_i_view",
-        "_i_view_n",
     )
 
     def __init__(self) -> None:
         self.counters: list[CounterSample] = []
-        # Intern table for (track, name, bucket) triples; instants intern
-        # (track, name, None) triples through the same table.
-        self._meta_ids: dict[tuple[str, str, str | None], int] = {}
-        self._metas: list[tuple[str, str, str | None]] = []
-        # Span ring columns, parallel by row (row order = completion
-        # order).  The meta id and nesting depth share one int64 word
-        # (``mid << 16 | depth``) so a span is two array stores plus one
-        # list append; depth is bounded by the open-span stacks, which
+        # Intern table for recording-site metas (track, name, bucket,
+        # keys), where ``keys`` names the site's args; instants intern
+        # with bucket None through the same table.
+        self._meta_ids: dict[tuple, int] = {}
+        self._metas: list[tuple[str, str, str | None, tuple[str, ...]]] = []
+        # Span columns, parallel by row (row order = completion order).
+        # The meta id and nesting depth share one int64 word (``mid << 16
+        # | depth``); depth is bounded by the open-span stacks, which
         # never come near 2**16.
-        cap = _INITIAL_CAPACITY
-        self._s_n = 0
-        self._s_cap = cap
-        self._s_md = array("q", bytes(8 * cap))
-        self._s_start = array("d", bytes(8 * cap))
-        self._s_dur = array("d", bytes(8 * cap))
-        #: Dense row -> args list (appended on every record): None, a
-        #: kwargs dict, or an unboxed (k1, v1, ...) tuple from the fast
-        #: paths, promoted to a dict when the view materializes.
+        self._s_md = array("q")
+        self._s_start = array("d")
+        self._s_dur = array("d")
+        #: Row -> stored args (None, the bare value or a tuple of values).
         self._s_args: list = []
-        # Instant ring columns.
-        self._i_n = 0
-        self._i_cap = cap
-        self._i_meta = array("q", bytes(8 * cap))
-        self._i_time = array("d", bytes(8 * cap))
+        # Instant columns.
+        self._i_meta = array("q")
+        self._i_time = array("d")
         self._i_args: list = []
-        # Per-track stacks of open (start, depth, args) records.
+        # Per-track stacks of open (start, depth, begin value) records.
         self._open: dict[str, list] = {}
-        # meta id -> fixed arg key for single-arg recording sites; lets
-        # those sites store the bare value with no per-event tuple.
-        self._arg_keys: dict[int, str] = {}
-        # Cached materialized views, validated against the row counters
-        # (appends only ever grow the rings, so a row-count match means
-        # the cache is current — the hot path never touches these).
+        # Cached materialized views, validated against the row counts
+        # (appends only ever grow the columns, so a view as long as its
+        # columns is current — the hot path never touches these).
         self._view: list[Span] | None = None
-        self._view_n = -1
         self._i_view: list[Instant] | None = None
-        self._i_view_n = -1
 
     def __len__(self) -> int:
-        return self._s_n
+        return len(self._s_dur)
 
-    def _meta_id(self, key: tuple[str, str, str | None]) -> int:
-        mid = self._meta_ids.get(key)
+    def _meta_id(
+        self, track: str, name: str, bucket: str | None, keys: tuple[str, ...]
+    ) -> int:
+        meta = (track, name, bucket, keys)
+        mid = self._meta_ids.get(meta)
         if mid is None:
-            mid = len(self._metas)
-            self._meta_ids[key] = mid
-            self._metas.append(key)
+            mid = self._meta_ids[meta] = len(self._metas)
+            self._metas.append(meta)
         return mid
 
-    def _grow_spans(self) -> None:
-        # Self-extension doubles capacity; rows past _s_n are scratch.
-        self._s_md.extend(self._s_md)
-        self._s_start.extend(self._s_start)
-        self._s_dur.extend(self._s_dur)
-        self._s_cap *= 2
-
-    def _grow_instants(self) -> None:
-        self._i_meta.extend(self._i_meta)
-        self._i_time.extend(self._i_time)
-        self._i_cap *= 2
+    def _span_appends(self):
+        """The span columns' bound ``append`` methods, captured once by
+        each per-site closure (the columns keep their identity for the
+        tracer's lifetime)."""
+        return self._s_md.append, self._s_start.append, self._s_dur.append, self._s_args.append
 
     # ------------------------------------------------------------------
     # recording
@@ -227,29 +214,18 @@ class SpanTracer:
         """Record a finished span with an explicit (exact) duration."""
         if dur < 0.0:
             raise SimulationError(f"span {name!r} has negative duration {dur}")
-        key = (track, name, bucket)
-        mid = self._meta_ids.get(key)
-        if mid is None:
-            mid = self._meta_id(key)
+        mid = self._meta_id(track, name, bucket, tuple(args))
         stack = self._open.get(track)
-        row = self._s_n
-        if row == self._s_cap:
-            self._grow_spans()
-        self._s_args.append(args or None)
-        self._s_md[row] = mid << 16 | (len(stack) if stack else 0)
-        self._s_start[row] = start
-        self._s_dur[row] = dur
-        self._s_n = row + 1
+        self._s_md.append(mid << 16 | (len(stack) if stack else 0))
+        self._s_start.append(start)
+        self._s_dur.append(dur)
+        self._s_args.append(_pack(args))
 
     def instant(self, track: str, name: str, t: float, **args: object) -> None:
         """Record a zero-duration marker."""
-        row = self._i_n
-        if row == self._i_cap:
-            self._grow_instants()
-        self._i_args.append(args or None)
-        self._i_meta[row] = self._meta_id((track, name, None))
-        self._i_time[row] = t
-        self._i_n = row + 1
+        self._i_meta.append(self._meta_id(track, name, None, tuple(args)))
+        self._i_time.append(t)
+        self._i_args.append(_pack(args))
 
     def counter(self, track: str, name: str, t: float, value: float) -> None:
         """Record one sample of a numeric time series."""
@@ -259,102 +235,67 @@ class SpanTracer:
     # per-site recorders (the hot paths)
     # ------------------------------------------------------------------
     def span_site(self, track: str, name: str, bucket: str | None = None, arg: str | None = None):
-        """A per-site recorder closure — :meth:`wire_hook`'s trick
-        generalized for any fixed-shape instrumentation site.
+        """A per-site recorder closure ``rec(start, dur, value=None)`` for
+        any fixed-shape instrumentation site.
 
-        The ``(track, name, bucket)`` triple is interned once here; each
-        call then writes the ring columns directly with no meta lookup.
-        With ``arg`` set the closure signature is ``rec(start, dur,
-        value)`` and the span carries ``{arg: value}``; without it the
-        signature is ``rec(start, dur)`` and the span carries no args.
-        The executor resolves one recorder per budget-charge site, which
-        is where most of a traced run's spans come from.
+        The meta is interned once here, with ``arg`` as its one key when
+        set; each call then appends to the columns with no lookup.  With
+        ``arg`` set the span carries ``{arg: value}``; without it the span
+        carries no args and ``value`` is ignored.  The executor resolves
+        one recorder per budget-charge site, which is where most of a
+        traced run's spans come from.
         """
-        raw_mid = self._meta_id((track, name, bucket))
-        if arg is not None:
-            self._arg_keys[raw_mid] = arg
-        mid = raw_mid << 16
-        # The column objects and the per-track stack keep their identity
-        # for the tracer's lifetime (growth extends the arrays in place),
-        # so the closures capture them once instead of reloading
-        # attributes on every record.
+        mid = self._meta_id(track, name, bucket, () if arg is None else (arg,)) << 16
         stack = self._open.setdefault(track, [])
-        args_append = self._s_args.append
-        s_md, s_start, s_dur = self._s_md, self._s_start, self._s_dur
-        if arg is None:
+        md_append, start_append, dur_append, args_append = self._span_appends()
 
-            def rec(start: float, dur: float) -> None:
-                if dur < 0.0:
-                    raise SimulationError(
-                        f"span {name!r} has negative duration {dur}"
-                    )
-                row = self._s_n
-                if row == self._s_cap:
-                    self._grow_spans()
-                args_append(None)
-                s_md[row] = mid | len(stack)
-                s_start[row] = start
-                s_dur[row] = dur
-                self._s_n = row + 1
-
-        else:
-
-            def rec(start: float, dur: float, value: object) -> None:
-                if dur < 0.0:
-                    raise SimulationError(
-                        f"span {name!r} has negative duration {dur}"
-                    )
-                row = self._s_n
-                if row == self._s_cap:
-                    self._grow_spans()
-                args_append(value)
-                s_md[row] = mid | len(stack)
-                s_start[row] = start
-                s_dur[row] = dur
-                self._s_n = row + 1
+        def rec(start: float, dur: float, value: object = None) -> None:
+            if dur < 0.0:
+                raise SimulationError(f"span {name!r} has negative duration {dur}")
+            md_append(mid | len(stack))
+            start_append(start)
+            dur_append(dur)
+            args_append(value)
 
         return rec
 
-    def open_span_site(self, track: str, name: str, end_keys: tuple[str, str, str]):
+    def open_span_site(
+        self, track: str, name: str, begin_key: str, end_keys: tuple[str, str, str]
+    ):
         """Paired ``(begin, end)`` recorders for one enclosing span whose
         extent is only known at its end — the executor's per-fault
-        wrapper.  The meta triple is interned once; ``begin(t, key,
-        value)`` opens the span on the track's stack, and ``end(t, v1, v2,
-        v3)`` closes the innermost open span with the begin pair plus the
-        three ``end_keys`` pairs as its args, stored as one flat tuple and
-        promoted to a dict only when :attr:`spans` materializes.
+        wrapper.  The meta is interned once with ``begin_key`` and the
+        three ``end_keys`` as its keys; ``begin(t, value)`` opens the span
+        on the track's stack, and ``end(t, v1, v2, v3)`` closes the
+        innermost open span, storing the begin value and the three end
+        values as one tuple.
 
         Spans recorded on the track while one is open nest one level
         deeper.  The site must strictly pair its own begin/end (the popped
         record is assumed to be this site's).
         """
-        mid = self._meta_id((track, name, None)) << 16
+        k1, k2, k3 = end_keys
+        mid = self._meta_id(track, name, None, (begin_key, k1, k2, k3)) << 16
         stack = self._open.setdefault(track, [])
         stack_append = stack.append
         stack_pop = stack.pop
-        args_append = self._s_args.append
-        s_md, s_start, s_dur = self._s_md, self._s_start, self._s_dur
-        k1, k2, k3 = end_keys
+        md_append, start_append, dur_append, args_append = self._span_appends()
 
-        def begin(t: float, key: str, value: object) -> None:
-            stack_append((t, len(stack), (key, value)))
+        def begin(t: float, value: object) -> None:
+            stack_append((t, len(stack), value))
 
         def end(t: float, v1: object, v2: object, v3: object) -> None:
             if not stack:
                 raise SimulationError(f"end() without begin() on track {track!r}")
-            start, depth, open_args = stack_pop()
+            start, depth, value = stack_pop()
             if t < start:
                 raise SimulationError(
                     f"span {name!r} ends before it starts ({t} < {start})"
                 )
-            row = self._s_n
-            if row == self._s_cap:
-                self._grow_spans()
-            args_append(open_args + (k1, v1, k2, v2, k3, v3))
-            s_md[row] = mid | depth
-            s_start[row] = start
-            s_dur[row] = t - start
-            self._s_n = row + 1
+            md_append(mid | depth)
+            start_append(start)
+            dur_append(t - start)
+            args_append((value, v1, v2, v3))
 
         return begin, end
 
@@ -362,35 +303,26 @@ class SpanTracer:
         """Per-site instant recorder with one or two fixed arg keys.
 
         ``rec(t, v1)`` (or ``rec(t, v1, v2)``) records the marker with
-        ``{k1: v1}`` (or ``{k1: v1, k2: v2}``); the pairs are stored
-        unboxed and promoted to dicts when :attr:`instants` materializes.
+        ``{k1: v1}`` (or ``{k1: v1, k2: v2}``); the keys are interned with
+        the meta and the values stored bare (or as one pair).
         """
-        mid = self._meta_id((track, name, None))
-        if k2 is None:
-            self._arg_keys[mid] = k1
+        mid = self._meta_id(track, name, None, (k1,) if k2 is None else (k1, k2))
+        meta_append = self._i_meta.append
+        time_append = self._i_time.append
         args_append = self._i_args.append
-        i_meta, i_time = self._i_meta, self._i_time
         if k2 is None:
 
             def rec(t: float, v1: object) -> None:
-                row = self._i_n
-                if row == self._i_cap:
-                    self._grow_instants()
+                meta_append(mid)
+                time_append(t)
                 args_append(v1)
-                i_meta[row] = mid
-                i_time[row] = t
-                self._i_n = row + 1
 
         else:
 
             def rec(t: float, v1: object, v2: object) -> None:
-                row = self._i_n
-                if row == self._i_cap:
-                    self._grow_instants()
-                args_append((k1, v1, k2, v2))
-                i_meta[row] = mid
-                i_time[row] = t
-                self._i_n = row + 1
+                meta_append(mid)
+                time_append(t)
+                args_append((v1, v2))
 
         return rec
 
@@ -404,28 +336,15 @@ class SpanTracer:
         append; exporters and tests read this, the hot path never does.
         """
         view = self._view
-        n = self._s_n
-        if view is None or self._view_n != n:
+        if view is None or len(view) != len(self._s_dur):
             metas = self._metas
-            args = self._s_args
-            arg_keys = self._arg_keys
             view = []
-            for row in range(n):
-                md = self._s_md[row]
-                track, name, bucket = metas[md >> 16]
+            for md, start, dur, value in zip(self._s_md, self._s_start, self._s_dur, self._s_args):
+                track, name, bucket, keys = metas[md >> 16]
                 view.append(
-                    Span(
-                        track,
-                        name,
-                        self._s_start[row],
-                        self._s_dur[row],
-                        bucket,
-                        md & 0xFFFF,
-                        _promote(args[row], md >> 16, arg_keys),
-                    )
+                    Span(track, name, start, dur, bucket, md & 0xFFFF, _unpack(keys, value))
                 )
             self._view = view
-            self._view_n = n
         return view
 
     @property
@@ -433,25 +352,13 @@ class SpanTracer:
         """Materialized object view of the instant columns, in recording
         order (lazily built and cached, like :attr:`spans`)."""
         view = self._i_view
-        n = self._i_n
-        if view is None or self._i_view_n != n:
+        if view is None or len(view) != len(self._i_time):
             metas = self._metas
-            args = self._i_args
-            arg_keys = self._arg_keys
             view = []
-            for row in range(n):
-                mid = self._i_meta[row]
-                track, name, _ = metas[mid]
-                view.append(
-                    Instant(
-                        track,
-                        name,
-                        self._i_time[row],
-                        _promote(args[row], mid, arg_keys),
-                    )
-                )
+            for mid, t, value in zip(self._i_meta, self._i_time, self._i_args):
+                track, name, _, keys = metas[mid]
+                view.append(Instant(track, name, t, _unpack(keys, value)))
             self._i_view = view
-            self._i_view_n = n
         return view
 
     @property
@@ -469,12 +376,10 @@ class SpanTracer:
         """
         sums: dict[str, float] = {}
         metas = self._metas
-        md_col = self._s_md
-        dur_col = self._s_dur
-        for row in range(self._s_n):
-            bucket = metas[md_col[row] >> 16][2]
+        for md, dur in zip(self._s_md, self._s_dur):
+            bucket = metas[md >> 16][2]
             if bucket is not None:
-                sums[bucket] = sums.get(bucket, 0.0) + dur_col[row]
+                sums[bucket] = sums.get(bucket, 0.0) + dur
         return sums
 
     def verify_budget(self, budget) -> None:
@@ -497,10 +402,10 @@ class SpanTracer:
         first-appearance order."""
         seen: dict[str, None] = {}
         metas = self._metas
-        for row in range(self._s_n):
-            seen.setdefault(metas[self._s_md[row] >> 16][0], None)
-        for row in range(self._i_n):
-            seen.setdefault(metas[self._i_meta[row]][0], None)
+        for md in self._s_md:
+            seen.setdefault(metas[md >> 16][0], None)
+        for mid in self._i_meta:
+            seen.setdefault(metas[mid][0], None)
         for sample in self.counters:
             seen.setdefault(sample.track, None)
         return list(seen)
@@ -516,14 +421,13 @@ class SpanTracer:
         span per message: submission -> arrival at the far end.
 
         The hook bypasses :meth:`complete`'s keyword plumbing: wire
-        tracks never nest (depth 0) and every message span carries the
-        same shape, so it caches the interned meta id per direction and
-        writes the columns directly — this is the highest-volume
+        tracks never nest (depth 0) and every message span carries one
+        ``bytes`` arg, so it caches the interned meta id per direction and
+        appends to the columns directly — this is the highest-volume
         recording site in a traced run.
         """
         mids: dict[str, int] = {}
-        args_append = self._s_args.append
-        s_md, s_start, s_dur = self._s_md, self._s_start, self._s_dur
+        md_append, start_append, dur_append, args_append = self._span_appends()
 
         def hook(name: str, start: float, end: float, size: int, arrival: float) -> None:
             dur = arrival - start
@@ -531,18 +435,13 @@ class SpanTracer:
                 raise SimulationError(f"span 'msg' has negative duration {dur}")
             mid = mids.get(name)
             if mid is None:
-                raw = self._meta_id((wire_track(name), "msg", None))
-                self._arg_keys[raw] = "bytes"
-                mid = raw << 16
-                mids[name] = mid
-            row = self._s_n
-            if row == self._s_cap:
-                self._grow_spans()
+                mid = mids[name] = (
+                    self._meta_id(wire_track(name), "msg", None, ("bytes",)) << 16
+                )
+            md_append(mid)
+            start_append(start)
+            dur_append(dur)
             args_append(size)
-            s_md[row] = mid
-            s_start[row] = start
-            s_dur[row] = dur
-            self._s_n = row + 1
 
         return hook
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 import pytest
 
 from repro.errors import SimulationError
@@ -36,9 +39,9 @@ class TestComplete:
 
 
 def _fault_site(tr, track=MIGRANT_TRACK, name="fault"):
-    """The executor's per-fault wrapper: an open-span site closed with
-    ``kind``/``prefetch``/``stall`` pairs."""
-    return tr.open_span_site(track, name, end_keys=("kind", "prefetch", "stall"))
+    """The executor's per-fault wrapper: an open-span site opened with a
+    ``vpn`` and closed with ``kind``/``prefetch``/``stall`` values."""
+    return tr.open_span_site(track, name, "vpn", ("kind", "prefetch", "stall"))
 
 
 class TestBeginEnd:
@@ -47,7 +50,7 @@ class TestBeginEnd:
     def test_nesting_depth_per_track(self):
         tr = SpanTracer()
         begin, end = _fault_site(tr)
-        begin(0.0, "vpn", 7)
+        begin(0.0, 7)
         tr.complete(MIGRANT_TRACK, "stall", 0.1, 0.2, "stall")
         inner = tr.spans[-1]
         assert inner.depth == 1
@@ -61,7 +64,7 @@ class TestBeginEnd:
     def test_end_merges_args(self):
         tr = SpanTracer()
         begin, end = _fault_site(tr)
-        begin(0.0, "vpn", 7)
+        begin(0.0, 7)
         end(1.0, "MAJOR", 4, 0.25)
         assert tr.spans[-1].args == {
             "vpn": 7, "kind": "MAJOR", "prefetch": 4, "stall": 0.25,
@@ -76,7 +79,7 @@ class TestBeginEnd:
     def test_end_before_start_raises(self):
         tr = SpanTracer()
         begin, end = _fault_site(tr)
-        begin(2.0, "vpn", 1)
+        begin(2.0, 1)
         with pytest.raises(SimulationError):
             end(1.0, "MAJOR", 0, 0.0)
 
@@ -84,8 +87,8 @@ class TestBeginEnd:
         tr = SpanTracer()
         fault_begin, fault_end = _fault_site(tr)
         serve_begin, serve_end = _fault_site(tr, DEPUTY_TRACK, "serve")
-        fault_begin(0.0, "vpn", 1)
-        serve_begin(0.0, "vpn", 1)
+        fault_begin(0.0, 1)
+        serve_begin(0.0, 1)
         assert tr.open_spans == 2
         serve_end(0.1, "MAJOR", 0, 0.0)
         fault_end(0.2, "MAJOR", 0, 0.0)
@@ -170,7 +173,7 @@ class TestRecordingSites:
         tr = SpanTracer()
         rec = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
         begin, end = _fault_site(tr)
-        begin(0.0, "vpn", 9)
+        begin(0.0, 9)
         rec(0.1, 0.2, 9)
         assert tr.spans[-1].depth == 1
         end(0.5, "MAJOR", 0, 0.2)
@@ -180,9 +183,9 @@ class TestRecordingSites:
     def test_open_span_site_merges_end_keys(self):
         tr = SpanTracer()
         begin, end = tr.open_span_site(
-            MIGRANT_TRACK, "fault", end_keys=("kind", "prefetch", "stall")
+            MIGRANT_TRACK, "fault", "vpn", ("kind", "prefetch", "stall")
         )
-        begin(0.0, "vpn", 7)
+        begin(0.0, 7)
         end(1.0, "MAJOR", 4, 0.25)
         (span,) = tr.spans
         assert span.args == {
@@ -193,9 +196,9 @@ class TestRecordingSites:
     def test_open_span_site_end_before_start_raises(self):
         tr = SpanTracer()
         begin, end = tr.open_span_site(
-            MIGRANT_TRACK, "fault", end_keys=("kind", "prefetch", "stall")
+            MIGRANT_TRACK, "fault", "vpn", ("kind", "prefetch", "stall")
         )
-        begin(2.0, "vpn", 1)
+        begin(2.0, 1)
         with pytest.raises(SimulationError):
             end(1.0, "MAJOR", 0, 0.0)
 
@@ -209,16 +212,63 @@ class TestRecordingSites:
         slow.instant(MIGRANT_TRACK, "demand_request", 2.0, vpn=9, prefetch=3)
         assert fast.instants == slow.instants
 
-    def test_ring_growth_preserves_site_recorders(self):
-        """Recorders capture the ring columns at creation; growth extends
-        the same array objects, so early recorders must stay valid."""
+    def test_column_growth_preserves_site_recorders(self):
+        """Recorders capture the columns' ``append`` at creation; growth
+        reallocates inside the same array objects, so early recorders
+        must stay valid."""
         tr = SpanTracer()
         rec = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
-        for i in range(5000):  # > _INITIAL_CAPACITY: forces growth
+        for i in range(5000):  # many reallocations of every column
             rec(float(i), 0.5, i)
         assert len(tr) == 5000
         assert tr.spans[4999].args == {"vpn": 4999}
         assert tr.bucket_sums()["stall"] == sum([0.5] * 5000)
+
+
+class TestStorage:
+    """Rows append to typed columns and name their args through their
+    recording site's meta."""
+
+    def test_columns_hold_only_append_slack(self):
+        """One row past a power of two: a doubling store would hold 2048
+        rows here, an appended ``array`` about 1/16 more than it uses."""
+        tr = SpanTracer()
+        rec = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
+        mark = tr.instant_site(MIGRANT_TRACK, "prefetch_request", "pages")
+        rows = 1025
+        for i in range(rows):
+            rec(float(i), 0.5, i)
+            mark(float(i), i)
+        columns = [
+            getattr(tr, slot)
+            for slot in SpanTracer.__slots__
+            if isinstance(getattr(tr, slot, None), array)
+        ]
+        assert len(columns) == 5  # span meta/start/dur, instant meta/time
+        empty = sys.getsizeof(array("d"))
+        for column in columns:
+            assert sys.getsizeof(column) - empty <= column.itemsize * (rows + rows // 16 + 8)
+
+    def test_sites_sharing_a_triple_keep_their_own_arg_names(self):
+        tr = SpanTracer()
+        serve = tr.span_site(DEPUTY_TRACK, "serve", arg="pages")
+        tr.complete(DEPUTY_TRACK, "serve", 0.0, 0.1, seq=9, pages=4)
+        serve(0.1, 0.2, 3)
+        tr.complete(DEPUTY_TRACK, "serve", 0.3, 0.1)
+        copy_pages = tr.span_site(MIGRANT_TRACK, "copy", "copy", arg="pages")
+        copy_vpn = tr.span_site(MIGRANT_TRACK, "copy", "copy", arg="vpn")
+        copy_pages(0.0, 0.1, 4)
+        copy_vpn(0.1, 0.1, 7)
+        args = [s.args for s in tr.spans]
+        assert args == [{"seq": 9, "pages": 4}, {"pages": 3}, None, {"pages": 4}, {"vpn": 7}]
+        assert list(args[0]) == ["seq", "pages"]
+
+    def test_single_arg_values_are_stored_as_given(self):
+        tr = SpanTracer()
+        tr.span_site(MIGRANT_TRACK, "copy", "copy", arg="range")(0.0, 0.1, (3, 4))
+        tr.instant_site(MIGRANT_TRACK, "prefetch_request", "pages")(0.0, None)
+        assert tr.spans[0].args == {"range": (3, 4)}
+        assert tr.instants[0].args == {"pages": None}
 
 
 class TestWireHook:

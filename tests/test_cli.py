@@ -308,6 +308,67 @@ def test_bad_inspect_interval_exits_2_with_the_message(command, capsys):
     assert "[inspect]" not in out
 
 
+_CELL = ["--kernel", "STREAM", "--mb", "115", "--scheme", "AMPoM", "--scale", SMALL]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--retry-timeout-ms", "-5"], "timeout_s must be positive and finite: -0.005"),
+        (
+            ["--loss-rate", "0.05", "--retry-timeout-ms", "nan"],
+            "timeout_s must be positive and finite: nan",
+        ),
+        (["--max-retries", "-1"], "max_attempts must be non-negative"),
+        (
+            ["--delay-rate", "0.5", "--delay-ms", "nan"],
+            "delay_s must be non-negative and finite: nan",
+        ),
+        (["--loss-rate", "1.5"], "loss_rate must be in [0, 1]: 1.5"),
+    ],
+)
+def test_bad_fault_or_retry_flag_exits_2_with_one_line(flags, message, capsys):
+    """A bad fault or retry flag is a usage error: one line, exit 2, no
+    run (also when no fault is armed to use it)."""
+    rc = main(["run", *_CELL, *flags])
+    assert rc == 2
+    assert capsys.readouterr().out == f"run: {message}\n"
+
+
+def test_run_applies_both_retry_flags_under_faults(monkeypatch):
+    import dataclasses
+
+    from repro.experiments.figures import scaled_config
+
+    class Captured(Exception):
+        pass
+
+    seen = {}
+
+    def capture(workload, strategy, *, config, **kwargs):
+        seen["retry"] = config.retry
+        raise Captured
+
+    monkeypatch.setattr("repro.cli.MigrationRun", capture)
+    with pytest.raises(Captured):
+        main(
+            ["run", *_CELL, "--loss-rate", "0.01", "--retry-timeout-ms", "20", "--max-retries", "3"]
+        )
+    base = scaled_config(float(SMALL)).retry
+    assert seen["retry"] == dataclasses.replace(base, timeout_s=0.02, max_attempts=3)
+
+
+@pytest.mark.parametrize("scenario", ["cluster_32_threshold", "cluster_32_balanced"])
+def test_trace_golden_sustained_scenarios(scenario, capsys):
+    """A sustained-fleet golden ends with its fleet report, not a time
+    budget: the traced fleet run is gated for bit-identity alone."""
+    rc = main(["trace", "golden", scenario])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f"{scenario}: traced run bit-identical to the golden recording" in out
+    assert "no budget recorded" in out
+
+
 def test_trace_run_rejects_mixed_selectors(capsys):
     rc = main(["trace", "run", "--case", "ampom_pipeline", "--kernel", "STREAM"])
     assert rc == 2

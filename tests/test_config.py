@@ -8,9 +8,11 @@ import pytest
 
 from repro.config import (
     AMPoMConfig,
+    FaultSpec,
     HardwareSpec,
     InfoDConfig,
     NetworkSpec,
+    RetrySpec,
     SimulationConfig,
 )
 from repro.cluster.topology import scenario_from_dict
@@ -81,6 +83,33 @@ class TestNetworkSpec:
                 {
                     "nodes": ["home", "dest"],
                     "links": [{"a": "home", "b": "dest", "network": {field: -1}}],
+                    "migrants": [{"scale": 0.03125}],
+                }
+            )
+
+
+class TestRetrySpec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff"])
+    def test_non_finite_rejected(self, field, bad):
+        # A NaN timeout used to retransmit with no wait at all, and a NaN
+        # or infinite backoff to give NaN or infinite later timeouts.
+        with pytest.raises(ConfigurationError, match=field):
+            RetrySpec(**{field: bad})
+
+
+class TestFaultSpec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        # A NaN delay used to make the spec inactive, so a delay-rate run
+        # silently delayed nothing.
+        with pytest.raises(ConfigurationError, match="delay_s"):
+            FaultSpec(delay_rate=0.5, delay_s=bad)
+        with pytest.raises(ConfigurationError, match="delay_s"):
+            scenario_from_dict(
+                {
+                    "nodes": ["home", "dest"],
+                    "faults": {"delay_rate": 0.5, "delay_s": bad},
                     "migrants": [{"scale": 0.03125}],
                 }
             )

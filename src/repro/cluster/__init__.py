@@ -36,13 +36,12 @@ from .runner import MigrationRun
 from .scheduler import (
     ClusterScheduler,
     MigrationDecision,
-    SchedulerDriveResult,
-    SchedulerDriver,
     SchedulerReport,
     Task,
 )
 from .session import ScenarioRuntime
 from .sustained import (
+    SchedulerDriveResult,
     SustainedLoadDriver,
     SustainedReport,
     SustainedResult,
@@ -94,7 +93,6 @@ __all__ = [
     "ScenarioRuntime",
     "ScenarioSpec",
     "SchedulerDriveResult",
-    "SchedulerDriver",
     "SchedulerReport",
     "SustainedLoadDriver",
     "SustainedReport",

@@ -212,6 +212,15 @@ class GossipLoadMap:
         entry = self.views[node].get(other)
         return None if entry is None else self.sim.now - entry.sampled_at
 
+    def take_error(self) -> BaseException | None:
+        """The first failed daemon's error, taken off its process (see
+        :meth:`repro.sim.SimProcess.take_error`); ``None`` while every
+        daemon is healthy."""
+        for proc in self._procs:
+            if proc.error is not None:
+                return proc.take_error()
+        return None
+
     def stop(self) -> None:
         """Terminate the daemons and drop the load sampler.  The sampler
         usually reads the balancer that holds this map, and the two would

@@ -28,7 +28,11 @@ from ..errors import ConfigurationError
 from ..sim import Simulator, Timeout
 from ..units import pages_for
 from .cluster import Cluster
-from .policy import MigrationPolicy, ThresholdPolicy, make_policy, pick_task
+from .policy import MigrationPolicy, ThresholdPolicy, pick_task
+
+#: Default CPU quantum a task runs per step.  The fleet driver floors a
+#: planned hop's delay at it.
+TIME_SLICE_S = 0.1
 
 
 @dataclass(slots=True)
@@ -65,7 +69,8 @@ class Task:
 class MigrationDecision:
     """One placement decision taken by the balancer: move ``task`` from
     ``src`` to ``dst`` at simulated ``time``.  The decision log is what
-    :class:`SchedulerDriver` turns into executable migration paths."""
+    :class:`repro.cluster.sustained.SustainedLoadDriver` turns into
+    executable migration paths."""
 
     time: float
     task: str
@@ -95,7 +100,7 @@ class ClusterScheduler:
         freeze_model: str = "ampom",
         balance_interval: float = 1.0,
         load_gap_threshold: int = 2,
-        time_slice: float = 0.1,
+        time_slice: float = TIME_SLICE_S,
         min_task_lifetime: float = 0.0,
         gossip=None,
         node_plan=None,
@@ -327,14 +332,18 @@ class ClusterScheduler:
 
     # ------------------------------------------------------------------
     def run(self) -> SchedulerReport:
-        """Execute all tasks to completion; return the report."""
+        """Execute all tasks to completion; return the report.  Raises the
+        balancer's error if its process failed (its tasks still ran to
+        completion, unbalanced)."""
         procs = [
             self.sim.spawn(self._task_process(t), name=f"task-{t.name}")
             for t in self.tasks
         ]
-        self.sim.spawn(self._balancer(), name="balancer")
+        balancer = self.sim.spawn(self._balancer(), name="balancer")
         for proc in procs:
             self.sim.run_until_complete(proc)
+        if balancer.error is not None:
+            raise balancer.take_error()
         return SchedulerReport(
             makespan=self.sim.now,
             migrations=self.migrations,
@@ -344,334 +353,3 @@ class ClusterScheduler:
                 for t in self.tasks
             },
         )
-
-
-# ----------------------------------------------------------------------
-# From placement decisions to executed migrations
-# ----------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class SchedulerDriveResult:
-    """Outcome of one :meth:`SchedulerDriver.execute` run."""
-
-    report: SchedulerReport
-    decisions: list[MigrationDecision]
-    migrants: tuple
-    results: list
-
-
-class SchedulerDriver:
-    """Executes a balancer's placement decisions as real migrations.
-
-    The coarse :class:`ClusterScheduler` treats migration as a pure freeze
-    cost; the paper's claim (section 7) is that AMPoM makes *aggressive*
-    placement affordable.  This driver closes the loop: it runs the
-    balancer over placement tasks derived from real workloads (phase 1),
-    converts its decision log into :class:`MigrantSpec` paths — chained
-    hops for a task moved repeatedly — and executes those on the shared
-    :class:`NodeGraph` with full remote-paging simulation (phase 2).
-    """
-
-    def __init__(
-        self,
-        graph,
-        placements,
-        strategy_factory,
-        config: SimulationConfig | None = None,
-        *,
-        freeze_model: str = "ampom",
-        balance_interval: float = 1.0,
-        load_gap_threshold: int = 2,
-        time_slice: float = 0.1,
-        min_task_lifetime: float = 0.0,
-        gossip=None,
-        policy: "str | MigrationPolicy | None" = None,
-        decentralized: bool = False,
-        gossip_interval_s: float = 1.0,
-        arrival_times=None,
-        task_cpu_seconds=None,
-    ) -> None:
-        #: ``placements`` is a sequence of (workload, home_node) pairs.
-        self.graph = graph
-        self.placements = list(placements)
-        self.strategy_factory = strategy_factory
-        self.config = config if config is not None else SimulationConfig()
-        self.freeze_model = freeze_model
-        self.balance_interval = balance_interval
-        self.load_gap_threshold = load_gap_threshold
-        self.time_slice = time_slice
-        self.min_task_lifetime = min_task_lifetime
-        self.gossip = gossip
-        #: Policy name (resolved via :func:`repro.cluster.policy.make_policy`)
-        #: or a ready :class:`MigrationPolicy` instance; ``None`` keeps the
-        #: threshold default.  Only consulted on decentralized rounds.
-        self.policy = policy
-        #: When true (and no external ``gossip`` was supplied), phase 1
-        #: builds its own :class:`repro.cluster.gossip.GossipLoadMap` on the
-        #: plan simulator, so every trigger decision reads a node-local,
-        #: message-propagated view instead of the omniscient snapshot.
-        self.decentralized = decentralized
-        self.gossip_interval_s = gossip_interval_s
-        #: Optional per-placement arrival times (sustained-load streams);
-        #: ``None`` keeps the classic everyone-at-t=0 batch.
-        self.arrival_times = None if arrival_times is None else list(arrival_times)
-        #: Optional per-placement CPU demand override.  Sustained scenarios
-        #: draw lifetimes from the arrival stream instead of deriving them
-        #: from the workload trace (whose estimate is milliseconds — far
-        #: too short to build up sustained load).
-        self.task_cpu_seconds = (
-            None if task_cpu_seconds is None else list(task_cpu_seconds)
-        )
-        #: Optional :class:`repro.obs.Observability` bundle.  Set by
-        #: :meth:`execute` (or directly, for plan-only callers such as the
-        #: figure generators): phase 1 feeds armed fleet telemetry and
-        #: journey traces, phase 2 hands the bundle to the runtime.  Pure
-        #: observers — armed plans decide identically to bare ones.
-        self.obs = None
-        self.runtime = None
-        if not self.placements:
-            raise ConfigurationError("SchedulerDriver needs at least one placement")
-        for label, override in (
-            ("arrival_times", self.arrival_times),
-            ("task_cpu_seconds", self.task_cpu_seconds),
-        ):
-            if override is not None and len(override) != len(self.placements):
-                raise ConfigurationError(
-                    f"{label} has {len(override)} entries for "
-                    f"{len(self.placements)} placements"
-                )
-        names = set(graph.nodes)
-        for i, (_workload, home) in enumerate(self.placements):
-            if home not in names:
-                raise ConfigurationError(
-                    f"placement {i} starts on unknown node {home!r}"
-                )
-
-    # ------------------------------------------------------------------
-    def plan(self) -> tuple[SchedulerReport, list[MigrationDecision]]:
-        """Phase 1: run the balancer on placement tasks; return its report
-        and decision log.  Uses a throwaway simulator — the decisions, not
-        the coarse timing, feed phase 2."""
-        sim = Simulator()
-        own_gossip = None
-        try:
-            cluster = Cluster(
-                sim, self.config, self.graph.nodes, link_specs=self.graph.spec_overrides()
-            )
-            node_plan = None
-            if self.config.node_faults.active:
-                from ..faults import NodeFaultPlan
-                from .topology import FILE_SERVER
-
-                # Same spec + seed as the runtime's plan, so phase 1 balances
-                # around the very crash schedule phase 2 will execute under.
-                node_plan = NodeFaultPlan(
-                    self.config.node_faults,
-                    seed=self.config.seed,
-                    nodes=self.graph.nodes,
-                    protected={FILE_SERVER} if FILE_SERVER in self.graph.nodes else (),
-                )
-            tasks = self._make_tasks()
-            gossip = self.gossip
-            if self.decentralized and gossip is None:
-                from .gossip import GossipLoadMap
-
-                # Bound to the plan simulator: load updates are real messages
-                # on the plan's links, and every view lags accordingly.
-                own_gossip = GossipLoadMap(
-                    sim,
-                    cluster,
-                    load_of=lambda name: scheduler.load(name),
-                    interval=self.gossip_interval_s,
-                    seed=self.config.seed,
-                    node_plan=node_plan,
-                )
-                gossip = own_gossip
-            scheduler = ClusterScheduler(
-                sim,
-                cluster,
-                tasks,
-                self.config,
-                freeze_model=self.freeze_model,
-                balance_interval=self.balance_interval,
-                load_gap_threshold=self.load_gap_threshold,
-                time_slice=self.time_slice,
-                min_task_lifetime=self.min_task_lifetime,
-                gossip=gossip,
-                node_plan=node_plan,
-                policy=self._resolve_policy(),
-            )
-            jlog = self.obs.journeys if self.obs is not None else None
-            if jlog is not None:
-                # One journey per task, opened at its arrival; every placement
-                # decision is recorded with the (suspicion-filtered) gossip
-                # view that justified it, so the causal chain "this view led
-                # to this move" is reconstructable per migrant.
-                for task in tasks:
-                    jlog.start(
-                        task.name, task.arrival_s, node=task.node,
-                        cpu_seconds=task.cpu_seconds, memory_bytes=task.memory_bytes,
-                    )
-
-                def on_decision(decision, view):
-                    jlog.record(
-                        decision.task, "decision", decision.time,
-                        src=decision.src, dst=decision.dst,
-                        view=None if view is None else dict(view),
-                    )
-
-                scheduler.on_decision = on_decision
-            self._spawn_monitors(sim, scheduler)
-            report = scheduler.run()
-        finally:
-            # Phase 1 is over, finished or failed.  Stopping the gossip
-            # daemons also drops their load sampler, which closes over the
-            # scheduler; closing the simulator drops the remaining wake-ups.
-            if own_gossip is not None:
-                own_gossip.stop()
-            sim.close()
-        if jlog is not None:
-            for name, done_at in report.per_task_completion.items():
-                if done_at == done_at:  # non-NaN: the plan completed it
-                    jlog.record(name, "plan_complete", done_at)
-        return report, list(scheduler.decisions)
-
-    def _make_tasks(self) -> list[Task]:
-        """Placement pairs -> scheduler tasks (arrival/lifetime overrides
-        applied when a sustained-load stream drives the run)."""
-        tasks = []
-        for i, (workload, home) in enumerate(self.placements):
-            cpu = None if self.task_cpu_seconds is None else self.task_cpu_seconds[i]
-            if cpu is None:
-                if workload.address_space is None:
-                    # The estimate needs the trace; the runtime re-runs
-                    # setup() later (allocation is deterministic, so this
-                    # is free).
-                    workload.setup()
-                cpu = workload.total_compute_estimate()
-            tasks.append(
-                Task(
-                    name=f"task-{i}",
-                    cpu_seconds=cpu,
-                    memory_bytes=workload.memory_bytes,
-                    node=home,
-                    arrival_s=0.0 if self.arrival_times is None else self.arrival_times[i],
-                )
-            )
-        return tasks
-
-    def _resolve_policy(self) -> "MigrationPolicy | None":
-        if self.policy is None or isinstance(self.policy, MigrationPolicy):
-            return self.policy
-        if self.policy == "threshold":
-            # Honor the driver-level gap knob rather than the class default.
-            return make_policy("threshold", load_gap_threshold=self.load_gap_threshold)
-        return make_policy(self.policy)
-
-    def _spawn_monitors(self, sim: Simulator, scheduler: ClusterScheduler) -> None:
-        """Hook for subclasses: spawn observation processes on the plan
-        simulator (e.g. the sustained driver's utilization sampler)."""
-
-    def migrant_specs(self, decisions) -> tuple:
-        """Convert a decision log into per-task migration paths.
-
-        Consecutive moves of one task chain into a multi-hop path; the
-        chain is cut at the first revisit (the runtime's deputy model
-        does not re-absorb a node already holding a transit deputy)."""
-        from .topology import MigrantSpec
-
-        by_task: dict[str, list[MigrationDecision]] = {}
-        for decision in decisions:
-            by_task.setdefault(decision.task, []).append(decision)
-        specs = []
-        for i, (workload, home) in enumerate(self.placements):
-            moves = by_task.get(f"task-{i}", [])
-            if not moves:
-                continue
-            path = [home]
-            times: list[float] = []
-            for decision in moves:
-                if decision.dst in path:
-                    break
-                path.append(decision.dst)
-                times.append(decision.time)
-            if len(path) < 2:
-                continue
-            hop_delays = tuple(
-                max(times[k + 1] - times[k], self.time_slice)
-                for k in range(len(path) - 2)
-            )
-            specs.append(
-                MigrantSpec(
-                    workload=workload,
-                    strategy=self.strategy_factory,
-                    path=tuple(path),
-                    start_s=times[0],
-                    hop_delays=hop_delays,
-                    name=f"task-{i}",
-                )
-            )
-        return tuple(specs)
-
-    def execute(self, obs=None) -> SchedulerDriveResult:
-        """Phases 1 + 2: plan, then simulate every decided migration in
-        one :class:`ScenarioRuntime`."""
-        from .session import ScenarioRuntime
-        from .topology import ScenarioSpec
-
-        if obs is not None:
-            self.obs = obs
-        obs = self.obs
-        report, decisions = self.plan()
-        migrants = self.migrant_specs(decisions)
-        jlog = obs.journeys if obs is not None else None
-        if jlog is not None:
-            # Tasks the plan completed without ever migrating terminate
-            # here; migrating tasks get their terminal state from phase 2.
-            migrating = {m.name for m in migrants}
-            for name, done_at in report.per_task_completion.items():
-                if name not in migrating and done_at == done_at:
-                    jlog.finish(name, done_at, "completed", hops=0)
-        results: list = []
-        if migrants:
-            spec = ScenarioSpec(
-                graph=self.graph, migrants=migrants, config=self.config
-            )
-            self.runtime = ScenarioRuntime(spec, obs=obs)
-            self._install_retarget(self.runtime)
-            results = self.runtime.execute()
-        return SchedulerDriveResult(
-            report=report, decisions=decisions, migrants=migrants, results=results
-        )
-
-    def _install_retarget(self, runtime) -> None:
-        """Arm the runtime's re-targeting hook under a node-fault plan.
-
-        When a migration aborts because its destination crashed, the
-        runtime asks this hook for a replacement before falling back to a
-        wait-for-restart retry.  The policy mirrors the balancer's greedy
-        rule: least-loaded live node not already on the route (and never
-        the file server)."""
-        from .topology import FILE_SERVER
-
-        plan = runtime.node_plan
-        if plan is None:
-            return
-        # The hook is stored on the runtime, so it captures what it reads,
-        # never the runtime or this driver (which holds the runtime).
-        nodes = self.graph.nodes
-        cluster = runtime.cluster
-
-        def retarget(route, hop, now):
-            taken = set(route)
-            candidates = [
-                n
-                for n in nodes
-                if n not in taken and n != FILE_SERVER and not plan.down(n, now)
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda n: (cluster.node(n).load, n))
-
-        runtime.retarget = retarget

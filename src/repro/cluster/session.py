@@ -147,7 +147,7 @@ class ScenarioRuntime:
         #: run-wide inspector watches; its probes sum over them.
         self._inspected: list[tuple] = []
         #: Optional re-targeting hook ``f(route, hop, now) -> node | None``
-        #: installed by :class:`repro.cluster.scheduler.SchedulerDriver`;
+        #: installed by :class:`repro.cluster.sustained.SustainedLoadDriver`;
         #: consulted when a migration's destination is dark.
         self.retarget = None
         if self.config.node_faults.active:
@@ -461,6 +461,9 @@ class ScenarioRuntime:
         # journey accumulates both phases' events.
         jname = migrant.name or ("scenario" if single else f"migrant-{index}")
         journey = jname if jlog is not None else None
+        # One trace track per migrant, so one migrant's fault end never
+        # closes another's open fault; a lone migrant keeps the classic one.
+        track = MIGRANT_TRACK if single else f"dest/{jname}"
         # Mutable copy of the path: failure-aware re-targeting may rewrite
         # a hop whose destination crashed.  Same length, same start.
         route = list(migrant.path)
@@ -489,7 +492,7 @@ class ScenarioRuntime:
         # A crash of the destination inside the freeze aborts the attempt:
         # the partial transfer is written off, the stall is charged to the
         # freeze bucket, and the migrant retries (re-targeted at a survivor
-        # when a SchedulerDriver installed a retarget hook, after the
+        # when a SustainedLoadDriver installed a retarget hook, after the
         # destination's restart plus a backoff otherwise).  Every second
         # spent on aborted attempts lands in ``pre_freeze`` and from there
         # in the budget's freeze bucket, so the wall-time identity holds.
@@ -507,10 +510,10 @@ class ScenarioRuntime:
             if plan is not None and plan.down(route[1], sim.now):
                 # The destination is dark before the freeze even starts:
                 # the connect attempt times out, then re-target or wait.
-                pre_freeze += yield from self._aborted_freeze(config.retry.timeout_s)
+                pre_freeze += yield from self._aborted_freeze(config.retry.timeout_s, track)
                 attempt += 1
                 pre_freeze += yield from self._handle_abort(
-                    migrant, route, 1, attempt, "connect timeout", journey
+                    migrant, route, 1, attempt, "connect timeout", journey, track
                 )
                 continue
             ctx = self._context(
@@ -528,11 +531,11 @@ class ScenarioRuntime:
             wasted = crash - sim.now
             self.node_stats.abort_freeze_s += wasted
             self.node_stats.pages_abort_written_off += outcome.pages_shipped
-            pre_freeze += yield from self._aborted_freeze(wasted)
+            pre_freeze += yield from self._aborted_freeze(wasted, track)
             attempt += 1
             pre_freeze += yield from self._handle_abort(
                 migrant, route, 1, attempt, f"crashed {wasted:.4g}s into the freeze",
-                journey,
+                journey, track,
             )
         self.outcomes[index] = outcome
         home_since = sim.now
@@ -545,7 +548,7 @@ class ScenarioRuntime:
             resume = sim.now + outcome.freeze_time
             if resume < self.fault_plan.active_from:
                 self.fault_plan.activate(resume)
-        yield from self._freeze(outcome, journey, route, hop)
+        yield from self._freeze(outcome, journey, route, hop, track)
 
         # Fault-injection runs arm the reliable protocol; pure node-fault
         # runs do too, since only the retransmission loop turns a dead
@@ -572,6 +575,7 @@ class ScenarioRuntime:
             injection_log=self.injection_log,
             obs=obs,
             preempt_at=preempt_at(),
+            track=track,
         )
         executor.budget.freeze += pre_freeze
         checker = None
@@ -608,7 +612,8 @@ class ScenarioRuntime:
                     while plan.down(route[hop], sim.now):
                         attempt += 1
                         executor.budget.freeze += yield from self._handle_abort(
-                            migrant, route, hop, attempt, "rehop target dark", journey
+                            migrant, route, hop, attempt, "rehop target dark", journey,
+                            track,
                         )
                 hop_ctx = self._context(
                     migrant, strategy, space, premigration,
@@ -622,7 +627,7 @@ class ScenarioRuntime:
                     # A transit deputy may have appeared; hand it the bundle.
                     for deputy in outcome.page_service.deputies:
                         deputy.obs = self._deputy_obs
-                yield from self._freeze(outcome, journey, route, hop)
+                yield from self._freeze(outcome, journey, route, hop, track)
                 executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
         except ProcessLostError as lost:
             detail = str(lost).splitlines()[0]
@@ -659,9 +664,12 @@ class ScenarioRuntime:
             self.sim.remove_observer(self.obs.inspector.on_sim_event)
         return result
 
-    def _freeze(self, outcome: MigrationOutcome, journey: str | None, route: list, hop: int):
-        """Record hop ``hop``'s freeze (its span and journey event), then
-        wait it out."""
+    def _freeze(
+        self, outcome: MigrationOutcome, journey: str | None, route: list, hop: int,
+        track: str,
+    ):
+        """Record hop ``hop``'s freeze (its span on ``track`` and its
+        journey event), then wait it out."""
         sim = self.sim
         tracer = self.obs.tracer if self.obs is not None else None
         if tracer is not None:
@@ -669,7 +677,7 @@ class ScenarioRuntime:
             # outcome.freeze_time`` charge — same float, recorded first, so
             # bucket_sums()["freeze"] reproduces the budget bit for bit.
             tracer.complete(
-                MIGRANT_TRACK,
+                track,
                 "freeze",
                 sim.now,
                 outcome.freeze_time,
@@ -685,14 +693,15 @@ class ScenarioRuntime:
             )
         yield Timeout(outcome.freeze_time)
 
-    def _aborted_freeze(self, wait: float):
+    def _aborted_freeze(self, wait: float, track: str):
         """Spend ``wait`` seconds on an aborted freeze attempt (recorded as
-        an aborted freeze span); returns it for the freeze bucket."""
+        an aborted freeze span on ``track``); returns it for the freeze
+        bucket."""
         if wait > 0.0:
             tracer = self.obs.tracer if self.obs is not None else None
             if tracer is not None:
                 tracer.complete(
-                    MIGRANT_TRACK, "freeze", self.sim.now, wait, "freeze", aborted=True
+                    track, "freeze", self.sim.now, wait, "freeze", aborted=True
                 )
             yield Timeout(wait)
         return wait
@@ -717,7 +726,7 @@ class ScenarioRuntime:
     # ------------------------------------------------------------------
     def _handle_abort(
         self, migrant: MigrantSpec, route: list, hop: int, attempt: int, detail: str,
-        journey: str | None,
+        journey: str | None, track: str,
     ):
         """Recover from the ``attempt``-th (1-based) aborted or unreachable
         freeze toward ``route[hop]``: fail once the retry budget is spent,
@@ -749,7 +758,7 @@ class ScenarioRuntime:
         wait = self.config.retry.timeout_for(attempt - 1, 0.0)
         if plan.down(dst, sim.now):
             wait += plan.restart_time(dst, sim.now) - sim.now
-        return (yield from self._aborted_freeze(wait))
+        return (yield from self._aborted_freeze(wait, track))
 
     def _recovery(self, kind: str, journey: str | None, log_detail: str, **args) -> None:
         """Record one recovery step: bump its NodeFaultStats counter, add

@@ -5,9 +5,9 @@ processes arrive continuously (one seeded stream per node, see
 :class:`repro.cluster.loadgen.ArrivalStream`), every node takes migration
 trigger decisions *locally* against its own gossip view through a
 pluggable :class:`repro.cluster.policy.MigrationPolicy`, and the decision
-log is executed as real (possibly multi-hop) remote-paging migrations by
-the inherited :class:`repro.cluster.scheduler.SchedulerDriver` machinery —
-faults, chaos, and the invariant checker included.
+log is executed as real (possibly multi-hop) remote-paging migrations in
+one :class:`repro.cluster.session.ScenarioRuntime` — faults, chaos, and
+the invariant checker included.
 
 Everything is a pure function of the seed: two runs of the same
 :class:`repro.cluster.topology.SustainedSpec` produce byte-identical
@@ -19,13 +19,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
+from ..faults import NodeFaultPlan
 from ..sim import Simulator, Timeout
+from .cluster import Cluster
+from .gossip import GossipLoadMap
 from .loadgen import ArrivalStream, ProcessArrival
-from .scheduler import ClusterScheduler, SchedulerDriveResult, SchedulerDriver
-from .topology import FILE_SERVER, NodeGraph, SustainedSpec, make_strategy
+from .policy import make_policy
+from .scheduler import (
+    TIME_SLICE_S,
+    ClusterScheduler,
+    MigrationDecision,
+    SchedulerReport,
+    Task,
+)
+from .session import ScenarioRuntime
+from .topology import (
+    FILE_SERVER,
+    MigrantSpec,
+    NodeGraph,
+    ScenarioSpec,
+    SustainedSpec,
+    make_strategy,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +96,17 @@ class SustainedReport:
 
 
 @dataclass(slots=True)
+class SchedulerDriveResult:
+    """The balancer's report and decision log, and the migrations they
+    became (one :meth:`SustainedLoadDriver.execute` run)."""
+
+    report: SchedulerReport
+    decisions: list[MigrationDecision]
+    migrants: tuple
+    results: list
+
+
+@dataclass(slots=True)
 class SustainedResult:
     """Full outcome: the summary plus the executed migrations."""
 
@@ -93,16 +123,22 @@ class SustainedResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class SustainedLoadDriver(SchedulerDriver):
-    """Runs a :class:`SustainedSpec` end to end.
+class SustainedLoadDriver:
+    """Runs a :class:`SustainedSpec` end to end: the balancer's placement
+    decisions become real migrations.
 
-    Placements come from the arrival stream (one
-    :class:`repro.workloads.synthetic.SequentialWorkload` per arrival,
-    sized by its drawn footprint), CPU demand comes from the drawn
-    lifetimes — not from the workload trace, whose estimate is
-    milliseconds and could never build up sustained load — and phase 1
-    always runs decentralized: a real :class:`GossipLoadMap` on the plan
-    simulator feeds each node's :class:`MigrationPolicy`.
+    The coarse :class:`ClusterScheduler` treats migration as a pure freeze
+    cost; the paper's claim (section 7) is that AMPoM makes *aggressive*
+    placement affordable.  Phase 1 (:meth:`plan`) runs the balancer over
+    one task per arrival — on its node, at its drawn time, with its drawn
+    lifetime as CPU demand (a workload trace's estimate is milliseconds
+    and could never build up sustained load) — always decentralized: a
+    real :class:`GossipLoadMap` on the plan simulator feeds each node's
+    :class:`MigrationPolicy`.  Phase 2 (:meth:`execute`) chains each
+    task's decisions into a :class:`MigrantSpec` path over its
+    :class:`repro.workloads.synthetic.SequentialWorkload`, sized by the
+    drawn footprint, and executes them all in one :class:`ScenarioRuntime`
+    with full remote-paging simulation.
     """
 
     def __init__(
@@ -131,36 +167,151 @@ class SustainedLoadDriver(SchedulerDriver):
                 "the arrival stream drew no arrivals; raise rate_hz or horizon_s"
             )
         page_size = cfg.hardware.page_size
-        super().__init__(
-            graph,
-            [
-                (SequentialWorkload(a.memory_bytes, page_size=page_size), a.node)
-                for a in arrivals
-            ],
-            strategy_factory=lambda: make_strategy(sustained.scheme),
-            config=cfg,
-            balance_interval=sustained.balance_interval_s,
-            load_gap_threshold=sustained.load_gap_threshold,
-            policy=sustained.policy,
-            decentralized=True,
-            gossip_interval_s=sustained.gossip_interval_s,
-            arrival_times=[a.time for a in arrivals],
-            task_cpu_seconds=[a.cpu_seconds for a in arrivals],
-        )
+        self.graph = graph
         self.sustained = sustained
+        self.config = cfg
         self.stream = stream
         self.arrivals: tuple[ProcessArrival, ...] = arrivals
+        #: One workload per arrival, in arrival order (task ``task-<i>``).
+        self.workloads = [
+            SequentialWorkload(a.memory_bytes, page_size=page_size) for a in arrivals
+        ]
         self.worker_nodes = worker_nodes
         self.samples: list[UtilizationSample] = []
         self.report: SustainedReport | None = None
+        #: Optional :class:`repro.obs.Observability` bundle.  Set by
+        #: :meth:`execute` (or directly, for plan-only callers such as the
+        #: figure generators): phase 1 feeds armed fleet telemetry and
+        #: journey traces, phase 2 hands the bundle to the runtime.  Pure
+        #: observers — armed plans decide identically to bare ones.
+        self.obs = None
+        self.runtime = None
         #: Optional :class:`repro.obs.slo.SLOMonitor` evaluated online on
         #: every sampling tick (utilization imbalance, mean load...).
         self.slo_monitor = None
 
     # ------------------------------------------------------------------
-    def _spawn_monitors(self, sim: Simulator, scheduler: ClusterScheduler) -> None:
-        """Spawn the ``utilization-sampler`` process: one tick per
-        ``sample_interval_s`` records the utilization sample, evaluates
+    def plan(self) -> tuple[SchedulerReport, list[MigrationDecision]]:
+        """Phase 1: run the balancer on the arrival stream's tasks; set
+        :attr:`report` and return the balancer's report and decision log.
+        Uses a throwaway simulator — the decisions, not the coarse timing,
+        feed phase 2.  A plan daemon (the balancer, the utilization
+        sampler, a gossip daemon) that fails raises its error here."""
+        cfg = self.config
+        sustained = self.sustained
+        sim = Simulator()
+        gossip = None
+        try:
+            cluster = Cluster(
+                sim, cfg, self.graph.nodes, link_specs=self.graph.spec_overrides()
+            )
+            node_plan = None
+            if cfg.node_faults.active:
+                # Same spec + seed as the runtime's plan, so phase 1 balances
+                # around the very crash schedule phase 2 will execute under.
+                node_plan = NodeFaultPlan(
+                    cfg.node_faults,
+                    seed=cfg.seed,
+                    nodes=self.graph.nodes,
+                    protected={FILE_SERVER} if FILE_SERVER in self.graph.nodes else (),
+                )
+            tasks = [
+                Task(
+                    name=f"task-{i}",
+                    cpu_seconds=arrival.cpu_seconds,
+                    memory_bytes=workload.memory_bytes,
+                    node=arrival.node,
+                    arrival_s=arrival.time,
+                )
+                for i, (arrival, workload) in enumerate(zip(self.arrivals, self.workloads))
+            ]
+            # Bound to the plan simulator: load updates are real messages
+            # on the plan's links, and every view lags accordingly.
+            gossip = GossipLoadMap(
+                sim,
+                cluster,
+                load_of=lambda name: scheduler.load(name),
+                interval=sustained.gossip_interval_s,
+                seed=cfg.seed,
+                node_plan=node_plan,
+            )
+            if sustained.policy == "threshold":
+                # Honor the spec-level gap knob rather than the class default.
+                policy = make_policy(
+                    "threshold", load_gap_threshold=sustained.load_gap_threshold
+                )
+            else:
+                policy = make_policy(sustained.policy)
+            scheduler = ClusterScheduler(
+                sim,
+                cluster,
+                tasks,
+                cfg,
+                balance_interval=sustained.balance_interval_s,
+                gossip=gossip,
+                node_plan=node_plan,
+                policy=policy,
+            )
+            jlog = self.obs.journeys if self.obs is not None else None
+            if jlog is not None:
+                # One journey per task, opened at its arrival; every placement
+                # decision is recorded with the (suspicion-filtered) gossip
+                # view that justified it, so the causal chain "this view led
+                # to this move" is reconstructable per migrant.
+                for task in tasks:
+                    jlog.start(
+                        task.name, task.arrival_s, node=task.node,
+                        cpu_seconds=task.cpu_seconds, memory_bytes=task.memory_bytes,
+                    )
+
+                def on_decision(decision, view):
+                    jlog.record(
+                        decision.task, "decision", decision.time,
+                        src=decision.src, dst=decision.dst, view=dict(view),
+                    )
+
+                scheduler.on_decision = on_decision
+            sampler = self._spawn_sampler(sim, scheduler)
+            report = scheduler.run()
+            error = sampler.take_error() or gossip.take_error()
+            if error is not None:
+                raise error
+        finally:
+            # Phase 1 is over, finished or failed.  Stopping the gossip
+            # daemons also drops their load sampler, which closes over the
+            # scheduler; closing the simulator drops the remaining wake-ups.
+            if gossip is not None:
+                gossip.stop()
+            sim.close()
+        if jlog is not None:
+            for name, done_at in report.per_task_completion.items():
+                if done_at == done_at:  # non-NaN: the plan completed it
+                    jlog.record(name, "plan_complete", done_at)
+        decisions = list(scheduler.decisions)
+        completed = sum(
+            1 for v in report.per_task_completion.values() if v == v  # non-NaN
+        )
+        self.report = SustainedReport(
+            nodes=len(self.worker_nodes),
+            policy=sustained.policy,
+            scheme=sustained.scheme,
+            seed=cfg.seed,
+            arrivals=len(self.arrivals),
+            completed=completed,
+            makespan=report.makespan,
+            migrations=report.migrations,
+            total_frozen_time=report.total_frozen_time,
+            decisions=[
+                {"t": d.time, "task": d.task, "src": d.src, "dst": d.dst}
+                for d in decisions
+            ],
+            utilization=list(self.samples),
+        )
+        return report, decisions
+
+    def _spawn_sampler(self, sim: Simulator, scheduler: ClusterScheduler):
+        """Spawn and return the ``utilization-sampler`` process: one tick
+        per ``sample_interval_s`` records the utilization sample, evaluates
         the SLO monitor and, with ``obs.fleet`` armed, pushes the per-node
         series (docs/OBSERVABILITY.md, "Fleet telemetry").  The process
         keeps the identical ``Timeout`` schedule armed or not, which is
@@ -173,7 +324,6 @@ class SustainedLoadDriver(SchedulerDriver):
             fleet.interval_s = self.sustained.sample_interval_s
         monitor = self.slo_monitor
         worker = self.worker_nodes
-        gossip = scheduler.gossip
         pending = scheduler._pending_freeze
         decisions = scheduler.decisions
         task_by_name = {t.name: t for t in scheduler.tasks}
@@ -181,10 +331,8 @@ class SustainedLoadDriver(SchedulerDriver):
         consumed = [0]  # decisions folded into out_counts so far
         # Hoisted gossip internals: the map object is fixed for the whole
         # run, so resolve its view/suspect tables once, not per tick.
-        views = getattr(gossip, "views", None) if gossip is not None else None
-        suspect_sets = (
-            getattr(gossip, "_suspects", None) if gossip is not None else None
-        )
+        views = scheduler.gossip.views
+        suspect_sets = scheduler.gossip._suspects
 
         def tick(t: float) -> None:
             loads = scheduler._loads()
@@ -224,53 +372,68 @@ class SustainedLoadDriver(SchedulerDriver):
                 fleet.push(n, "load", t, float(loads[n]))
                 fleet.push(n, "in_flight_migrations", t, float(in_flight[n]))
                 fleet.push(n, "migrations_out", t, float(out_counts[n]))
-            if views is not None:
-                for n in worker:
-                    entries = views.get(n)
-                    stale = (
-                        t - min(e.sampled_at for e in entries.values())
-                        if entries
-                        else 0.0
-                    )
-                    fleet.push(n, "gossip_staleness_s", t, stale)
-            if suspect_sets is not None:
-                for n in worker:
-                    fleet.push(
-                        n, "suspected_peers", t, float(len(suspect_sets[n]))
-                    )
+            for n in worker:
+                entries = views.get(n)
+                stale = (
+                    t - min(e.sampled_at for e in entries.values())
+                    if entries
+                    else 0.0
+                )
+                fleet.push(n, "gossip_staleness_s", t, stale)
+            for n in worker:
+                fleet.push(n, "suspected_peers", t, float(len(suspect_sets[n])))
 
         def sampler():
             while any(t.finished_at is None for t in scheduler.tasks):
                 tick(sim.now)
                 yield Timeout(self.sustained.sample_interval_s)
 
-        sim.spawn(sampler(), name="utilization-sampler")
+        return sim.spawn(sampler(), name="utilization-sampler")
 
-    def plan(self):
-        report, decisions = super().plan()
-        completed = sum(
-            1 for v in report.per_task_completion.values() if v == v  # non-NaN
-        )
-        self.report = SustainedReport(
-            nodes=len(self.worker_nodes),
-            policy=self.sustained.policy,
-            scheme=self.sustained.scheme,
-            seed=self.config.seed,
-            arrivals=len(self.arrivals),
-            completed=completed,
-            makespan=report.makespan,
-            migrations=report.migrations,
-            total_frozen_time=report.total_frozen_time,
-            decisions=[
-                {"t": d.time, "task": d.task, "src": d.src, "dst": d.dst}
-                for d in decisions
-            ],
-            utilization=list(self.samples),
-        )
-        return report, decisions
+    def migrant_specs(self, decisions) -> tuple[MigrantSpec, ...]:
+        """Convert a decision log into per-task migration paths.
+
+        Consecutive moves of one task chain into a multi-hop path; the
+        chain is cut at the first revisit (the runtime's deputy model
+        does not re-absorb a node already holding a transit deputy).
+        Each hop waits at least one balancer time slice."""
+        by_task: dict[str, list[MigrationDecision]] = {}
+        for decision in decisions:
+            by_task.setdefault(decision.task, []).append(decision)
+        strategy = partial(make_strategy, self.sustained.scheme)
+        specs = []
+        for i, (arrival, workload) in enumerate(zip(self.arrivals, self.workloads)):
+            moves = by_task.get(f"task-{i}", [])
+            if not moves:
+                continue
+            path = [arrival.node]
+            times: list[float] = []
+            for decision in moves:
+                if decision.dst in path:
+                    break
+                path.append(decision.dst)
+                times.append(decision.time)
+            if len(path) < 2:
+                continue
+            hop_delays = tuple(
+                max(times[k + 1] - times[k], TIME_SLICE_S) for k in range(len(path) - 2)
+            )
+            specs.append(
+                MigrantSpec(
+                    workload=workload,
+                    strategy=strategy,
+                    path=tuple(path),
+                    start_s=times[0],
+                    hop_delays=hop_delays,
+                    name=f"task-{i}",
+                )
+            )
+        return tuple(specs)
 
     def execute(self, obs=None, jobs=None) -> SustainedResult:
-        """Phases 1 + 2; returns the summary plus executed migrations.
+        """Phases 1 + 2: plan, then simulate every decided migration in
+        one :class:`ScenarioRuntime`; returns the summary plus the
+        executed migrations.
 
         A run is always sequential, in one process.  ``jobs`` is kept for
         callers that pin that explicitly (``jobs=1``); any value other
@@ -280,9 +443,58 @@ class SustainedLoadDriver(SchedulerDriver):
             raise ConfigurationError(
                 f"a sustained run is sequential; jobs must be None or 1, got {jobs!r}"
             )
-        drive = super().execute(obs=obs)
-        assert self.report is not None  # set by plan()
+        if obs is not None:
+            self.obs = obs
+        obs = self.obs
+        report, decisions = self.plan()
+        migrants = self.migrant_specs(decisions)
+        jlog = obs.journeys if obs is not None else None
+        if jlog is not None:
+            # Tasks the plan completed without ever migrating terminate
+            # here; migrating tasks get their terminal state from phase 2.
+            migrating = {m.name for m in migrants}
+            for name, done_at in report.per_task_completion.items():
+                if name not in migrating and done_at == done_at:
+                    jlog.finish(name, done_at, "completed", hops=0)
+        results: list = []
+        if migrants:
+            spec = ScenarioSpec(graph=self.graph, migrants=migrants, config=self.config)
+            self.runtime = ScenarioRuntime(spec, obs=obs)
+            self._install_retarget(self.runtime)
+            results = self.runtime.execute()
+        drive = SchedulerDriveResult(
+            report=report, decisions=decisions, migrants=migrants, results=results
+        )
         return SustainedResult(report=self.report, drive=drive)
+
+    def _install_retarget(self, runtime: ScenarioRuntime) -> None:
+        """Arm the runtime's re-targeting hook under a node-fault plan.
+
+        When a migration aborts because its destination crashed, the
+        runtime asks this hook for a replacement before falling back to a
+        wait-for-restart retry.  The policy mirrors the balancer's greedy
+        rule: least-loaded live node not already on the route (and never
+        the file server)."""
+        plan = runtime.node_plan
+        if plan is None:
+            return
+        # The hook is stored on the runtime, so it captures what it reads,
+        # never the runtime or this driver (which holds the runtime).
+        nodes = self.graph.nodes
+        cluster = runtime.cluster
+
+        def retarget(route, hop, now):
+            taken = set(route)
+            candidates = [
+                n
+                for n in nodes
+                if n not in taken and n != FILE_SERVER and not plan.down(n, now)
+            ]
+            if not candidates:
+                return None
+            return min(candidates, key=lambda n: (cluster.node(n).load, n))
+
+        runtime.retarget = retarget
 
 
 def run_sustained(spec, obs=None) -> SustainedResult:
@@ -294,6 +506,7 @@ def run_sustained(spec, obs=None) -> SustainedResult:
 
 
 __all__ = [
+    "SchedulerDriveResult",
     "SustainedLoadDriver",
     "SustainedReport",
     "SustainedResult",

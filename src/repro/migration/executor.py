@@ -128,6 +128,7 @@ class MigrantExecutor:
         injection_log: FaultInjectionLog | None = None,
         obs: "Observability | None" = None,
         preempt_at: float | None = None,
+        track: str = MIGRANT_TRACK,
     ) -> None:
         self.sim = sim
         self.workload = workload
@@ -143,6 +144,9 @@ class MigrantExecutor:
         #: duration at the identical code site, so per-bucket span sums
         #: reproduce the budget bit for bit (see docs/OBSERVABILITY.md).
         self.obs = obs
+        #: Trace track of this migrant's spans: one per migrant, so a
+        #: fault's end never closes another migrant's open fault.
+        self.track = track
         self._tracer = obs.tracer if obs is not None else None
         self._obs_metrics = obs.metrics if obs is not None else None
         # Per-site span recorders: each budget-charge site interns its
@@ -150,18 +154,18 @@ class MigrantExecutor:
         # directly on every fault (see SpanTracer.span_site).
         tr = self._tracer
         if tr is not None:
-            self._rec_compute = tr.span_site(MIGRANT_TRACK, "compute", "compute")
-            self._rec_analysis = tr.span_site(MIGRANT_TRACK, "analysis", "analysis")
-            self._rec_stall = tr.span_site(MIGRANT_TRACK, "stall", "stall", arg="vpn")
-            self._rec_copy = tr.span_site(MIGRANT_TRACK, "copy", "copy", arg="pages")
+            self._rec_compute = tr.span_site(track, "compute", "compute")
+            self._rec_analysis = tr.span_site(track, "analysis", "analysis")
+            self._rec_stall = tr.span_site(track, "stall", "stall", arg="vpn")
+            self._rec_copy = tr.span_site(track, "copy", "copy", arg="pages")
             self._rec_fault_begin, self._rec_fault_end = tr.open_span_site(
-                MIGRANT_TRACK, "fault", "vpn", ("kind", "prefetch", "stall")
+                track, "fault", "vpn", ("kind", "prefetch", "stall")
             )
             self._rec_demand_req = tr.instant_site(
-                MIGRANT_TRACK, "demand_request", "vpn", "prefetch"
+                track, "demand_request", "vpn", "prefetch"
             )
             self._rec_prefetch_req = tr.instant_site(
-                MIGRANT_TRACK, "prefetch_request", "pages"
+                track, "prefetch_request", "pages"
             )
         else:
             self._rec_compute = None
@@ -317,7 +321,7 @@ class MigrantExecutor:
                     yield Timeout(wait)
                     self.budget.stall += wait
                     if tr is not None:
-                        tr.complete(MIGRANT_TRACK, "stall", t0, wait, "stall")
+                        tr.complete(self.track, "stall", t0, wait, "stall")
         finally:
             self._release_cpu()
         self._write_off_lost()
@@ -778,7 +782,7 @@ class MigrantExecutor:
                 self.budget.stall += wait
                 if tr is not None:
                     tr.complete(
-                        MIGRANT_TRACK, "stall", t0, wait, "stall",
+                        self.track, "stall", t0, wait, "stall",
                         vpn=vpn, attempt=attempt, timed=timed,
                     )
                 self._await_stall += wait
@@ -792,7 +796,7 @@ class MigrantExecutor:
             self.counters.request_timeouts += 1
             self._log_event(FaultEventKind.TIMEOUT, detail=f"vpn={vpn} attempt={attempt}")
             if tr is not None:
-                tr.instant(MIGRANT_TRACK, "timeout", sim.now, vpn=vpn, attempt=attempt)
+                tr.instant(self.track, "timeout", sim.now, vpn=vpn, attempt=attempt)
             attempt += 1
             if attempt > retry.max_attempts:
                 raise MigrationError(
@@ -815,7 +819,7 @@ class MigrantExecutor:
                 FaultEventKind.RETRANSMIT, detail=f"vpn={vpn} seq={seq} attempt={attempt}"
             )
             if tr is not None:
-                tr.instant(MIGRANT_TRACK, "retransmit", sim.now, vpn=vpn, seq=seq, attempt=attempt)
+                tr.instant(self.track, "retransmit", sim.now, vpn=vpn, seq=seq, attempt=attempt)
             if self.checker is not None:
                 self.checker.on_request([vpn], [], retransmit=True)
             self._register_fetches(service.request([vpn], [], sim.now, seq=seq))
@@ -875,7 +879,7 @@ class MigrantExecutor:
             self._acquire_cpu()
             self.budget.add("syscall", wait)
             if tr is not None:
-                tr.complete(MIGRANT_TRACK, "syscall", t0, wait, "syscall")
+                tr.complete(self.track, "syscall", t0, wait, "syscall")
             return
         # Reliable forwarding: a lost request or reply (infinite arrival)
         # is retransmitted with the same seq, so the deputy re-sends the
@@ -900,14 +904,14 @@ class MigrantExecutor:
                 self.budget.add("syscall", wait)
                 if tr is not None:
                     tr.complete(
-                        MIGRANT_TRACK, "syscall", t0, wait, "syscall", attempt=attempt
+                        self.track, "syscall", t0, wait, "syscall", attempt=attempt
                     )
             if not math.isinf(reply_at):
                 break
             self.counters.request_timeouts += 1
             self._log_event(FaultEventKind.TIMEOUT, detail=f"syscall seq={seq}")
             if tr is not None:
-                tr.instant(MIGRANT_TRACK, "timeout", self.sim.now, syscall_seq=seq)
+                tr.instant(self.track, "timeout", self.sim.now, syscall_seq=seq)
             attempt += 1
             if attempt > retry.max_attempts:
                 raise MigrationError(

@@ -279,22 +279,38 @@ def test_gossip_staleness_detects_dead_node():
 # ----------------------------------------------------------------------
 
 
-def test_scheduler_driver_installs_retarget_under_node_faults():
-    from repro.cluster.scheduler import SchedulerDriver
+def test_sustained_driver_installs_retarget_under_node_faults():
+    from repro.cluster.loadgen import ArrivalSpec
+    from repro.cluster.sustained import SustainedLoadDriver
+    from repro.cluster.topology import MigrantSpec, NodeGraph, ScenarioSpec, SustainedSpec
+    from repro.migration.ampom import AmpomMigration
+    from repro.units import mib
+    from repro.workloads.synthetic import SequentialWorkload
 
-    spec = build_preset("pair", "AMPoM", scale=SCALE, seed=0)
-    spec.config = spec.config.with_(
-        node_faults=NodeFaultSpec(crash_windows=(("dest", 0.02, 0.08),))
+    graph = NodeGraph(("a", "b", "c", FILE_SERVER))
+    migrants = (
+        MigrantSpec(
+            workload=SequentialWorkload(mib(1)), strategy=AmpomMigration, path=("a", "b")
+        ),
     )
-    runtime = ScenarioRuntime(spec)
+    config = SimulationConfig(
+        node_faults=NodeFaultSpec(crash_windows=(("c", 0.0, 1.0),))
+    )
+    driver = SustainedLoadDriver(
+        graph, SustainedSpec(arrivals=ArrivalSpec(rate_hz=1.0, horizon_s=4.0)), config
+    )
+    runtime = ScenarioRuntime(ScenarioSpec(graph=graph, migrants=migrants, config=config))
     assert runtime.node_plan is not None
-    driver = SchedulerDriver.__new__(SchedulerDriver)
-    driver.graph = spec.graph
     driver._install_retarget(runtime)
     assert runtime.retarget is not None
-    # A retarget query at a time the only alternative is down yields None.
-    taken = [n for n in spec.graph.nodes if n != FILE_SERVER]
-    assert runtime.retarget(taken, taken[-1], 0.05) is None
+    # Off a route through a and b, c is the only candidate (never the file
+    # server): none while it is down, c once it has restarted.
+    assert runtime.retarget(["a", "b"], 1, 0.5) is None
+    assert runtime.retarget(["a", "b"], 1, 2.0) == "c"
+    # Without a node-fault plan there is nothing to re-target around.
+    bare = ScenarioRuntime(ScenarioSpec(graph=graph, migrants=migrants))
+    driver._install_retarget(bare)
+    assert bare.retarget is None
 
 
 def test_sustained_run_retargets_aborted_migrations():

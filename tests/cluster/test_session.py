@@ -1,5 +1,5 @@
-"""Tests for the ScenarioRuntime: multi-hop re-migration, wrapper parity,
-and the scheduler-driven placement loop."""
+"""Tests for the ScenarioRuntime: multi-hop re-migration and wrapper
+parity."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.cluster import multi as multi_mod
 from repro.cluster import runner as runner_mod
 from repro.cluster.runner import MigrationRun
-from repro.cluster.scheduler import SchedulerDriver
 from repro.cluster.session import ScenarioRuntime
 from repro.cluster.topology import (
     FILE_SERVER,
@@ -300,40 +299,3 @@ def test_wrappers_contain_no_wiring(module):
             f"{module.__name__} builds infrastructure ({needle!r}); "
             "node/link construction belongs to ScenarioRuntime"
         )
-
-
-# ----------------------------------------------------------------------
-# scheduler-driven placement (satellite: seeded 4-node imbalance)
-# ----------------------------------------------------------------------
-def _imbalanced_driver():
-    graph = NodeGraph(("n0", "n1", "n2", "n3"))
-    placements = [
-        (SequentialWorkload(mib(1), sweeps=8), "n0") for _ in range(6)
-    ]
-    return SchedulerDriver(
-        graph,
-        placements,
-        AmpomMigration,
-        config=SimulationConfig(seed=11),
-        balance_interval=0.2,
-    )
-
-
-def test_scheduler_driver_migrates_off_the_loaded_node():
-    drive = _imbalanced_driver().execute()
-    assert drive.decisions, "the imbalance never triggered a migration"
-    assert all(d.src == "n0" for d in drive.decisions)
-    assert drive.migrants
-    assert len(drive.results) == len(drive.migrants)
-    for migrant, result in zip(drive.migrants, drive.results):
-        assert migrant.path[0] == "n0"
-        assert result.total_time > 0.0
-
-
-def test_scheduler_driver_is_deterministic():
-    first = _imbalanced_driver().execute()
-    second = _imbalanced_driver().execute()
-    assert first.decisions == second.decisions
-    assert [r.to_dict() for r in first.results] == [
-        r.to_dict() for r in second.results
-    ]

@@ -103,6 +103,26 @@ def test_report_reflects_spec_and_stream():
     assert all(b >= a for a, b in zip(migs, migs[1:]))
 
 
+def test_executed_migrants_start_where_they_arrived():
+    """Phase 2 executes every decided move: each migrant leaves its
+    arrival node for its first decision's destination at that decision's
+    time, and each yields one completed result."""
+    graph, sustained = _small_spec()
+    driver = SustainedLoadDriver(graph, sustained, config=SimulationConfig(seed=5))
+    drive = driver.execute().drive
+    assert drive.migrants, "the hotspot never triggered a migration"
+    assert len(drive.results) == len(drive.migrants)
+    first = {}
+    for decision in drive.decisions:
+        first.setdefault(decision.task, decision)
+    for migrant, result in zip(drive.migrants, drive.results):
+        arrival = driver.arrivals[int(migrant.name.removeprefix("task-"))]
+        assert migrant.path[0] == arrival.node
+        assert migrant.path[1] == first[migrant.name].dst
+        assert migrant.start_s == first[migrant.name].time
+        assert result.total_time > 0.0
+
+
 def test_policy_override_changes_behavior():
     """Swapping the policy on an identical spec+seed changes the decision
     log (threshold balances outward; defrag drains inward)."""
@@ -181,3 +201,53 @@ def test_finished_run_is_not_reachable_from_its_telemetry():
         if enabled:
             gc.enable()
     assert obs.fleet.nodes()  # the bundle and its series are still held
+
+
+# ----------------------------------------------------------------------
+# failing plan daemons
+# ----------------------------------------------------------------------
+def _small_driver():
+    graph, sustained = _small_spec()
+    return SustainedLoadDriver(graph, sustained, config=SimulationConfig(seed=5))
+
+
+def test_raising_policy_fails_the_run(monkeypatch):
+    """A trigger policy that raises kills the balancer process; the run
+    must fail with that error, not report every task completed with no
+    migrations."""
+    from repro.cluster.policy import ThresholdPolicy
+
+    def select_target(self, node, own_load, view):
+        raise RuntimeError("policy failed")
+
+    monkeypatch.setattr(ThresholdPolicy, "select_target", select_target)
+    with pytest.raises(RuntimeError, match="policy failed"):
+        _small_driver().execute()
+
+
+def test_raising_slo_monitor_fails_the_run():
+    """An SLO monitor that raises kills the utilization sampler; the run
+    must fail, not return a report with a single utilization sample."""
+
+    class Failing:
+        def evaluate(self, t, values):
+            raise RuntimeError("monitor failed")
+
+    driver = _small_driver()
+    driver.slo_monitor = Failing()
+    with pytest.raises(RuntimeError, match="monitor failed"):
+        driver.execute()
+
+
+def test_raising_gossip_daemon_fails_the_plan(monkeypatch):
+    """A gossip daemon that raises leaves its node's load unpropagated;
+    the plan must fail with that error (``plan()`` alone, as the figure
+    generators call it)."""
+    from repro.cluster.gossip import GossipLoadMap
+
+    def send_update(self, sender):
+        raise RuntimeError("gossip failed")
+
+    monkeypatch.setattr(GossipLoadMap, "_send_update", send_update)
+    with pytest.raises(RuntimeError, match="gossip failed"):
+        _small_driver().plan()

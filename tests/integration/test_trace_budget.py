@@ -12,9 +12,13 @@ float-identical to an untraced one, fault injection included.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import build_preset
 from repro.config import FaultSpec
 from repro.errors import SimulationError
 from repro.experiments import figures
@@ -136,6 +140,26 @@ class TestTraceStructure:
         # Stall spans recorded inside a fault sit at depth 1.
         stalls = tr.spans_named("stall")
         assert stalls and all(s.depth == 1 for s in stalls)
+
+    def test_each_migrant_records_on_its_own_track(self):
+        """Several migrants each get a ``dest/<name>`` track, so a fault's
+        end closes its own migrant's fault: no fault or compute span nests
+        in another migrant's fault, and each track holds exactly its
+        migrant's faults."""
+        spec = build_preset("contention", seed=0)
+        obs = Observability.enabled()
+        results = ScenarioRuntime(spec, obs=obs).execute()
+        tr = obs.tracer
+        assert tr.open_spans == 0
+        faults = tr.spans_named("fault")
+        per_track = Counter(s.track for s in faults)
+        assert per_track == {
+            f"dest/{m.name}": r.counters.total_faults
+            for m, r in zip(spec.migrants, results)
+        }
+        computes = tr.spans_named("compute")
+        assert computes and all(s.depth == 0 for s in faults + computes)
+        assert MIGRANT_TRACK not in tr.tracks()
 
     def test_deputy_serves_traced(self):
         result, obs = _traced_run(SequentialWorkload(mib(2)), AmpomMigration())

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.experiments import figures
 from repro.metrics.report import format_table
 from repro.migration.ampom import AmpomMigration
@@ -42,10 +43,10 @@ def _sweep():
         )
         rows.append(("FFT", dmax, fft.counters.page_fault_requests, fft.total_time))
     for dmax in DMAXES:
-        run = MigrationRun(
+        spec = two_node_spec(
             StridedWorkload(mib(16), streams=4), AmpomMigration(), config=_config(dmax)
         )
-        r = run.execute()
+        r = ScenarioRuntime(spec).execute()[0]
         rows.append(("4-streams", dmax, r.counters.page_fault_requests, r.total_time))
     return rows
 

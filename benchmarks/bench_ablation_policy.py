@@ -10,7 +10,8 @@ waste on RandomAccess.  Policies are addressed by their registry names
 from __future__ import annotations
 
 from repro.experiments import figures
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.metrics.report import format_table
 from repro.workloads.hpcc import hpcc_workload
@@ -22,12 +23,12 @@ POLICY_NAMES = ("ampom", "readahead-8", "readahead-64", "linux-readahead")
 
 def _run(kernel, mb, policy):
     workload = hpcc_workload(kernel, mb, scale=figures.DEFAULT_SCALE)
-    run = MigrationRun(
+    spec = two_node_spec(
         workload,
         AmpomMigration(prefetch_policy=policy),
         config=figures.scaled_config(figures.DEFAULT_SCALE),
     )
-    return run.execute()
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def _sweep():

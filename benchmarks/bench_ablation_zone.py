@@ -21,13 +21,14 @@ from ._common import emit
 def _run_ra(min_zone, with_infod=True):
     base = figures.scaled_config(figures.DEFAULT_SCALE)
     config = base.with_(ampom=replace(base.ampom, min_zone_pages=min_zone))
-    from repro.cluster.runner import MigrationRun
+    from repro.cluster.session import ScenarioRuntime
+    from repro.cluster.topology import two_node_spec
     from repro.migration.ampom import AmpomMigration
     from repro.workloads.hpcc import hpcc_workload
 
     workload = hpcc_workload("RandomAccess", 129, scale=figures.DEFAULT_SCALE)
-    run = MigrationRun(workload, AmpomMigration(), config=config, with_infod=with_infod)
-    return run.execute()
+    spec = two_node_spec(workload, AmpomMigration(), config=config, with_infod=with_infod)
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def _sweep():

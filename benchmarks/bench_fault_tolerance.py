@@ -15,8 +15,8 @@ path; every cell runs with the invariant checker forced on.
 
 from __future__ import annotations
 
-from repro.cluster.runner import MigrationRun
-from repro.cluster.topology import make_strategy
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import make_strategy, two_node_spec
 from repro.config import FaultSpec
 from repro.experiments import figures
 from repro.metrics.report import FAULT_SUMMARY_HEADERS, fault_summary_row, format_table
@@ -33,12 +33,12 @@ def _run_cell(kernel: str, mb: float, loss_rate: float):
     config = figures.scaled_config(SCALE, seed=0)
     if loss_rate > 0.0:
         config = config.with_(faults=FaultSpec(loss_rate=loss_rate))
-    run = MigrationRun(
+    spec = two_node_spec(
         hpcc_workload(kernel, mb, scale=SCALE),
         make_strategy("AMPoM"),
         config=config,
     )
-    return run.execute()
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def _sweep():
@@ -150,13 +150,8 @@ def verify_zero_loss_identity():
     kernel, mb = WORKLOADS[0]
     a = _run_cell(kernel, mb, 0.0).to_dict()
     config = figures.scaled_config(SCALE, seed=0)
-    b = (
-        MigrationRun(
-            hpcc_workload(kernel, mb, scale=SCALE),
-            make_strategy("AMPoM"),
-            config=config,
-        )
-        .execute()
-        .to_dict()
+    spec = two_node_spec(
+        hpcc_workload(kernel, mb, scale=SCALE), make_strategy("AMPoM"), config=config
     )
+    b = ScenarioRuntime(spec).execute()[0].to_dict()
     return a == b

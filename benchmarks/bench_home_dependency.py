@@ -10,7 +10,8 @@ round trip on top of the service time.
 
 from __future__ import annotations
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.experiments import figures
 from repro.metrics.report import format_table
 from repro.migration.ampom import AmpomMigration
@@ -29,10 +30,10 @@ def _run(service_ms: float):
     workload = SequentialWorkload(
         mib(4), sweeps=SWEEPS, syscall_every_sweep=syscall
     )
-    run = MigrationRun(
+    spec = two_node_spec(
         workload, AmpomMigration(), config=figures.scaled_config(figures.DEFAULT_SCALE)
     )
-    return run.execute()
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def _sweep():

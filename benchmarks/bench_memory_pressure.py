@@ -10,7 +10,8 @@ NoPrefetch survives it.
 
 from __future__ import annotations
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.experiments import figures
 from repro.metrics.report import format_table
 from repro.migration.ampom import AmpomMigration
@@ -28,13 +29,13 @@ def _run(scheme_factory, fraction):
     workload.setup()
     capacity = max(int(workload.address_space.total_pages * fraction), 64)
     workload.address_space = None  # the run re-runs setup()
-    run = MigrationRun(
+    spec = two_node_spec(
         hpcc_workload("STREAM", 115, scale=figures.DEFAULT_SCALE),
         scheme_factory(),
         config=figures.scaled_config(figures.DEFAULT_SCALE),
         capacity_pages=capacity,
     )
-    return run.execute()
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def _sweep():

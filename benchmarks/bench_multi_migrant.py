@@ -16,7 +16,8 @@ paying the per-page remote-paging overhead on aggregate completion.
 
 from __future__ import annotations
 
-from repro.cluster.multi import MultiMigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import DEST, HOME, MigrantSpec, NodeGraph, ScenarioSpec
 from repro.experiments import figures
 from repro.metrics.report import format_table
 from repro.migration.ampom import AmpomMigration
@@ -35,16 +36,17 @@ STRATEGIES = {
 
 
 def _run(factory):
-    run = MultiMigrationRun(
-        [
-            hpcc_workload("STREAM", 115, scale=figures.DEFAULT_SCALE)
-            for _ in range(N_MIGRANTS)
-        ],
-        factory,
-        config=figures.scaled_config(figures.DEFAULT_SCALE),
+    """The burst's results and its makespan (the last migrant's finish)."""
+    migrants = tuple(
+        MigrantSpec(hpcc_workload("STREAM", 115, scale=figures.DEFAULT_SCALE), factory)
+        for _ in range(N_MIGRANTS)
     )
-    results = run.execute()
-    return run, results
+    spec = ScenarioSpec(
+        NodeGraph((HOME, DEST)), migrants, config=figures.scaled_config(figures.DEFAULT_SCALE)
+    )
+    runtime = ScenarioRuntime(spec)
+    results = runtime.execute()
+    return runtime.sim.now, results
 
 
 def _sweep():
@@ -54,13 +56,13 @@ def _sweep():
 def bench_multi_migrant(benchmark):
     data = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     rows = []
-    for name, (run, results) in data.items():
+    for name, (makespan, results) in data.items():
         rows.append(
             [
                 name,
                 max(r.freeze_time for r in results),
                 sum(r.total_time for r in results) / len(results),
-                run.makespan,
+                makespan,
             ]
         )
     emit(
@@ -70,7 +72,7 @@ def bench_multi_migrant(benchmark):
         ),
     )
 
-    by = {name: run for name, (run, _) in data.items()}
+    makespan = {name: span for name, (span, _) in data.items()}
     worst_freeze = {
         name: max(r.freeze_time for r in results) for name, (_, results) in data.items()
     }
@@ -78,7 +80,7 @@ def bench_multi_migrant(benchmark):
     # bulk transfers; AMPoM's worst freeze stays near its lone value.
     assert worst_freeze["AMPoM"] < worst_freeze["openMosix"] / 10
     # AMPoM beats demand paging on aggregate completion too.
-    assert by["AMPoM"].makespan < by["NoPrefetch"].makespan
+    assert makespan["AMPoM"] < makespan["NoPrefetch"]
     # Throughput side of the trade-off: bulk streaming wins the makespan
     # when every page is eventually needed (documented in EXPERIMENTS.md).
-    assert by["openMosix"].makespan < by["AMPoM"].makespan
+    assert makespan["openMosix"] < makespan["AMPoM"]

@@ -7,7 +7,8 @@ total time, and the network traffic each moves.
 
 from __future__ import annotations
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.experiments import figures
 from repro.metrics.report import format_table
 from repro.migration.ampom import AmpomMigration
@@ -33,11 +34,13 @@ def _sweep():
     rows = []
     for name, factory in STRATEGIES.items():
         workload = hpcc_workload("STREAM", 230, scale=figures.DEFAULT_SCALE)
-        run = MigrationRun(
-            workload, factory(), config=figures.scaled_config(figures.DEFAULT_SCALE)
+        runtime = ScenarioRuntime(
+            two_node_spec(
+                workload, factory(), config=figures.scaled_config(figures.DEFAULT_SCALE)
+            )
         )
-        r = run.execute()
-        moved = run.outcome.bytes_transferred / mib(1)
+        (r,) = runtime.execute()
+        moved = runtime.outcomes[0].bytes_transferred / mib(1)
         rows.append((name, r.freeze_time, r.total_time, moved, r.extra))
     return rows
 

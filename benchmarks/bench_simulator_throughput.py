@@ -8,7 +8,8 @@ in the executor's hot path show up here.
 
 from __future__ import annotations
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.migration.noprefetch import NoPrefetchMigration
 from repro.migration.openmosix import OpenMosixMigration
@@ -21,7 +22,7 @@ def bench_throughput_local_fast_path(benchmark):
 
     def run():
         w = SequentialWorkload(mib(8), sweeps=4)
-        return MigrationRun(w, OpenMosixMigration()).execute()
+        return ScenarioRuntime(two_node_spec(w, OpenMosixMigration())).execute()[0]
 
     result = benchmark(run)
     assert result.counters.total_faults == 0
@@ -32,7 +33,7 @@ def bench_throughput_demand_paging(benchmark):
 
     def run():
         w = SequentialWorkload(mib(4))
-        return MigrationRun(w, NoPrefetchMigration()).execute()
+        return ScenarioRuntime(two_node_spec(w, NoPrefetchMigration())).execute()[0]
 
     result = benchmark(run)
     assert result.counters.page_fault_requests > 500
@@ -43,7 +44,7 @@ def bench_throughput_ampom_pipeline(benchmark):
 
     def run():
         w = SequentialWorkload(mib(4), sweeps=2)
-        return MigrationRun(w, AmpomMigration()).execute()
+        return ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
 
     result = benchmark(run)
     assert result.counters.pages_prefetched > 0
@@ -54,7 +55,7 @@ def bench_throughput_random_faults(benchmark):
 
     def run():
         w = UniformRandomWorkload(mib(8), n_references=8192)
-        return MigrationRun(w, AmpomMigration()).execute()
+        return ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
 
     result = benchmark(run)
     # Prefetching covers the table quickly; a few hundred faults remain.

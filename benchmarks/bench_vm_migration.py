@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.core.policy import POLICIES
 from repro.core.vm_prefetcher import VmAmpomPrefetcher
 from repro.experiments import figures
@@ -66,7 +67,7 @@ def _run(variant: str):
         config = _config(0)
     else:  # "AMPoM + floor"
         strategy, config = AmpomMigration(), _config(8)
-    return MigrationRun(workload, strategy, config=config).execute()
+    return ScenarioRuntime(two_node_spec(workload, strategy, config=config)).execute()[0]
 
 
 VARIANTS = (

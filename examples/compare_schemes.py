@@ -13,10 +13,11 @@ import sys
 
 from repro import (
     AmpomMigration,
-    MigrationRun,
     NoPrefetchMigration,
     OpenMosixMigration,
+    ScenarioRuntime,
     hpcc_workload,
+    two_node_spec,
 )
 from repro.metrics.report import format_table
 
@@ -35,7 +36,7 @@ def main() -> None:
     rows = []
     for name, factory in SCHEMES.items():
         workload = hpcc_workload(kernel, memory_mb, scale=scale)
-        result = MigrationRun(workload, factory()).execute()
+        result = ScenarioRuntime(two_node_spec(workload, factory())).execute()[0]
         c = result.counters
         rows.append(
             [

@@ -10,7 +10,14 @@ through eq. 3's ``t = 2*t0 + td + 1/r`` horizon.
 Run:  python examples/network_adaptation.py
 """
 
-from repro import AmpomMigration, MigrationRun, hpcc_workload, mbit_per_s, ms
+from repro import (
+    AmpomMigration,
+    ScenarioRuntime,
+    hpcc_workload,
+    mbit_per_s,
+    ms,
+    two_node_spec,
+)
 from repro.metrics.report import format_table
 
 
@@ -21,14 +28,16 @@ def run_static() -> None:
         ("broadband 6Mb/s/2ms", mbit_per_s(6.0), ms(2.0)),
     ):
         workload = hpcc_workload("DGEMM", 115, scale=1 / 4)
-        run = MigrationRun(
-            workload,
-            AmpomMigration(),
-            shaped_bandwidth_bps=bw,
-            shaped_latency_s=lat,
+        runtime = ScenarioRuntime(
+            two_node_spec(
+                workload,
+                AmpomMigration(),
+                shaped_bandwidth_bps=bw,
+                shaped_latency_s=lat,
+            )
         )
-        result = run.execute()
-        cond = run.infod.conditions()
+        (result,) = runtime.execute()
+        cond = runtime.migrant_infods[0].conditions()
         rows.append(
             [
                 label,
@@ -49,11 +58,11 @@ def run_static() -> None:
 def run_dynamic() -> None:
     """Reshape the link to broadband halfway through the run."""
     workload = hpcc_workload("STREAM", 115, scale=1 / 4)
-    run = MigrationRun(workload, AmpomMigration())
-    shaper = run.cluster.shaper("home", "dest")
-    shaper.schedule(run.sim, at=2.0, bandwidth_bps=mbit_per_s(6.0), latency_s=ms(2.0))
-    result = run.execute()
-    cond = run.infod.conditions()
+    runtime = ScenarioRuntime(two_node_spec(workload, AmpomMigration()))
+    shaper = runtime.cluster.shaper("home", "dest")
+    shaper.schedule(runtime.sim, at=2.0, bandwidth_bps=mbit_per_s(6.0), latency_s=ms(2.0))
+    (result,) = runtime.execute()
+    cond = runtime.migrant_infods[0].conditions()
     print("\nMid-run reshaping (STREAM; link drops to 6 Mb/s at t=2 s):")
     print(f"  total time          : {result.total_time:.2f} s")
     print(f"  stall time          : {result.budget.stall:.2f} s")

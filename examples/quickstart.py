@@ -6,16 +6,22 @@ migrates it with AMPoM (three pages + the master page table), and prints
 the freeze time, the execution-time breakdown, and the remote-paging
 counters.
 
+Every experiment is a scenario spec run by a ``ScenarioRuntime``:
+``two_node_spec`` describes the paper's home -> dest migration of one
+process, ``execute()`` returns one result per migrant, and the runtime
+keeps the run's state (here, the destination's monitoring daemon) for
+inspection afterwards.
+
 Run:  python examples/quickstart.py
 """
 
-from repro import AmpomMigration, MigrationRun, StreamWorkload, mib
+from repro import AmpomMigration, ScenarioRuntime, StreamWorkload, mib, two_node_spec
 
 
 def main() -> None:
     workload = StreamWorkload(mib(64), iterations=4)
-    run = MigrationRun(workload, AmpomMigration())
-    result = run.execute()
+    runtime = ScenarioRuntime(two_node_spec(workload, AmpomMigration()))
+    (result,) = runtime.execute()
 
     print(f"workload            : {result.workload}, {mib(64) // mib(1)} MiB")
     print(f"migration freeze    : {result.freeze_time * 1e3:8.1f} ms")
@@ -34,8 +40,9 @@ def main() -> None:
     print(f"pages never used      : {result.wasted_pages}")
 
     # The monitoring daemon's view of the network at the end of the run.
-    assert run.infod is not None
-    cond = run.infod.conditions()
+    infod = runtime.migrant_infods[0]
+    assert infod is not None
+    cond = infod.conditions()
     print()
     print(f"oM_infoD measured RTT : {cond.rtt_s * 1e3:.2f} ms")
     print(f"available bandwidth   : {cond.available_bw_bps / 1e6:.2f} MB/s")

@@ -13,12 +13,13 @@ from dataclasses import replace
 
 from repro import (
     AmpomMigration,
-    MigrationRun,
     MultiProcessWorkload,
     NoPrefetchMigration,
+    ScenarioRuntime,
     SimulationConfig,
     VmAmpomPrefetcher,
     mib,
+    two_node_spec,
 )
 from repro.core.policy import POLICIES
 from repro.metrics.report import format_table
@@ -56,7 +57,7 @@ def main() -> None:
                 ctx.ampom, ctx.hardware, w.process_boundaries()
             )
             strategy = AmpomMigration(prefetch_policy="vm-ampom")
-        result = MigrationRun(workload, strategy, config=cfg).execute()
+        result = ScenarioRuntime(two_node_spec(workload, strategy, config=cfg)).execute()[0]
         c = result.counters
         rows.append(
             [name, c.page_fault_requests, c.pages_prefetched, result.total_time]

@@ -11,10 +11,11 @@ Run:  python examples/working_set_migration.py
 
 from repro import (
     AmpomMigration,
-    MigrationRun,
     OpenMosixMigration,
+    ScenarioRuntime,
     WorkingSetDgemmWorkload,
     mib,
+    two_node_spec,
 )
 from repro.metrics.report import format_table
 
@@ -31,12 +32,12 @@ def main() -> None:
             workload = WorkingSetDgemmWorkload(
                 memory_bytes=mib(ALLOCATED_MB), working_set_bytes=mib(ws_mb)
             )
-            run = MigrationRun(workload, factory())
-            result = run.execute()
+            runtime = ScenarioRuntime(two_node_spec(workload, factory()))
+            (result,) = runtime.execute()
             times[name] = result.total_time
             c = result.counters
             moved[name] = (
-                run.outcome.bytes_transferred
+                runtime.outcomes[0].bytes_transferred
                 + (c.pages_demand_fetched + c.pages_prefetched) * 4096
             ) / mib(1)
         rows.append(

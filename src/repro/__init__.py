@@ -11,10 +11,10 @@ regenerates every table and figure of the evaluation.
 
 Quick start::
 
-    from repro import MigrationRun, AmpomMigration, StreamWorkload, mib
+    from repro import AmpomMigration, ScenarioRuntime, StreamWorkload, mib, two_node_spec
 
-    workload = StreamWorkload(mib(64))
-    result = MigrationRun(workload, AmpomMigration()).execute()
+    spec = two_node_spec(StreamWorkload(mib(64)), AmpomMigration())
+    result = ScenarioRuntime(spec).execute()[0]
     print(result.freeze_time, result.total_time,
           result.counters.page_fault_requests)
 """
@@ -22,9 +22,9 @@ Quick start::
 from .cluster.cluster import Cluster
 from .cluster.gossip import GossipLoadMap
 from .cluster.loadgen import BackgroundLoad, LoadWindow
-from .cluster.multi import MultiMigrationRun
-from .cluster.runner import MigrationRun
 from .cluster.scheduler import ClusterScheduler, SchedulerReport, Task
+from .cluster.session import ScenarioRuntime
+from .cluster.topology import two_node_spec
 from .config import (
     AMPoMConfig,
     HardwareSpec,
@@ -102,9 +102,7 @@ __all__ = [
     "MigrantExecutor",
     "MigrationError",
     "MigrationOutcome",
-    "MigrationRun",
     "MigrationStrategy",
-    "MultiMigrationRun",
     "MultiProcessWorkload",
     "NetworkError",
     "NetworkSpec",
@@ -117,6 +115,7 @@ __all__ = [
     "RandomAccessWorkload",
     "ReplayWorkload",
     "ReproError",
+    "ScenarioRuntime",
     "SchedulerReport",
     "SimulationConfig",
     "SimulationError",
@@ -133,5 +132,6 @@ __all__ = [
     "ms",
     "pages_for",
     "spatial_locality_score",
+    "two_node_spec",
     "us",
 ]

@@ -222,59 +222,49 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
     byte-identical with or without it — ``repro trace golden`` gates
     exactly that.
     """
-    from ..cluster.runner import MigrationRun
-    from ..cluster.topology import make_strategy
+    from ..cluster.session import ScenarioRuntime
+    from ..cluster.topology import (
+        DEST,
+        FILE_SERVER,
+        HOME,
+        MigrantSpec,
+        NodeGraph,
+        ScenarioSpec,
+        _wants_file_server,
+        make_strategy,
+    )
     from ..workloads.hpcc import hpcc_workload
 
     if scenario.preset:
         return _run_sustained_scenario(scenario, obs=obs)
 
     fault_log = FaultLog()
-    footer: dict = {}
     workload = hpcc_workload(scenario.kernel, scenario.memory_mb, scale=scenario.scale)
-    if len(scenario.path) > 2:
-        from ..cluster.session import ScenarioRuntime
-        from ..cluster.topology import (
-            FILE_SERVER,
-            MigrantSpec,
-            NodeGraph,
-            ScenarioSpec,
-            _wants_file_server,
-        )
-
-        strategy = make_strategy(scenario.scheme)
-        nodes = list(scenario.path)
-        if _wants_file_server(strategy):
-            nodes.append(FILE_SERVER)
-        runtime = ScenarioRuntime(
-            ScenarioSpec(
-                graph=NodeGraph(tuple(nodes)),
-                migrants=(
-                    MigrantSpec(
-                        workload=workload,
-                        strategy=strategy,
-                        path=scenario.path,
-                        hop_delays=scenario.hop_delays,
-                        fault_log=fault_log,
-                    ),
-                ),
-                config=_scenario_config(scenario),
-            ),
-            obs=obs,
-        )
-        result = runtime.execute()[0]
-        if scenario.node_faults.active:
-            footer["reliability"] = runtime.node_stats.as_dict()
-            footer["fault_events"] = runtime.injection_log.schedule()
-    else:
-        run = MigrationRun(
-            workload,
-            make_strategy(scenario.scheme),
+    strategy = make_strategy(scenario.scheme)
+    path = scenario.path or (HOME, DEST)
+    nodes = list(path)
+    if _wants_file_server(strategy):
+        nodes.append(FILE_SERVER)
+    migrant = MigrantSpec(
+        workload=workload,
+        strategy=strategy,
+        path=path,
+        hop_delays=scenario.hop_delays,
+        fault_log=fault_log,
+    )
+    runtime = ScenarioRuntime(
+        ScenarioSpec(
+            graph=NodeGraph(tuple(nodes)),
+            migrants=(migrant,),
             config=_scenario_config(scenario),
-            fault_log=fault_log,
-            obs=obs,
-        )
-        result = run.execute()
+        ),
+        obs=obs,
+    )
+    result = runtime.execute()[0]
+    footer: dict = {}
+    if scenario.node_faults.active:
+        footer["reliability"] = runtime.node_stats.as_dict()
+        footer["fault_events"] = runtime.injection_log.schedule()
 
     lines = [json.dumps(scenario.header(), sort_keys=True)]
     for event in fault_log.events():

@@ -1,7 +1,7 @@
 """The runtime invariant checker.
 
-The checker is attached to one migrated execution by
-:class:`repro.cluster.runner.MigrationRun` when
+The checker is attached to each migrated execution by
+:class:`repro.cluster.session.ScenarioRuntime` when
 ``SimulationConfig.checks.enabled`` is true.  It observes three event
 streams — simulator events (clock), paging requests (wire), and faults
 (executor) — and verifies after each one that the modelled system still

@@ -20,8 +20,8 @@ import dataclasses
 from typing import Sequence
 
 from .config import FaultSpec, NetworkSpec, RetrySpec
-from .cluster.runner import MigrationRun
-from .cluster.topology import make_strategy
+from .cluster.session import ScenarioRuntime
+from .cluster.topology import make_strategy, two_node_spec
 from .errors import ConfigurationError
 from .experiments import figures, tables
 from .metrics.report import format_table
@@ -677,14 +677,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"run: --inspect: {exc}")
         return 2
-    run = MigrationRun(
+    spec = two_node_spec(
         workload,
         make_strategy(args.scheme),
         config=config,
         capacity_pages=args.capacity_pages,
-        obs=obs,
     )
-    result = run.execute()
+    result = ScenarioRuntime(spec, obs=obs).execute()[0]
     if obs is not None and obs.tracer is not None:
         obs.tracer.verify_budget(result.budget)
         written = _write_trace(obs.tracer, args.trace_format, args.trace, result.budget)
@@ -1001,7 +1000,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .cluster.session import ScenarioRuntime
     from .cluster.topology import build_preset, load_scenario
 
     if args.cluster_command == "figure":

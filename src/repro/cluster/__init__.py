@@ -1,13 +1,13 @@
 """Cluster assembly and end-to-end experiment drivers.
 
 :class:`repro.cluster.topology.ScenarioSpec` +
-:class:`repro.cluster.session.ScenarioRuntime` are the core: a declarative
-node graph with per-link overrides, any number of migrants, multi-hop
-re-migration paths.  :class:`repro.cluster.runner.MigrationRun` remains
-the everyday two-node entry point: workload + migration strategy +
-configuration in, an :class:`repro.migration.executor.ExecutionResult`
-out.  Fleet-scale sustained load (arrival streams + decentralized
-policies) lives in :mod:`repro.cluster.sustained`.
+:class:`repro.cluster.session.ScenarioRuntime` run every fixed-migrant
+experiment: a declarative node graph with per-link overrides, any number
+of migrants, multi-hop re-migration paths.  The paper's classic two-node
+run is ``ScenarioRuntime(two_node_spec(workload, strategy)).execute()[0]``,
+an :class:`repro.migration.executor.ExecutionResult`.  Fleet-scale
+sustained load (arrival streams + decentralized policies) lives in
+:mod:`repro.cluster.sustained`.
 """
 
 from .chaos import ChaosReport, ChaosRun, chaos_cell, run_chaos
@@ -21,7 +21,6 @@ from .loadgen import (
     ProcessArrival,
     peak_procs,
 )
-from .multi import MultiMigrationRun
 from .parallel import parallel_map, resolve_jobs
 from .policy import (
     BalancedPolicy,
@@ -32,7 +31,6 @@ from .policy import (
     ThresholdPolicy,
     make_policy,
 )
-from .runner import MigrationRun
 from .scheduler import (
     ClusterScheduler,
     MigrationDecision,
@@ -84,8 +82,6 @@ __all__ = [
     "MigrantSpec",
     "MigrationDecision",
     "MigrationPolicy",
-    "MigrationRun",
-    "MultiMigrationRun",
     "NodeGraph",
     "POLICIES",
     "PRESETS",

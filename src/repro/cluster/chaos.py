@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from ..config import CheckSpec, NodeFaultSpec
 from ..errors import InvariantViolation, MigrationError
+from .session import ScenarioRuntime
 from .topology import build_preset
 
 #: Default sweep axes: every deputy-backed recovery path (abort, repair,
@@ -161,8 +162,6 @@ def chaos_cell(
     ``obs`` attaches an observability bundle (pure observers: the cell's
     record is identical with or without it, gated by the test suite).
     """
-    from .session import ScenarioRuntime
-
     spec = build_preset(preset, scheme, scale=scale, seed=seed)
     spec.config = spec.config.with_(
         node_faults=NodeFaultSpec(

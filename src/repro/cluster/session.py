@@ -15,10 +15,10 @@ its :class:`MigrantSpec.path`:
   ``path[0]`` for the whole journey and its reply channel is rebound at
   each hop — the home-dependency forwarding of section 3.2.
 
-The legacy drivers :class:`repro.cluster.runner.MigrationRun` and
-:class:`repro.cluster.multi.MultiMigrationRun` are thin wrappers over
-this class; single-migrant two-node scenarios reproduce their event
-sequence exactly (same events, same floats).
+Every fixed-migrant experiment runs through this class: the paper's
+two-node procedure is ``ScenarioRuntime(two_node_spec(workload,
+strategy)).execute()[0]``, and a burst of concurrent migrants is one
+:class:`MigrantSpec` per process, staggered by ``start_s``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..migration.executor import ExecutionResult, MigrantExecutor
 from ..migration.ffa import FfaMigration
 from ..net.shaper import TrafficShaper
 from ..node.infod import InfoDaemon
-from ..obs.spans import MIGRANT_TRACK
+from ..obs.spans import DEPUTY_TRACK, MIGRANT_TRACK
 from ..sim import Simulator, Timeout
 from ..sim.rng import child_rng
 from .cluster import Cluster
@@ -193,7 +193,7 @@ class ScenarioRuntime:
         """Ordered unique node pairs the migrants' deputy traffic crosses:
         consecutive path hops plus every home-dependency link.  File-server
         links are excluded — FFA's flush stream has no deputy protocol on
-        it (and the legacy driver never wrapped or traced it either)."""
+        it."""
         pairs: list[tuple[str, str]] = []
         seen: set[tuple[str, str]] = set()
 
@@ -463,7 +463,12 @@ class ScenarioRuntime:
         journey = jname if jlog is not None else None
         # One trace track per migrant, so one migrant's fault end never
         # closes another's open fault; a lone migrant keeps the classic one.
+        # Likewise one track per deputy: home/<name> for the home deputy and
+        # <node>/transit-<name> for a transit one (a lone migrant's keep
+        # home/deputy and <node>/transit).
         track = MIGRANT_TRACK if single else f"dest/{jname}"
+        deputy_track = DEPUTY_TRACK if single else f"home/{jname}"
+        transit_actor = "transit" if single else f"transit-{jname}"
         # Mutable copy of the path: failure-aware re-targeting may rewrite
         # a hop whose destination crashed.  Same length, same start.
         route = list(migrant.path)
@@ -581,7 +586,9 @@ class ScenarioRuntime:
         checker = None
         if config.checks.enabled:
             checker = self._make_checker(index, outcome, executor)
-        observers = self._attach_observers(outcome, executor, home, route[hop])
+        observers = self._attach_observers(
+            outcome, executor, home, route[hop], deputy_track
+        )
         if plan is not None:
             executor.on_crash_detect = self._crash_handler(
                 outcome, home, home_since, journey
@@ -624,9 +631,14 @@ class ScenarioRuntime:
                     self._arm_transit_deputies(outcome)
                 infod = self._hand_over_infod(index, migrant, outcome, infod, route, hop)
                 if self._deputy_obs is not None:
-                    # A transit deputy may have appeared; hand it the bundle.
-                    for deputy in outcome.page_service.deputies:
+                    # A transit deputy may have appeared; hand it the bundle
+                    # and its own track.
+                    service = outcome.page_service
+                    for (node, _), deputy in zip(
+                        service.transit_routes(), service.deputies[1:]
+                    ):
                         deputy.obs = self._deputy_obs
+                        deputy.track = f"{node}/{transit_actor}"
                 yield from self._freeze(outcome, journey, route, hop, track)
                 executor.next_leg(self.cluster.node(route[hop]), infod, preempt_at())
         except ProcessLostError as lost:
@@ -815,7 +827,8 @@ class ScenarioRuntime:
         return checker
 
     def _attach_observers(
-        self, outcome: MigrationOutcome, executor: MigrantExecutor, home: str, dst: str
+        self, outcome: MigrationOutcome, executor: MigrantExecutor, home: str, dst: str,
+        deputy_track: str,
     ):
         """Register the migrant's obs gauges with the simulator; returns
         the observer callbacks to detach at the migrant's end.
@@ -824,14 +837,14 @@ class ScenarioRuntime:
         nodes for fleet telemetry: armed ``obs.fleet`` samples the deputy
         queue depth under ``home`` and the resident/remote/in-flight page
         counts under ``dst``, aggregated node-wide when several migrants
-        share a node.  The inspector is attached once, by the first
-        migrant, and reports run-wide sums over every migrant it
-        watches."""
+        share a node.  The home deputy records its spans, and the tracer
+        its queue depth, on ``deputy_track``.  The inspector is attached
+        once, by the first migrant, and reports run-wide sums over every
+        migrant it watches."""
         obs = self.obs
         if obs is None:
             return ()
         from ..obs import DEFAULT_SAMPLE_INTERVAL_S, GaugeSet
-        from ..obs.spans import DEPUTY_TRACK
 
         sim = self.sim
         observers = []
@@ -871,6 +884,7 @@ class ScenarioRuntime:
                     )
         if self._deputy_obs is not None:
             deputy.obs = obs
+            deputy.track = deputy_track
 
             def queue_depth() -> float:
                 return max(0.0, deputy.busy_until - sim.now)
@@ -880,7 +894,7 @@ class ScenarioRuntime:
             if obs.metrics is not None:
                 depth.add(queue_depth, partial(obs.metrics.sample_gauge, name))
             if obs.tracer is not None:
-                depth.add(queue_depth, partial(obs.tracer.counter, DEPUTY_TRACK, name))
+                depth.add(queue_depth, partial(obs.tracer.counter, deputy_track, name))
             sim.add_observer(depth.on_sim_event)
             observers.append(depth.on_sim_event)
         inspector = obs.inspector

@@ -8,11 +8,8 @@ This module is the declarative half of that capability: a
 :class:`ScenarioSpec` names the nodes and links of a cluster
 (:class:`NodeGraph`), the migrants that run on it (:class:`MigrantSpec`,
 including the multi-hop migration path), and the shared configuration.
-:class:`repro.cluster.session.ScenarioRuntime` executes it.
-
-The legacy two-node drivers (:class:`repro.cluster.runner.MigrationRun`,
-:class:`repro.cluster.multi.MultiMigrationRun`) are thin wrappers that
-build a spec via :func:`two_node_spec` and delegate.
+:class:`repro.cluster.session.ScenarioRuntime` executes it;
+:func:`two_node_spec` builds the paper's classic home->dest run.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..workloads.base import Workload
     from .loadgen import LoadWindow
 
-#: Canonical node names shared by every two-node scenario and wrapper.
+#: Canonical node names shared by every two-node scenario.
 HOME = "home"
 DEST = "dest"
 FILE_SERVER = "fs"
@@ -192,15 +189,15 @@ class MigrantSpec:
             raise MigrationError(
                 f"migration paths may not revisit a node: {self.path}"
             )
-        if self.start_s < 0:
-            raise MigrationError(f"start_s must be non-negative: {self.start_s}")
+        if not 0 <= self.start_s < math.inf:
+            raise MigrationError(f"start_s must be non-negative and finite: {self.start_s}")
         if len(self.hop_delays) != len(self.path) - 2:
             raise MigrationError(
                 f"path {self.path} needs {len(self.path) - 2} hop_delays, "
                 f"got {len(self.hop_delays)}"
             )
         for delay in self.hop_delays:
-            if delay <= 0:
+            if not delay > 0:  # NaN fails too
                 raise MigrationError(f"hop_delays must be positive: {self.hop_delays}")
         if self.capacity_pages is not None and len(self.path) > 2:
             raise MigrationError(

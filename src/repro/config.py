@@ -172,6 +172,23 @@ class InfoDConfig:
     #: (figure 8) rather than a bare wire round trip.
     daemon_delay: float = 0.010
 
+    def __post_init__(self) -> None:
+        # Written so that NaN fails every test.
+        if not 0 < self.probe_interval < math.inf:
+            raise ConfigurationError(
+                f"probe_interval must be positive and finite, got {self.probe_interval}"
+            )
+        if not 0 < self.smoothing <= 1:
+            raise ConfigurationError(
+                f"smoothing must be in (0, 1], got {self.smoothing}"
+            )
+        for field_name in ("probe_size_bytes", "queue_delay_cap", "daemon_delay"):
+            value = getattr(self, field_name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{field_name} must be non-negative and finite, got {value}"
+                )
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -416,7 +433,7 @@ class CheckSpec:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Top-level bundle passed to :class:`repro.cluster.runner.MigrationRun`."""
+    """Top-level bundle a :class:`repro.cluster.topology.ScenarioSpec` runs under."""
 
     hardware: HardwareSpec = field(default_factory=HardwareSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)

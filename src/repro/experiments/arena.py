@@ -68,7 +68,8 @@ def _run_cell(cell: ArenaCell) -> dict:
 
     Module-level so :func:`parallel_map` can pickle it into fork workers.
     """
-    from ..cluster.runner import MigrationRun
+    from ..cluster.session import ScenarioRuntime
+    from ..cluster.topology import two_node_spec
     from ..migration.ampom import AmpomMigration
     from ..workloads.hpcc import hpcc_workload
     from . import figures
@@ -83,7 +84,8 @@ def _run_cell(cell: ArenaCell) -> dict:
     if faults.active:
         config = config.with_(faults=faults)
     workload = hpcc_workload(cell.kernel, KERNEL_SIZES[cell.kernel], scale=cell.scale)
-    result = MigrationRun(workload, AmpomMigration(), config=config).execute()
+    spec = two_node_spec(workload, AmpomMigration(), config=config)
+    result = ScenarioRuntime(spec).execute()[0]
 
     c = result.counters
     prefetched = c.pages_prefetched

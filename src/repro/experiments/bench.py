@@ -27,7 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from ..cluster.runner import MigrationRun
+from ..cluster.session import ScenarioRuntime
+from ..cluster.topology import two_node_spec
 from ..migration.ampom import AmpomMigration
 from ..migration.executor import ExecutionResult
 from ..migration.noprefetch import NoPrefetchMigration
@@ -53,29 +54,28 @@ DEFAULT_MAX_REGRESSION = 0.25
 
 def _run_local_fast(obs=None) -> ExecutionResult:
     w = SequentialWorkload(mib(8), sweeps=4)
-    return MigrationRun(w, OpenMosixMigration(), obs=obs).execute()
+    return ScenarioRuntime(two_node_spec(w, OpenMosixMigration()), obs=obs).execute()[0]
 
 
 def _run_demand_paging(obs=None) -> ExecutionResult:
     w = SequentialWorkload(mib(4))
-    return MigrationRun(w, NoPrefetchMigration(), obs=obs).execute()
+    return ScenarioRuntime(two_node_spec(w, NoPrefetchMigration()), obs=obs).execute()[0]
 
 
 def _run_ampom_pipeline(obs=None) -> ExecutionResult:
     w = SequentialWorkload(mib(4), sweeps=2)
-    return MigrationRun(w, AmpomMigration(), obs=obs).execute()
+    return ScenarioRuntime(two_node_spec(w, AmpomMigration()), obs=obs).execute()[0]
 
 
 def _run_random_faults(obs=None) -> ExecutionResult:
     w = UniformRandomWorkload(mib(8), n_references=8192)
-    return MigrationRun(w, AmpomMigration(), obs=obs).execute()
+    return ScenarioRuntime(two_node_spec(w, AmpomMigration()), obs=obs).execute()[0]
 
 
 def _run_three_hop(obs=None) -> ExecutionResult:
     """Multi-hop re-migration (home -> n1 -> n2) through the scenario
     runtime: quiesce, transit deputy, routed paging — the section 3.2
     machinery end to end."""
-    from ..cluster.session import ScenarioRuntime
     from ..cluster.topology import HOME, MigrantSpec, NodeGraph, ScenarioSpec
 
     w = SequentialWorkload(mib(4), sweeps=2)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import SimulationConfig
-from ..cluster.runner import MigrationRun
-from ..cluster.topology import make_strategy
+from ..cluster.session import ScenarioRuntime
+from ..cluster.topology import make_strategy, two_node_spec
 from ..migration.executor import ExecutionResult
 from ..units import mbit_per_s, mib, ms
 from ..workloads.hpcc import hpcc_workload, kernel_sizes_mb
@@ -63,15 +63,14 @@ def run_one(
     (span tracer / metrics registry / inspector) to the run.
     """
     workload = hpcc_workload(kernel, memory_mb, scale=scale, **workload_kwargs)
-    run = MigrationRun(
+    spec = two_node_spec(
         workload,
         make_strategy(scheme),
         config=config if config is not None else scaled_config(scale),
         shaped_bandwidth_bps=shaped_bandwidth_bps,
         shaped_latency_s=shaped_latency_s,
-        obs=obs,
     )
-    return run.execute()
+    return ScenarioRuntime(spec, obs=obs).execute()[0]
 
 
 @dataclass(slots=True)
@@ -138,12 +137,12 @@ def freeze_time(
     this runs at **full paper scale** by default.
     """
     workload = hpcc_workload(kernel, memory_mb, scale=scale)
-    run = MigrationRun(
+    spec = two_node_spec(
         workload,
         make_strategy(scheme),
         config=config if config is not None else gideon_config(),
     )
-    return run.measure_freeze().freeze_time
+    return ScenarioRuntime(spec).measure_freeze().freeze_time
 
 
 def _freeze_cell(cell: tuple[str, int, str, SimulationConfig | None]) -> float:
@@ -308,12 +307,12 @@ def figure10(
                 memory_bytes=mib(allocated_mb * scale),
                 working_set_bytes=mib(ws_mb * scale),
             )
-            run = MigrationRun(
+            spec = two_node_spec(
                 workload,
                 make_strategy(scheme),
                 config=config if config is not None else scaled_config(scale),
             )
-            result = run.execute()
+            result = ScenarioRuntime(spec).execute()[0]
             out[scheme].append((ws_mb, result.total_time))
     return out
 
@@ -350,7 +349,6 @@ def three_hop_comparison(
     resident set on every hop, AMPoM freezes only the second MPT transfer
     and re-fetches the rest through the n1 transit deputy.
     """
-    from ..cluster.session import ScenarioRuntime
     from ..cluster.topology import build_preset
 
     out: dict[str, dict[str, float]] = {}

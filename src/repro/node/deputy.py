@@ -75,9 +75,13 @@ class Deputy:
             fault_plan.spec.replay_cache_pages if fault_plan is not None else 0
         )
         #: Optional :class:`repro.obs.Observability` bundle (set by the
-        #: runner on traced runs).  Pure observer — serve spans and queue
-        #: metrics only; None on default runs.
+        #: scenario runtime on traced runs).  Pure observer — serve spans
+        #: and queue metrics only; None on default runs.
         self.obs = None
+        #: Trace track of this deputy's spans.  The runtime names one per
+        #: deputy, so a deputy, which serves one request at a time, never
+        #: records overlapping spans.
+        self.track = DEPUTY_TRACK
         # Histogram handles and the serve-span recorder, resolved on
         # first serve (see _trace_serve).
         self._h_queue_wait = None
@@ -106,12 +110,12 @@ class Deputy:
                 rec = self._rec_serve
                 if rec is None:
                     rec = self._rec_serve = obs.tracer.span_site(
-                        DEPUTY_TRACK, "serve", arg="pages"
+                        self.track, "serve", arg="pages"
                     )
                 rec(start, end - start, pages)
             else:
                 obs.tracer.complete(
-                    DEPUTY_TRACK, "serve", start, end - start, pages=pages, seq=seq
+                    self.track, "serve", start, end - start, pages=pages, seq=seq
                 )
         if obs.metrics is not None:
             h = self._h_queue_wait
@@ -322,12 +326,12 @@ class Deputy:
             self.busy_until = done
             if self.obs is not None and self.obs.tracer is not None:
                 self.obs.tracer.complete(
-                    DEPUTY_TRACK, "syscall_replay", start, done - start
+                    self.track, "syscall_replay", start, done - start
                 )
             return self.reply_channel.transfer(reply_payload_bytes, done)
         done = start + self.hardware.deputy_request_time + service_time
         self.busy_until = done
         self.syscalls_served += 1
         if self.obs is not None and self.obs.tracer is not None:
-            self.obs.tracer.complete(DEPUTY_TRACK, "syscall", start, done - start)
+            self.obs.tracer.complete(self.track, "syscall", start, done - start)
         return self.reply_channel.transfer(reply_payload_bytes, done)

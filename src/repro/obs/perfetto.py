@@ -5,8 +5,8 @@ The produced file loads directly in https://ui.perfetto.dev (or
 
 * each *track* ``"node/actor"`` becomes one named process/thread pair —
   the node is the Perfetto "process", the actor the "thread", so the UI
-  groups the migrant under ``dest``, the deputy under ``home`` and every
-  wire direction under ``wire``;
+  groups migrants under ``dest``, home deputies under ``home``, a transit
+  deputy under its node and every wire direction under ``wire``;
 * spans are complete events (``"ph": "X"``) with microsecond timestamps
   in **simulated** time;
 * instants (request sent, timeout, retransmit) are ``"ph": "i"`` markers;

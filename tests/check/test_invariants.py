@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.config import CheckSpec, SimulationConfig
 from repro.errors import InvariantViolation
 from repro.mem.fault import FaultKind
@@ -23,10 +24,12 @@ def _leak_a_mapped_page(res):
 
 def _checked_run(workload=None, strategy=None, **spec_kwargs):
     config = SimulationConfig().with_(checks=CheckSpec(enabled=True, **spec_kwargs))
-    run = MigrationRun(
-        workload if workload is not None else SequentialWorkload(mib(1), sweeps=1),
-        strategy if strategy is not None else AmpomMigration(),
-        config=config,
+    run = ScenarioRuntime(
+        two_node_spec(
+            workload if workload is not None else SequentialWorkload(mib(1), sweeps=1),
+            strategy if strategy is not None else AmpomMigration(),
+            config=config,
+        )
     )
     run.execute()
     return run
@@ -35,31 +38,31 @@ def _checked_run(workload=None, strategy=None, **spec_kwargs):
 class TestCleanRuns:
     def test_ampom_run_passes_all_checks(self):
         run = _checked_run()
-        assert run.checker is not None
-        assert run.checker.deep_audits >= 1  # at least the final audit
+        assert run.checkers[0] is not None
+        assert run.checkers[0].deep_audits >= 1  # at least the final audit
 
     def test_noprefetch_run_passes_all_checks(self):
         run = _checked_run(strategy=NoPrefetchMigration())
-        assert run.checker.deep_audits >= 1
+        assert run.checkers[0].deep_audits >= 1
 
     def test_checker_observed_every_fault(self):
         run = _checked_run(workload=StridedWorkload(mib(1), streams=2))
-        c = run.result.counters
-        observed = run.checker._observed
+        c = run.results[0].counters
+        observed = run.checkers[0]._observed
         assert observed[FaultKind.MAJOR] == c.major_faults
         assert observed[FaultKind.IN_FLIGHT_WAIT] == c.inflight_waits
         assert observed[FaultKind.MINOR_BUFFERED] == c.minor_buffered_faults
 
     def test_deep_audit_interval_respected(self):
         run = _checked_run(deep_audit_interval=8)
-        faults = sum(run.checker._observed.values())
+        faults = sum(run.checkers[0]._observed.values())
         # One audit per interval boundary plus the final one.
-        assert run.checker.deep_audits == faults // 8 + 1
+        assert run.checkers[0].deep_audits == faults // 8 + 1
 
     def test_checks_do_not_change_results(self):
-        plain = MigrationRun(SequentialWorkload(mib(1), sweeps=1), AmpomMigration())
-        result_plain = plain.execute()
-        result_checked = _checked_run().result
+        plain = two_node_spec(SequentialWorkload(mib(1), sweeps=1), AmpomMigration())
+        result_plain = ScenarioRuntime(plain).execute()[0]
+        result_checked = _checked_run().results[0]
         assert result_plain.run_time == result_checked.run_time
         assert result_plain.freeze_time == result_checked.freeze_time
         assert result_plain.counters.as_dict() == result_checked.counters.as_dict()
@@ -70,72 +73,72 @@ class TestViolationsDetected:
 
     def test_leaked_page_fails_residency_conservation(self):
         run = _checked_run()
-        _leak_a_mapped_page(run.outcome.residency)
+        _leak_a_mapped_page(run.outcomes[0].residency)
         with pytest.raises(InvariantViolation) as exc:
-            run.checker._check_cheap()
+            run.checkers[0]._check_cheap()
         assert exc.value.invariant == "residency-conservation"
 
     def test_duplicated_page_fails_disjointness(self):
         run = _checked_run()
-        res = run.outcome.residency
+        res = run.outcomes[0].residency
         vpn = res.mapped_pages()[0]
         res.remote_flags[vpn] = 1
         res._n_remote += 1
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.deep_audit()
+            run.checkers[0].deep_audit()
         assert exc.value.invariant in ("residency-disjointness", "hpt-split")
 
     def test_flag_without_its_count_fails_flag_count(self):
         run = _checked_run()
-        res = run.outcome.residency
+        res = run.outcomes[0].residency
         res.mapped_flags[res.mapped_pages()[0]] = 0  # the running count still has it
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.deep_audit()
+            run.checkers[0].deep_audit()
         assert exc.value.invariant == "flag-count"
         assert "mapped flags hold" in exc.value.detail
 
     def test_mpt_drift_fails_split_audit(self):
         run = _checked_run()
-        vpn = run.outcome.residency.mapped_pages()[0]
-        run.outcome.mpt.mark_home(vpn)
+        vpn = run.outcomes[0].residency.mapped_pages()[0]
+        run.outcomes[0].mpt.mark_home(vpn)
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.deep_audit()
+            run.checkers[0].deep_audit()
         assert exc.value.invariant == "mpt-split"
 
     def test_counter_drift_fails_consistency(self):
         run = _checked_run()
-        run.result.counters.major_faults += 1
+        run.results[0].counters.major_faults += 1
         with pytest.raises(InvariantViolation) as exc:
-            run.checker._check_cheap()
+            run.checkers[0]._check_cheap()
         assert exc.value.invariant == "fault-counter-consistency"
 
     def test_phantom_fetch_fails_flow_conservation(self):
         run = _checked_run()
-        run.result.counters.pages_demand_fetched += 1
+        run.results[0].counters.pages_demand_fetched += 1
         with pytest.raises(InvariantViolation) as exc:
-            run.checker._check_cheap()
+            run.checkers[0]._check_cheap()
         assert exc.value.invariant == "fetch-flow-conservation"
 
     def test_clock_running_backwards_detected(self):
         run = _checked_run()
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.on_sim_event(-1.0)
+            run.checkers[0].on_sim_event(-1.0)
         assert exc.value.invariant == "monotonic-clock"
 
     def test_request_naming_page_twice_detected(self):
         run = _checked_run()
-        vpn = next(iter(run.outcome.residency.remote), None)
+        vpn = next(iter(run.outcomes[0].residency.remote), None)
         if vpn is None:  # fully fetched: synthesize one
-            vpn = run.outcome.residency.mapped_pages()[-1] + 1
+            vpn = run.outcomes[0].residency.mapped_pages()[-1] + 1
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.on_request([vpn], [vpn])
+            run.checkers[0].on_request([vpn], [vpn])
         assert exc.value.invariant == "duplicate-transfer"
 
     def test_request_for_local_page_detected(self):
         run = _checked_run()
-        vpn = run.outcome.residency.mapped_pages()[0]
+        vpn = run.outcomes[0].residency.mapped_pages()[0]
         with pytest.raises(InvariantViolation) as exc:
-            run.checker.on_request([vpn], [])
+            run.checkers[0].on_request([vpn], [])
         assert exc.value.invariant == "duplicate-transfer"
         assert "mapped" in exc.value.detail
 
@@ -143,9 +146,9 @@ class TestViolationsDetected:
 class TestStructuredException:
     def test_violation_carries_invariant_detail_and_trace(self):
         run = _checked_run()
-        _leak_a_mapped_page(run.outcome.residency)
+        _leak_a_mapped_page(run.outcomes[0].residency)
         with pytest.raises(InvariantViolation) as exc:
-            run.checker._check_cheap()
+            run.checkers[0]._check_cheap()
         violation = exc.value
         assert violation.invariant == "residency-conservation"
         assert "residency tracks" in violation.detail
@@ -155,9 +158,9 @@ class TestStructuredException:
 
     def test_trace_bounded_by_spec_depth(self):
         run = _checked_run(trace_depth=4)
-        _leak_a_mapped_page(run.outcome.residency)
+        _leak_a_mapped_page(run.outcomes[0].residency)
         with pytest.raises(InvariantViolation) as exc:
-            run.checker._check_cheap()
+            run.checkers[0]._check_cheap()
         assert len(exc.value.trace) <= 4
 
 

@@ -158,34 +158,40 @@ class TestVerifyAnalysis:
 
 class TestOracleRunsInSimulation:
     def test_oracle_attached_and_exercised(self):
-        from repro.cluster.runner import MigrationRun
+        from repro.cluster.session import ScenarioRuntime
+        from repro.cluster.topology import two_node_spec
         from repro.config import CheckSpec, SimulationConfig
         from repro.migration.ampom import AmpomMigration
         from repro.units import mib
         from repro.workloads.synthetic import SequentialWorkload
 
-        run = MigrationRun(
-            SequentialWorkload(mib(1), sweeps=1),
-            AmpomMigration(),
-            config=SimulationConfig().with_(checks=CheckSpec(enabled=True)),
+        run = ScenarioRuntime(
+            two_node_spec(
+                SequentialWorkload(mib(1), sweeps=1),
+                AmpomMigration(),
+                config=SimulationConfig().with_(checks=CheckSpec(enabled=True)),
+            )
         )
         run.execute()
-        oracle = run.outcome.policy.check_oracle
+        oracle = run.outcomes[0].policy.check_oracle
         assert oracle is not None
         assert oracle.verified > 0
 
     def test_oracle_can_be_disabled_separately(self):
-        from repro.cluster.runner import MigrationRun
+        from repro.cluster.session import ScenarioRuntime
+        from repro.cluster.topology import two_node_spec
         from repro.config import CheckSpec, SimulationConfig
         from repro.migration.ampom import AmpomMigration
         from repro.units import mib
         from repro.workloads.synthetic import SequentialWorkload
 
-        run = MigrationRun(
-            SequentialWorkload(mib(1), sweeps=1),
-            AmpomMigration(),
-            config=SimulationConfig().with_(checks=CheckSpec(enabled=True, oracle=False)),
+        run = ScenarioRuntime(
+            two_node_spec(
+                SequentialWorkload(mib(1), sweeps=1),
+                AmpomMigration(),
+                config=SimulationConfig().with_(checks=CheckSpec(enabled=True, oracle=False)),
+            )
         )
         run.execute()
-        assert run.outcome.policy.check_oracle is None
-        assert run.checker.deep_audits >= 1
+        assert run.outcomes[0].policy.check_oracle is None
+        assert run.checkers[0].deep_audits >= 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.loadgen import ArrivalSpec
-from repro.cluster.runner import MigrationRun
 from repro.cluster.session import ScenarioRuntime
 from repro.cluster.topology import (
     HOME,
@@ -19,6 +18,7 @@ from repro.cluster.topology import (
     NodeGraph,
     ScenarioSpec,
     SustainedSpec,
+    two_node_spec,
 )
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
@@ -73,21 +73,23 @@ def test_strategy_policy_wins_over_spec_and_config():
 
 def test_migration_run_threads_config_policy():
     config = SimulationConfig().with_(prefetch_policy="readahead-4")
-    result = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=2), AmpomMigration(), config=config
-    ).execute()
+    result = ScenarioRuntime(
+        two_node_spec(SequentialWorkload(mib(1), sweeps=2), AmpomMigration(), config=config)
+    ).execute()[0]
     assert result.prefetch_policy == "readahead-4"
 
 
 def test_policy_changes_behavior_but_not_interface():
-    base = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=2), AmpomMigration()
-    ).execute()
-    noprefetch = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=2),
-        AmpomMigration(),
-        config=SimulationConfig().with_(prefetch_policy="noprefetch"),
-    ).execute()
+    base = ScenarioRuntime(
+        two_node_spec(SequentialWorkload(mib(1), sweeps=2), AmpomMigration())
+    ).execute()[0]
+    noprefetch = ScenarioRuntime(
+        two_node_spec(
+            SequentialWorkload(mib(1), sweeps=2),
+            AmpomMigration(),
+            config=SimulationConfig().with_(prefetch_policy="noprefetch"),
+        )
+    ).execute()[0]
     assert base.counters.pages_prefetched > 0
     assert noprefetch.counters.pages_prefetched == 0
     assert set(base.to_dict()) == set(noprefetch.to_dict())

@@ -1,16 +1,11 @@
-"""Tests for the ScenarioRuntime: multi-hop re-migration and wrapper
-parity."""
+"""Tests for the ScenarioRuntime: lifecycle and multi-hop re-migration."""
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import pytest
 
-from repro.cluster import multi as multi_mod
-from repro.cluster import runner as runner_mod
-from repro.cluster.runner import MigrationRun
 from repro.cluster.session import ScenarioRuntime
 from repro.cluster.topology import (
     FILE_SERVER,
@@ -54,18 +49,8 @@ def _three_hop_spec(strategy, config=CHECKED, hop_delay=0.02, faults=None):
 
 
 # ----------------------------------------------------------------------
-# two-node equivalence + lifecycle
+# lifecycle
 # ----------------------------------------------------------------------
-def test_two_node_spec_matches_migration_run():
-    direct = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=2), AmpomMigration()
-    ).execute()
-    via_spec = ScenarioRuntime(
-        two_node_spec(SequentialWorkload(mib(1), sweeps=2), AmpomMigration())
-    ).execute()[0]
-    assert via_spec.to_dict() == direct.to_dict()
-
-
 def test_runtime_single_use():
     runtime = ScenarioRuntime(
         two_node_spec(SequentialWorkload(mib(1)), AmpomMigration())
@@ -251,51 +236,3 @@ def test_three_hop_is_deterministic():
     first = ScenarioRuntime(_three_hop_spec(AmpomMigration())).execute()[0]
     second = ScenarioRuntime(_three_hop_spec(AmpomMigration())).execute()[0]
     assert first.to_dict() == second.to_dict()
-
-
-# ----------------------------------------------------------------------
-# wrapper parity (satellite: MigrationRun / MultiMigrationRun stay thin)
-# ----------------------------------------------------------------------
-#: Keyword arguments both drivers must accept with identical defaults.
-SHARED_KWARGS = (
-    "config",
-    "with_infod",
-    "shaped_bandwidth_bps",
-    "shaped_latency_s",
-    "max_events",
-    "capacity_pages",
-    "fault_log",
-    "obs",
-)
-
-#: Imperative wiring that must live only in session.py / cluster.py.
-FORBIDDEN_WIRING = (
-    "Cluster(",
-    "Network(",
-    ".connect(",
-    "InfoDaemon(",
-    "install_lossy_link",
-    "TrafficShaper(",
-    "FaultPlan(",
-)
-
-
-def test_wrapper_kwarg_parity():
-    single = inspect.signature(MigrationRun.__init__).parameters
-    multi = inspect.signature(multi_mod.MultiMigrationRun.__init__).parameters
-    for name in SHARED_KWARGS:
-        assert name in single, f"MigrationRun lost {name!r}"
-        assert name in multi, f"MultiMigrationRun lost {name!r}"
-        assert single[name].default == multi[name].default, (
-            f"default for {name!r} differs between the two drivers"
-        )
-
-
-@pytest.mark.parametrize("module", (runner_mod, multi_mod), ids=("runner", "multi"))
-def test_wrappers_contain_no_wiring(module):
-    source = inspect.getsource(module)
-    for needle in FORBIDDEN_WIRING:
-        assert needle not in source, (
-            f"{module.__name__} builds infrastructure ({needle!r}); "
-            "node/link construction belongs to ScenarioRuntime"
-        )

@@ -101,6 +101,24 @@ def test_migrant_spec_rejects_negative_start():
         MigrantSpec(workload=_workload(), strategy=AmpomMigration(), start_s=-1.0)
 
 
+@pytest.mark.parametrize("start_s", [math.nan, math.inf])
+def test_migrant_spec_rejects_non_finite_start(start_s):
+    # Both used to pass construction and fail only inside the run.
+    with pytest.raises(MigrationError, match="start_s"):
+        MigrantSpec(workload=_workload(), strategy=AmpomMigration(), start_s=start_s)
+
+
+def test_migrant_spec_rejects_nan_hop_delay():
+    # A NaN delay used to pass and silently skip the re-hop.
+    with pytest.raises(MigrationError, match="hop_delays"):
+        MigrantSpec(
+            workload=_workload(),
+            strategy=AmpomMigration(),
+            path=("a", "b", "c"),
+            hop_delays=(math.nan,),
+        )
+
+
 def test_migrant_spec_hop_delay_arity():
     with pytest.raises(MigrationError):
         MigrantSpec(

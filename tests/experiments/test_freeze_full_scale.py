@@ -39,12 +39,13 @@ def test_figure5_full_scale_structure():
 
 
 def test_measure_freeze_is_single_use():
-    from repro.cluster.runner import MigrationRun
+    from repro.cluster.session import ScenarioRuntime
+    from repro.cluster.topology import two_node_spec
     from repro.migration.openmosix import OpenMosixMigration
     from repro.workloads.synthetic import SequentialWorkload
     from repro.units import mib
 
-    run = MigrationRun(SequentialWorkload(mib(1)), OpenMosixMigration())
+    run = ScenarioRuntime(two_node_spec(SequentialWorkload(mib(1)), OpenMosixMigration()))
     run.measure_freeze()
     with pytest.raises(MigrationError):
         run.measure_freeze()

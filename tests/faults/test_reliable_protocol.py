@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.config import FaultSpec, RetrySpec, SimulationConfig
 from repro.errors import MigrationError
 from repro.faults import FaultEventKind
@@ -19,32 +20,35 @@ def run_with(faults: FaultSpec, *, seed=0, retry=None, strategy=None, size=mib(1
     config = SimulationConfig(faults=faults, seed=seed)
     if retry is not None:
         config = config.with_(retry=retry)
-    return MigrationRun(
-        SequentialWorkload(size),
-        strategy if strategy is not None else AmpomMigration(),
-        config=config,
+    return ScenarioRuntime(
+        two_node_spec(
+            SequentialWorkload(size),
+            strategy if strategy is not None else AmpomMigration(),
+            config=config,
+        )
     )
 
 
 def clean_result(strategy=None, size=mib(1), seed=0):
-    return MigrationRun(
+    spec = two_node_spec(
         SequentialWorkload(size),
         strategy if strategy is not None else AmpomMigration(),
         config=SimulationConfig(seed=seed),
-    ).execute()
+    )
+    return ScenarioRuntime(spec).execute()[0]
 
 
 # ----------------------------------------------------------------------
 def test_zero_fault_spec_is_bit_identical_to_seed_behaviour():
     baseline = clean_result()
-    gated = run_with(FaultSpec(loss_rate=0.0)).execute()
+    gated = run_with(FaultSpec(loss_rate=0.0)).execute()[0]
     assert gated.to_dict() == baseline.to_dict()
 
 
 def test_dropped_pages_are_retransmitted_and_run_completes():
     baseline = clean_result()
     run = run_with(FaultSpec(loss_rate=0.1))
-    result = run.execute()
+    (result,) = run.execute()
     c = result.counters
     assert c.messages_dropped > 0
     assert c.request_timeouts > 0
@@ -79,7 +83,7 @@ def test_deputy_crash_degrades_to_demand_only_then_recovers():
     # heuristic) to expire inside the outage.
     end = start + max(0.4, 0.5 * baseline.run_time)
     run = run_with(FaultSpec(deputy_crash_windows=((start, end),)))
-    result = run.execute()
+    (result,) = run.execute()
     c = result.counters
     assert c.deputy_crash_detections >= 1
     assert c.prefetch_writeoffs > 0  # in-flight prefetches were written off
@@ -104,8 +108,8 @@ def test_fault_runs_are_deterministic():
     spec = FaultSpec(loss_rate=0.2, duplicate_rate=0.05, delay_rate=0.1, delay_s=0.002)
     run_a = run_with(spec, seed=3)
     run_b = run_with(spec, seed=3)
-    result_a = run_a.execute()
-    result_b = run_b.execute()
+    (result_a,) = run_a.execute()
+    (result_b,) = run_b.execute()
     assert result_a.to_dict() == result_b.to_dict()
     assert run_a.injection_log.schedule() == run_b.injection_log.schedule()
 
@@ -126,6 +130,6 @@ def test_ffa_rejects_fault_injection():
 
 def test_noprefetch_under_loss_also_completes():
     baseline = clean_result(strategy=NoPrefetchMigration())
-    result = run_with(FaultSpec(loss_rate=0.2), strategy=NoPrefetchMigration()).execute()
+    result = run_with(FaultSpec(loss_rate=0.2), strategy=NoPrefetchMigration()).execute()[0]
     assert result.counters.retransmits > 0
     assert result.counters.pages_copied == baseline.counters.pages_copied

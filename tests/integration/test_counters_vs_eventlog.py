@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.config import CheckSpec
 from repro.experiments import figures
 from repro.mem.fault import FaultKind
@@ -25,13 +26,15 @@ SCALE = 1.0 / 16.0
 def fig7_run():
     log = FaultLog()
     config = figures.scaled_config(SCALE).with_(checks=CheckSpec(enabled=True))
-    run = MigrationRun(
-        hpcc_workload("DGEMM", 115, scale=SCALE),
-        figures.make_strategy("AMPoM"),
-        config=config,
-        fault_log=log,
+    run = ScenarioRuntime(
+        two_node_spec(
+            hpcc_workload("DGEMM", 115, scale=SCALE),
+            figures.make_strategy("AMPoM"),
+            config=config,
+            fault_log=log,
+        )
     )
-    result = run.execute()
+    (result,) = run.execute()
     return run, result, log
 
 
@@ -86,6 +89,7 @@ def test_every_fetched_page_was_copied_in(fig7_run):
 
 def test_checker_and_log_saw_the_same_events(fig7_run):
     run, _, log = fig7_run
-    assert run.checker is not None
+    checker = run.checkers[0]
+    assert checker is not None
     for kind in FaultKind:
-        assert run.checker._observed[kind] == log.count(kind)
+        assert checker._observed[kind] == log.count(kind)

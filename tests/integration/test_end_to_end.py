@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.migration.ffa import FfaMigration
 from repro.migration.noprefetch import NoPrefetchMigration
@@ -26,7 +27,7 @@ ALL_STRATEGIES = [
 @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
 def test_every_strategy_completes_and_accounts_time(strategy_cls):
     w = SequentialWorkload(mib(1), sweeps=2)
-    result = MigrationRun(w, strategy_cls()).execute()
+    result = ScenarioRuntime(two_node_spec(w, strategy_cls())).execute()[0]
     assert result.run_time > 0
     assert result.budget.total == pytest.approx(
         result.freeze_time + result.run_time, rel=1e-9
@@ -40,9 +41,9 @@ def test_page_conservation(strategy_cls):
     """Every remote page crosses the wire at most once, and all pages the
     trace touches end up local."""
     w = SequentialWorkload(mib(2), sweeps=1)
-    run = MigrationRun(w, strategy_cls())
-    result = run.execute()
-    outcome = run.outcome
+    run = ScenarioRuntime(two_node_spec(w, strategy_cls()))
+    (result,) = run.execute()
+    outcome = run.outcomes[0]
     c = result.counters
     total_pages = w.address_space.total_pages
     fetched = c.pages_demand_fetched + c.pages_prefetched
@@ -61,25 +62,28 @@ def test_hpcc_kernels_run_under_every_scheme():
     for kernel in ("DGEMM", "STREAM", "RandomAccess", "FFT"):
         for strategy_cls in (OpenMosixMigration, NoPrefetchMigration, AmpomMigration):
             w = hpcc_workload(kernel, 65, scale=1 / 32)
-            result = MigrationRun(w, strategy_cls()).execute()
+            result = ScenarioRuntime(two_node_spec(w, strategy_cls())).execute()[0]
             assert result.total_time > 0
 
 
 def test_multi_stream_workload_multi_pivot_prefetch():
     """Interleaved streams exercise the multi-pivot quota path."""
     w = StridedWorkload(mib(2), streams=3)
-    run = MigrationRun(w, AmpomMigration())
-    result = run.execute()
+    result = ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
     assert result.counters.pages_prefetched > 0
-    nopf = MigrationRun(StridedWorkload(mib(2), streams=3), NoPrefetchMigration()).execute()
+    nopf = ScenarioRuntime(
+        two_node_spec(StridedWorkload(mib(2), streams=3), NoPrefetchMigration())
+    ).execute()[0]
     assert result.counters.page_fault_requests < nopf.counters.page_fault_requests / 2
 
 
 def test_ffa_flush_dependency_slows_early_faults():
     """FFA pays for file-server flushing: a migrant that immediately sweeps
     its memory waits on pages that have not been flushed yet."""
-    ffa = MigrationRun(SequentialWorkload(mib(2)), FfaMigration()).execute()
-    nopf = MigrationRun(SequentialWorkload(mib(2)), NoPrefetchMigration()).execute()
+    ffa = ScenarioRuntime(two_node_spec(SequentialWorkload(mib(2)), FfaMigration())).execute()[0]
+    nopf = ScenarioRuntime(
+        two_node_spec(SequentialWorkload(mib(2)), NoPrefetchMigration())
+    ).execute()[0]
     assert ffa.freeze_time == pytest.approx(nopf.freeze_time, rel=0.05)
     # Demand-paging dominated, like NoPrefetch (stalls on every first touch).
     assert ffa.budget.stall > 0.5 * nopf.budget.stall
@@ -88,22 +92,25 @@ def test_ffa_flush_dependency_slows_early_faults():
 
 def test_infod_measured_rtt_tracks_shaping():
     """The monitoring daemon's RTT estimate reflects a reshaped link."""
-    run = MigrationRun(
-        SequentialWorkload(mib(1)),
-        AmpomMigration(),
-        shaped_bandwidth_bps=0.75e6,
-        shaped_latency_s=0.002,
+    run = ScenarioRuntime(
+        two_node_spec(
+            SequentialWorkload(mib(1)),
+            AmpomMigration(),
+            shaped_bandwidth_bps=0.75e6,
+            shaped_latency_s=0.002,
+        )
     )
     run.execute()
-    assert run.infod is not None
+    infod = run.migrant_infods[0]
+    assert infod is not None
     # 2 x 2 ms shaped latency + daemon delay at minimum.
-    assert run.infod.conditions().rtt_s >= 0.004
+    assert infod.conditions().rtt_s >= 0.004
 
 
 def test_deterministic_across_runs_full_stack():
     def once():
         w = hpcc_workload("RandomAccess", 65, scale=1 / 32)
-        return MigrationRun(w, AmpomMigration()).execute()
+        return ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
 
     a, b = once(), once()
     assert a.total_time == b.total_time

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.migration.noprefetch import NoPrefetchMigration
 from repro.workloads.replay import ReplayWorkload
@@ -51,8 +52,9 @@ def small_traces(draw):
 def test_invariants_hold_for_arbitrary_traces(trace, strategy_cls):
     n_pages, pages = trace
     workload = ReplayWorkload(pages, compute=2e-5, n_pages=n_pages)
-    run = MigrationRun(workload, strategy_cls())
-    result = run.execute()
+    run = ScenarioRuntime(two_node_spec(workload, strategy_cls()))
+    (result,) = run.execute()
+    outcome = run.outcomes[0]
     c = result.counters
 
     # 1. Complete wall-time attribution.
@@ -63,21 +65,21 @@ def test_invariants_hold_for_arbitrary_traces(trace, strategy_cls):
     #    fetched page is copied in exactly once or still travelling when the
     #    trace ends (prefetches the process never waited for).
     assert c.pages_demand_fetched == c.demand_requests == c.major_faults
-    res = run.outcome.residency
+    res = outcome.residency
     assert (
         c.pages_copied + res.n_in_flight + res.n_buffered
         == c.pages_fetched_remotely
     )
     # 3. Conservation: nothing crosses the wire twice (no memory pressure).
     total_pages = workload.address_space.total_pages
-    assert c.pages_fetched_remotely + run.outcome.pages_shipped <= total_pages
-    assert len(run.outcome.hpt) == total_pages - run.outcome.pages_shipped - (
+    assert c.pages_fetched_remotely + outcome.pages_shipped <= total_pages
+    assert len(outcome.hpt) == total_pages - outcome.pages_shipped - (
         c.pages_fetched_remotely
     )
     # 4. Every referenced page ended up mapped.
     start = workload.address_space.region("data").start_page
     for vpn in set(pages):
-        assert run.outcome.residency.is_mapped(start + vpn)
+        assert outcome.residency.is_mapped(start + vpn)
     # 5. Compute time equals the trace's CPU demand exactly.
     assert result.budget.compute == pytest.approx(
         workload.total_compute_estimate(), rel=1e-9
@@ -92,7 +94,7 @@ def test_ampom_never_requests_more_than_noprefetch(trace):
 
     def run(strategy_cls):
         workload = ReplayWorkload(pages, compute=2e-5, n_pages=n_pages)
-        return MigrationRun(workload, strategy_cls()).execute()
+        return ScenarioRuntime(two_node_spec(workload, strategy_cls())).execute()[0]
 
     ampom = run(AmpomMigration)
     noprefetch = run(NoPrefetchMigration)
@@ -109,7 +111,7 @@ def test_determinism_for_arbitrary_traces(trace):
 
     def run():
         workload = ReplayWorkload(pages, compute=2e-5, n_pages=n_pages)
-        return MigrationRun(workload, AmpomMigration()).execute()
+        return ScenarioRuntime(two_node_spec(workload, AmpomMigration())).execute()[0]
 
     a, b = run(), run()
     assert a.total_time == b.total_time
@@ -126,9 +128,9 @@ def test_memory_pressure_invariants(trace, capacity):
     refetches are consistent with evictions."""
     n_pages, pages = trace
     workload = ReplayWorkload(pages, compute=2e-5, n_pages=n_pages)
-    run = MigrationRun(workload, AmpomMigration(), capacity_pages=capacity)
-    result = run.execute()
-    res = run.outcome.residency
+    run = ScenarioRuntime(two_node_spec(workload, AmpomMigration(), capacity_pages=capacity))
+    (result,) = run.execute()
+    res = run.outcomes[0].residency
     assert res.n_mapped <= capacity
     c = result.counters
     # Wire conservation with refetch: fetched = distinct + refetches, and

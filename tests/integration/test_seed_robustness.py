@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.experiments import figures
 from repro.migration.ampom import AmpomMigration
 from repro.migration.noprefetch import NoPrefetchMigration
@@ -22,9 +23,8 @@ SEEDS = (0, 1, 2, 3, 4)
 def prevented_pct(kernel: str, mb: int, seed: int) -> float:
     def run(strategy):
         workload = figures.hpcc_workload(kernel, mb, scale=SCALE, seed=seed)
-        return MigrationRun(
-            workload, strategy, config=figures.scaled_config(SCALE)
-        ).execute()
+        spec = two_node_spec(workload, strategy, config=figures.scaled_config(SCALE))
+        return ScenarioRuntime(spec).execute()[0]
 
     ampom = run(AmpomMigration())
     nopf = run(NoPrefetchMigration())
@@ -49,18 +49,19 @@ def test_randomaccess_total_time_stable_across_seeds():
     totals = []
     for seed in SEEDS:
         w = RandomAccessWorkload(mib(16), seed=seed)
-        totals.append(MigrationRun(w, AmpomMigration()).execute().total_time)
+        result = ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
+        totals.append(result.total_time)
     spread = (max(totals) - min(totals)) / min(totals)
     assert spread < 0.05, totals
 
 
 def test_different_seeds_produce_different_traces():
-    a = MigrationRun(
-        RandomAccessWorkload(mib(8), seed=0), NoPrefetchMigration()
-    ).execute()
-    b = MigrationRun(
-        RandomAccessWorkload(mib(8), seed=1), NoPrefetchMigration()
-    ).execute()
+    a, b = (
+        ScenarioRuntime(
+            two_node_spec(RandomAccessWorkload(mib(8), seed=seed), NoPrefetchMigration())
+        ).execute()[0]
+        for seed in (0, 1)
+    )
     assert a.total_time != pytest.approx(b.total_time, abs=1e-12) or (
         a.counters.as_dict() != b.counters.as_dict()
     )

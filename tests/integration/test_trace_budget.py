@@ -16,9 +16,8 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
 from repro.cluster.session import ScenarioRuntime
-from repro.cluster.topology import build_preset
+from repro.cluster.topology import build_preset, two_node_spec
 from repro.config import FaultSpec
 from repro.errors import SimulationError
 from repro.experiments import figures
@@ -35,9 +34,32 @@ from repro.workloads.synthetic import SequentialWorkload, UniformRandomWorkload
 
 def _traced_run(workload, strategy, **kwargs):
     obs = Observability.enabled()
-    run = MigrationRun(workload, strategy, obs=obs, **kwargs)
-    result = run.execute()
+    result = ScenarioRuntime(two_node_spec(workload, strategy, **kwargs), obs=obs).execute()[0]
     return result, obs
+
+
+def _untraced_run(workload, strategy, **kwargs):
+    return ScenarioRuntime(two_node_spec(workload, strategy, **kwargs)).execute()[0]
+
+
+#: Span names a deputy records.
+DEPUTY_SPANS = ("serve", "syscall", "syscall_replay")
+
+
+def _deputy_spans(tracer) -> dict[str, list]:
+    """Every deputy span, grouped by track in recording order."""
+    out: dict[str, list] = {}
+    for span in tracer.spans:
+        if span.name in DEPUTY_SPANS:
+            out.setdefault(span.track, []).append(span)
+    return out
+
+
+def _overlaps(spans) -> int:
+    """How many spans start before the one before them on the track ends
+    (a nanosecond of slack absorbs ``start + dur`` rounding)."""
+    spans = sorted(spans, key=lambda s: s.start)
+    return sum(b.start < a.end - 1e-9 for a, b in zip(spans, spans[1:]))
 
 
 class TestSpanSumsEqualBudget:
@@ -107,9 +129,7 @@ class TestUnattributedTimeFails:
 
 class TestTracedRunsAreIdentical:
     def test_traced_equals_untraced(self):
-        untraced = MigrationRun(
-            SequentialWorkload(mib(2), sweeps=2), AmpomMigration()
-        ).execute()
+        untraced = _untraced_run(SequentialWorkload(mib(2), sweeps=2), AmpomMigration())
         traced, _ = _traced_run(SequentialWorkload(mib(2), sweeps=2), AmpomMigration())
         assert traced.budget.as_dict() == untraced.budget.as_dict()
         assert traced.run_time == untraced.run_time
@@ -119,9 +139,9 @@ class TestTracedRunsAreIdentical:
         config = figures.scaled_config(1 / 16, seed=3).with_(
             faults=FaultSpec(loss_rate=0.05, delay_rate=0.1, delay_s=0.005)
         )
-        untraced = MigrationRun(
+        untraced = _untraced_run(
             SequentialWorkload(mib(2), sweeps=2), AmpomMigration(), config=config
-        ).execute()
+        )
         traced, _ = _traced_run(
             SequentialWorkload(mib(2), sweeps=2), AmpomMigration(), config=config
         )
@@ -160,6 +180,38 @@ class TestTraceStructure:
         computes = tr.spans_named("compute")
         assert computes and all(s.depth == 0 for s in faults + computes)
         assert MIGRANT_TRACK not in tr.tracks()
+
+    def test_each_migrant_deputy_records_on_its_own_track(self):
+        """Several migrants' home deputies each record on ``home/<name>``:
+        every serve span sits on its own migrant's track, and so does each
+        deputy's queue-depth series."""
+        spec = build_preset("contention", seed=0)
+        obs = Observability.enabled()
+        results = ScenarioRuntime(spec, obs=obs).execute()
+        tr = obs.tracer
+        per_track = Counter(s.track for s in tr.spans_named("serve"))
+        assert per_track == {
+            f"home/{m.name}": r.counters.demand_requests + r.counters.prefetch_requests
+            for m, r in zip(spec.migrants, results)
+        }
+        assert {c.track for c in tr.counters} == set(per_track)
+        assert DEPUTY_TRACK not in tr.tracks()
+        assert all(_overlaps(spans) == 0 for spans in _deputy_spans(tr).values())
+
+    def test_home_and_transit_deputies_never_share_a_track(self):
+        """On a lone three-hop run the home deputy keeps ``home/deputy``
+        and the n1 transit deputy records on ``n1/transit``: a request split
+        between them by page owner is served concurrently, but no track
+        holds two overlapping spans."""
+        obs = Observability.enabled()
+        spec = build_preset("three-hop", "AMPoM", scale=1 / 16, seed=0)
+        ScenarioRuntime(spec, obs=obs).execute()
+        spans = _deputy_spans(obs.tracer)
+        assert set(spans) == {DEPUTY_TRACK, "n1/transit"}
+        assert {track: _overlaps(s) for track, s in spans.items()} == {
+            DEPUTY_TRACK: 0,
+            "n1/transit": 0,
+        }
 
     def test_deputy_serves_traced(self):
         result, obs = _traced_run(SequentialWorkload(mib(2)), AmpomMigration())

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.mem.fault import FaultKind
 from repro.metrics.eventlog import FaultLog
 from repro.migration.ampom import AmpomMigration
@@ -61,7 +62,7 @@ def test_empty_log_summary_is_all_zero():
 def test_integrated_with_executor():
     log = FaultLog()
     w = SequentialWorkload(mib(1))
-    result = MigrationRun(w, NoPrefetchMigration(), fault_log=log).execute()
+    result = ScenarioRuntime(two_node_spec(w, NoPrefetchMigration(), fault_log=log)).execute()[0]
     # Every fault in the counters appears in the log.
     assert len(log) == result.counters.total_faults
     assert log.count(FaultKind.MAJOR) == result.counters.major_faults
@@ -73,5 +74,5 @@ def test_integrated_with_executor():
 def test_log_captures_prefetch_decisions():
     log = FaultLog()
     w = SequentialWorkload(mib(1))
-    result = MigrationRun(w, AmpomMigration(), fault_log=log).execute()
+    result = ScenarioRuntime(two_node_spec(w, AmpomMigration(), fault_log=log)).execute()[0]
     assert sum(e.prefetched for e in log.events()) == result.counters.pages_prefetched

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.config import SimulationConfig
 from repro.migration.ampom import AmpomMigration
 from repro.migration.noprefetch import NoPrefetchMigration
@@ -19,7 +20,7 @@ from repro.workloads.synthetic import (
 
 
 def run(workload, strategy, config=None, **kwargs):
-    return MigrationRun(workload, strategy, config=config, **kwargs).execute()
+    return ScenarioRuntime(two_node_spec(workload, strategy, config=config, **kwargs)).execute()[0]
 
 
 class TestOpenMosixExecution:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.migration.openmosix import OpenMosixMigration
 from repro.units import mib
@@ -17,16 +18,18 @@ from repro.workloads.synthetic import SequentialWorkload, UniformRandomWorkload
 
 
 def test_openmosix_fast_and_slow_paths_agree():
-    fast = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=3), OpenMosixMigration()
-    ).execute()
+    fast = ScenarioRuntime(
+        two_node_spec(SequentialWorkload(mib(1), sweeps=3), OpenMosixMigration())
+    ).execute()[0]
     # A capacity far above the working set never evicts, but forces the
     # per-reference loop.
-    slow = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=3),
-        OpenMosixMigration(),
-        capacity_pages=10**6,
-    ).execute()
+    slow = ScenarioRuntime(
+        two_node_spec(
+            SequentialWorkload(mib(1), sweeps=3),
+            OpenMosixMigration(),
+            capacity_pages=10**6,
+        )
+    ).execute()[0]
     assert slow.counters.pages_evicted == 0
     assert fast.budget.compute == pytest.approx(slow.budget.compute, rel=1e-12)
     assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
@@ -38,15 +41,14 @@ def test_ampom_tail_fast_path_agrees_with_slow_path():
     forcing the slow path must not change the result."""
 
     def run(capacity):
-        return MigrationRun(
+        spec = two_node_spec(
             SequentialWorkload(mib(1), sweeps=4),
             AmpomMigration(),
             capacity_pages=capacity,
-        ).execute()
+        )
+        return ScenarioRuntime(spec).execute()[0]
 
-    fast = MigrationRun(
-        SequentialWorkload(mib(1), sweeps=4), AmpomMigration()
-    ).execute()
+    fast = run(None)
     slow = run(10**6)
     assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
     assert fast.counters.page_fault_requests == slow.counters.page_fault_requests
@@ -54,15 +56,14 @@ def test_ampom_tail_fast_path_agrees_with_slow_path():
 
 def test_random_workload_paths_agree():
     def run(capacity):
-        return MigrationRun(
+        spec = two_node_spec(
             UniformRandomWorkload(mib(1), n_references=2000, seed=3),
             AmpomMigration(),
             capacity_pages=capacity,
-        ).execute()
+        )
+        return ScenarioRuntime(spec).execute()[0]
 
-    fast = MigrationRun(
-        UniformRandomWorkload(mib(1), n_references=2000, seed=3), AmpomMigration()
-    ).execute()
+    fast = run(None)
     slow = run(10**6)
     assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
     assert fast.counters.as_dict() == {

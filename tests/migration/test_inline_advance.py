@@ -16,10 +16,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster.runner import MigrationRun
 from repro.cluster.session import ScenarioRuntime
 from repro.cluster.sustained import run_sustained
-from repro.cluster.topology import build_preset
+from repro.cluster.topology import build_preset, two_node_spec
 from repro.config import NodeFaultSpec
 from repro.experiments.figures import run_one, scaled_config
 from repro.mem.residency import ResidencyTracker
@@ -142,7 +141,7 @@ def test_wasted_pages_killed_migrant(wasted_calls):
 def test_wasted_pages_replay_workload(wasted_calls):
     rng = np.random.default_rng(11)
     workload = ReplayWorkload(rng.integers(0, 4096, size=20_000), n_pages=8192, chunk_refs=1024)
-    result = MigrationRun(workload, AmpomMigration()).execute()
+    result = ScenarioRuntime(two_node_spec(workload, AmpomMigration())).execute()[0]
     assert result.wasted_pages > 0
     assert wasted_calls == [(result.wasted_pages, result.wasted_pages)]
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.migration.ampom import AmpomMigration
 from repro.migration.noprefetch import NoPrefetchMigration
 from repro.migration.openmosix import OpenMosixMigration
@@ -13,7 +14,8 @@ from repro.workloads.synthetic import SequentialWorkload, UniformRandomWorkload
 
 
 def run(workload, strategy, capacity_pages):
-    return MigrationRun(workload, strategy, capacity_pages=capacity_pages).execute()
+    spec = two_node_spec(workload, strategy, capacity_pages=capacity_pages)
+    return ScenarioRuntime(spec).execute()[0]
 
 
 def test_no_eviction_when_capacity_suffices():
@@ -54,14 +56,14 @@ def test_ffa_eviction_writes_back_to_file_server():
     from repro.migration.ffa import FfaMigration
 
     w = SequentialWorkload(mib(1), sweeps=2)
-    run_obj = MigrationRun(w, FfaMigration(), capacity_pages=w.n_pages // 2)
-    result = run_obj.execute()
+    run_obj = ScenarioRuntime(two_node_spec(w, FfaMigration(), capacity_pages=w.n_pages // 2))
+    (result,) = run_obj.execute()
     c = result.counters
     assert c.pages_evicted > 0
     # Sweep 2 re-fetched evicted pages from the file server.
     assert c.pages_demand_fetched > w.n_pages
     # The written-back copies live on the file server, not the home node.
-    assert all(vpn not in run_obj.outcome.hpt for vpn in range(w.n_pages))
+    assert all(vpn not in run_obj.outcomes[0].hpt for vpn in range(w.n_pages))
 
 
 def test_accounting_identity_holds_under_pressure():

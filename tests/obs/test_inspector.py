@@ -83,7 +83,8 @@ class TestMultiMigrantRun:
     """One inspector watches a whole multi-migrant run."""
 
     def test_counts_each_event_once_and_probes_sum_every_migrant(self, monkeypatch):
-        from repro.cluster.multi import MultiMigrationRun
+        from repro.cluster.session import ScenarioRuntime
+        from repro.cluster.topology import DEST, HOME, MigrantSpec, NodeGraph, ScenarioSpec
         from repro.migration.ampom import AmpomMigration
         from repro.sim import Simulator
         from repro.units import mib
@@ -91,11 +92,11 @@ class TestMultiMigrantRun:
 
         obs = Observability.enabled(trace=False, metrics=False, inspect_interval_s=0.005)
         inspector = obs.inspector
-        run = MultiMigrationRun(
-            [SequentialWorkload(mib(2), sweeps=1) for _ in range(3)],
-            AmpomMigration,
-            obs=obs,
+        migrants = tuple(
+            MigrantSpec(SequentialWorkload(mib(2), sweeps=1), AmpomMigration)
+            for _ in range(3)
         )
+        run = ScenarioRuntime(ScenarioSpec(NodeGraph((HOME, DEST)), migrants), obs=obs)
         # A counting observer registered first sees every event; the
         # spies read its count when the inspector is attached and
         # detached.

@@ -349,7 +349,7 @@ def test_run_applies_both_retry_flags_under_faults(monkeypatch):
         seen["retry"] = config.retry
         raise Captured
 
-    monkeypatch.setattr("repro.cli.MigrationRun", capture)
+    monkeypatch.setattr("repro.cli.two_node_spec", capture)
     with pytest.raises(Captured):
         main(
             ["run", *_CELL, "--loss-rate", "0.01", "--retry-timeout-ms", "20", "--max-retries", "3"]

@@ -156,3 +156,34 @@ def test_infod_defaults():
     cfg = InfoDConfig()
     assert cfg.probe_interval == 1.0
     assert cfg.daemon_delay == pytest.approx(0.010)
+
+
+@pytest.mark.parametrize(
+    ("field", "bad"),
+    [
+        # A zero interval never advances the clock; NaN/inf/negative ones
+        # used to end the daemon with an unraised SimulationError.
+        ("probe_interval", 0.0),
+        ("probe_interval", -1.0),
+        ("probe_interval", math.nan),
+        ("probe_interval", math.inf),
+        # Zero used to surface only as a NetworkError once a run built
+        # its daemon.
+        ("smoothing", 0.0),
+        ("smoothing", 1.5),
+        ("smoothing", math.nan),
+        ("daemon_delay", -0.01),
+        ("daemon_delay", math.nan),
+        ("daemon_delay", math.inf),
+        ("queue_delay_cap", -0.01),
+        ("queue_delay_cap", math.nan),
+        ("probe_size_bytes", -1),
+    ],
+)
+def test_infod_rejects_degenerate_fields(field, bad):
+    with pytest.raises(ConfigurationError, match=field):
+        InfoDConfig(**{field: bad})
+
+
+def test_infod_accepts_its_boundaries():
+    InfoDConfig(smoothing=1.0, daemon_delay=0.0, queue_delay_cap=0.0, probe_size_bytes=0)

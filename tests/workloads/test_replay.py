@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.runner import MigrationRun
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import two_node_spec
 from repro.errors import ConfigurationError
 from repro.migration.ampom import AmpomMigration
 from repro.workloads.base import TraceChunk
@@ -47,7 +48,7 @@ def test_chunking():
 
 def test_runs_through_migration():
     w = ReplayWorkload(list(range(256)) * 2, compute=1e-5)
-    result = MigrationRun(w, AmpomMigration()).execute()
+    result = ScenarioRuntime(two_node_spec(w, AmpomMigration())).execute()[0]
     assert result.counters.pages_prefetched > 0
     assert result.run_time > 0
 

@@ -32,7 +32,6 @@ from .config import (
     NetworkSpec,
     SimulationConfig,
 )
-from .core.locality import spatial_locality_score
 from .core.policy import (
     FixedReadAheadPolicy,
     LinkConditions,
@@ -42,7 +41,6 @@ from .core.policy import (
 )
 from .core.prefetcher import AMPoMPrefetcher
 from .core.vm_prefetcher import VmAmpomPrefetcher
-from .core.window import LookbackWindow
 from .errors import (
     ConfigurationError,
     MemoryStateError,
@@ -97,7 +95,6 @@ __all__ = [
     "LinkConditions",
     "LinuxReadAheadPolicy",
     "LoadWindow",
-    "LookbackWindow",
     "MemoryStateError",
     "MigrantExecutor",
     "MigrationError",
@@ -131,7 +128,6 @@ __all__ = [
     "mib",
     "ms",
     "pages_for",
-    "spatial_locality_score",
     "two_node_spec",
     "us",
 ]

@@ -13,9 +13,10 @@ enabled is bit-identical to the same run with checks off):
   :class:`repro.errors.InvariantViolation` carrying the recent event
   trace.
 * :class:`DifferentialOracle` — a brute-force reference implementation of
-  the AMPoM equations (eq. 1 ``S``, eq. 2/3 ``N``, outstanding-stream
-  pivot selection with saved quota) cross-checked against
-  :mod:`repro.core` on every dependent-zone analysis.
+  the AMPoM equations (eq. 1 ``S``, the paging rate ``r`` and CPU ratio
+  ``c'/c``, eq. 2/3 ``N``, outstanding-stream pivot selection with saved
+  quota) cross-checked against :mod:`repro.core` on every dependent-zone
+  analysis; the one reference for the window analysis.
 * The golden-trace harness (:mod:`repro.check.golden`) — records a
   deterministic JSONL event log for a fixed scenario matrix and diffs it
   structurally (``repro check record`` / ``repro check diff``), so
@@ -28,7 +29,9 @@ from .golden import SCENARIOS, GoldenScenario, diff_scenarios, record_scenarios
 from .invariants import CheckEvent, InvariantChecker
 from .oracle import (
     DifferentialOracle,
+    ref_cpu_ratio,
     ref_outstanding_streams,
+    ref_paging_rate,
     ref_select_dependent_pages,
     ref_spatial_locality_score,
     ref_stride_counts,
@@ -43,7 +46,9 @@ __all__ = [
     "SCENARIOS",
     "diff_scenarios",
     "record_scenarios",
+    "ref_cpu_ratio",
     "ref_outstanding_streams",
+    "ref_paging_rate",
     "ref_select_dependent_pages",
     "ref_spatial_locality_score",
     "ref_stride_counts",

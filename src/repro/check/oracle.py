@@ -1,11 +1,14 @@
 """Brute-force reference implementations of the AMPoM equations.
 
-These are deliberately naive O(l²)-per-window transcriptions of the paper
-text — no position index, no incremental state — so they share no code
-(and therefore no bugs) with the production implementations in
-:mod:`repro.core`.  :class:`DifferentialOracle` cross-checks the two on
-every dependent-zone analysis when ``CheckSpec.oracle`` is enabled and
-raises :class:`repro.errors.InvariantViolation` on any disagreement.
+These are deliberately O(l²)-per-window transcriptions of the paper text —
+no position index, no incremental state — so they share no code (and
+therefore no bugs) with :class:`repro.core.incremental.IncrementalWindow`
+and the zone helpers of :mod:`repro.core.zone`.  They are the one
+reference the window analysis is checked against: tier-1 compares the
+engine with them after every recorded fault, and
+:class:`DifferentialOracle` cross-checks every dependent-zone analysis
+when ``CheckSpec.oracle`` is enabled, raising
+:class:`repro.errors.InvariantViolation` on any disagreement.
 
 Reference semantics (paper sections 3.1-3.4):
 
@@ -13,6 +16,8 @@ Reference semantics (paper sections 3.1-3.4):
   where ``stride_d`` counts the distinct pages participating in stride-d
   pairs, a pair's stride being the minimum absolute window distance
   between a reference ``r_p`` and any reference to page ``r_p + 1``;
+* section 3.3: the paging rate ``r = l / (T_l - T_1)`` and the CPU ratio
+  ``c'/c = C_l / mean(C)`` over the window's time and CPU arrays;
 * eq. 2/3: ``N = (c'/c) * S * r * t`` with ``t = 2*t0 + td + 1/r``,
   clamped to ``[min_pages, max_pages]``;
 * section 3.4: each outstanding stream's pivot receives ``N/m``
@@ -23,6 +28,7 @@ Reference semantics (paper sections 3.1-3.4):
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 from ..errors import InvariantViolation
@@ -83,6 +89,29 @@ def ref_outstanding_streams(pages: Sequence[int], dmax: int) -> list[tuple[int, 
         if kept is None or q > kept[1]:
             by_pivot[pivot] = (d, q, pivot)
     return sorted(by_pivot.values(), key=lambda s: (s[1], s[0]))
+
+
+def ref_paging_rate(times: Sequence[float], fallback_interval: float) -> float:
+    """Section 3.3: ``r = l / (T_l - T_1)`` over the window's times.
+
+    Before the window spans a positive time it is one fault per
+    ``fallback_interval``; a span so short that ``l / span`` overflows
+    saturates at the largest finite float.
+    """
+    if len(times) >= 2:
+        span = times[-1] - times[0]
+        if span > 0.0:
+            return min(len(times) / span, sys.float_info.max)
+    return 1.0 / fallback_interval
+
+
+def ref_cpu_ratio(cpus: Sequence[float]) -> float:
+    """Eq. 2's ``c'/c``: the newest CPU share over the window's mean, or 1
+    when the mean is at most ``1e-9`` (or the window is empty)."""
+    if not cpus:
+        return 1.0
+    mean = sum(cpus) / len(cpus)
+    return cpus[-1] / mean if mean > _EPS else 1.0
 
 
 def ref_zone_size(
@@ -150,6 +179,9 @@ class DifferentialOracle:
         horizon: float,
         rtt_s: float,
         page_transfer_time: float,
+        times: Sequence[float],
+        cpus: Sequence[float],
+        fallback_interval: float,
         cpu_ratio: float,
         zone_size: int,
         max_pages: int,
@@ -160,10 +192,14 @@ class DifferentialOracle:
     ) -> None:
         """Verify one dependent-zone analysis against the references.
 
-        ``streams`` are the production
-        :class:`repro.core.stride.OutstandingStream` objects and
+        ``times`` and ``cpus`` are the window's ``T`` and ``C`` arrays and
+        ``fallback_interval`` its paging interval before ``T`` spans a
+        positive time.  ``streams`` are the production
+        :class:`repro.core.incremental.OutstandingStream` objects and
         ``dependent`` the production page selection (before residency
         filtering, which is the executor's concern, not the equations').
+        ``r`` and ``c'/c`` must match exactly: the references perform the
+        same float operations in the same order.
         """
         ref_score = ref_spatial_locality_score(pages, dmax)
         if abs(ref_score - score) > _EPS:
@@ -173,6 +209,14 @@ class DifferentialOracle:
                 f"for window {list(pages)} (dmax={dmax})",
             )
 
+        ref_rate = ref_paging_rate(times, fallback_interval)
+        if ref_rate != paging_rate:
+            self._mismatch(
+                "eq3-paging-rate",
+                f"r={paging_rate!r} but l / (T_l - T_1) = {ref_rate!r} "
+                f"for times {list(times)} (fallback interval {fallback_interval!r})",
+            )
+
         paging_interval = 1.0 / paging_rate
         ref_horizon = rtt_s + page_transfer_time + paging_interval
         if abs(ref_horizon - horizon) > _EPS * max(1.0, abs(ref_horizon)):
@@ -180,6 +224,14 @@ class DifferentialOracle:
                 "eq3-horizon",
                 f"t={horizon!r} but 2*t0 + td + 1/r = {ref_horizon!r} "
                 f"(rtt={rtt_s!r}, td={page_transfer_time!r}, 1/r={paging_interval!r})",
+            )
+
+        ref_ratio = ref_cpu_ratio(cpus)
+        if ref_ratio != cpu_ratio:
+            self._mismatch(
+                "eq2-cpu-ratio",
+                f"c'/c={cpu_ratio!r} but C_l / mean(C) = {ref_ratio!r} "
+                f"for cpus {list(cpus)}",
             )
 
         ref_n = ref_zone_size(score, paging_rate, horizon, cpu_ratio, max_pages, min_pages)

@@ -389,7 +389,10 @@ class ScenarioRuntime:
                 infod.stop()
             self.sim.close()
         assert all(r is not None for r in self.results)
-        return list(self.results)  # type: ignore[arg-type]
+        results: list[ExecutionResult] = list(self.results)  # type: ignore[arg-type]
+        if self.obs is not None and self.obs.metrics is not None:
+            self._finalize_metrics(self.obs.metrics, results)
+        return results
 
     # ------------------------------------------------------------------
     def _context(
@@ -656,11 +659,8 @@ class ScenarioRuntime:
             sim.remove_observer(callback)
         if single and infod is not None:
             self._stop_infod(dst=route[hop], home=home)
-        if "killed" not in result.extra:
-            if obs is not None and obs.metrics is not None:
-                self._finalize_metrics(obs.metrics, result)
-            if jlog is not None:
-                jlog.finish(jname, sim.now, "completed", hops=hop)
+        if jlog is not None and "killed" not in result.extra:
+            jlog.finish(jname, sim.now, "completed", hops=hop)
         return self._settle(index, result)
 
     def _settle(self, index: int, result: ExecutionResult) -> ExecutionResult:
@@ -892,7 +892,13 @@ class ScenarioRuntime:
             depth = GaugeSet(DEFAULT_SAMPLE_INTERVAL_S)
             name = "deputy_queue_depth_s"
             if obs.metrics is not None:
-                depth.add(queue_depth, partial(obs.metrics.sample_gauge, name))
+                # One series per deputy, labelled with its trace track; a
+                # lone migrant's deputy keeps the bare name.
+                series = (
+                    name if deputy_track == DEPUTY_TRACK
+                    else f'{name}{{deputy="{deputy_track}"}}'
+                )
+                depth.add(queue_depth, partial(obs.metrics.sample_gauge, series))
             if obs.tracer is not None:
                 depth.add(queue_depth, partial(obs.tracer.counter, deputy_track, name))
             sim.add_observer(depth.on_sim_event)
@@ -915,28 +921,34 @@ class ScenarioRuntime:
         return observers
 
     @staticmethod
-    def _finalize_metrics(metrics, result: ExecutionResult) -> None:
-        """Fold end-of-run prefetch accuracy/waste scalars into the registry.
+    def _finalize_metrics(metrics, results: list[ExecutionResult]) -> None:
+        """Fold the run's end-of-run prefetch scalars into the registry.
 
-        Besides the aggregate counters, the accuracy/waste pair is also
-        recorded under a ``{policy="<name>"}``-labeled counter so multi-
-        policy sweeps (the arena) can tell the policies apart in one
-        registry.
+        ``pages_prefetched``, ``pages_demand_fetched`` and ``wasted_pages``
+        sum every completed migrant, and prefetch accuracy and waste are
+        computed from those sums: once for the run and once per prefetch
+        policy under a ``{policy="<name>"}`` label, so multi-policy sweeps
+        (the arena) can tell the policies apart in one registry.  A run
+        with no completed migrant records none of them.
         """
-        c = result.counters
-        prefetched = c.pages_prefetched
-        wasted = result.wasted_pages
+        completed = [r for r in results if "killed" not in r.extra]
+        if not completed:
+            return
+        prefetched = sum(r.counters.pages_prefetched for r in completed)
+        wasted = sum(r.wasted_pages for r in completed)
         metrics.set_counter("pages_prefetched", float(prefetched))
-        metrics.set_counter("pages_demand_fetched", float(c.pages_demand_fetched))
+        metrics.set_counter(
+            "pages_demand_fetched",
+            float(sum(r.counters.pages_demand_fetched for r in completed)),
+        )
         metrics.set_counter("wasted_pages", float(wasted))
-        label = result.prefetch_policy or "none"
-        if prefetched > 0:
-            useful = max(prefetched - wasted, 0)
-            metrics.set_counter("prefetch_accuracy", useful / prefetched)
-            metrics.set_counter("prefetch_waste_fraction", wasted / prefetched)
-            metrics.set_counter(
-                f'prefetch_accuracy{{policy="{label}"}}', useful / prefetched
-            )
-            metrics.set_counter(
-                f'prefetch_waste_fraction{{policy="{label}"}}', wasted / prefetched
-            )
+        #: counter-name suffix -> [pages prefetched, pages wasted]
+        totals = {"": [prefetched, wasted]}
+        for r in completed:
+            sums = totals.setdefault(f'{{policy="{r.prefetch_policy or "none"}"}}', [0, 0])
+            sums[0] += r.counters.pages_prefetched
+            sums[1] += r.wasted_pages
+        for label, (p, w) in totals.items():
+            if p > 0:
+                metrics.set_counter("prefetch_accuracy" + label, max(p - w, 0) / p)
+                metrics.set_counter("prefetch_waste_fraction" + label, w / p)

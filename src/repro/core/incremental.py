@@ -1,12 +1,26 @@
 """Incremental sliding-window AMPoM analysis (the per-fault hot path).
 
-The paper runs the dependent-zone analysis on *every* page fault, so its
-cost is the algorithmic overhead figure 11 measures.  The naive
-implementations in :mod:`repro.core.stride` / :mod:`repro.core.locality`
-rebuild the page-position index and rescan the whole window on each fault
-— O(l·dmax) work per analysis.  :class:`IncrementalWindow` maintains the
-same quantities as persistent state updated in O(dmax) amortized work per
-window push/evict:
+Paper sections 3.1-3.4, as this module reads them:
+
+* The lookback window ``W`` records the pages of the last ``l`` faults,
+  with each entry's access time in ``T`` and the process's CPU share in
+  ``C``; a consecutive repeat of the newest page is one reference
+  (``r_p != r_{p+1}``) and is not recorded.
+* The *stride* of a reference ``r_p`` is the minimum absolute window
+  distance ``d`` to a reference of page ``r_p + 1``; ``stride_d`` counts
+  the distinct pages in stride-``d`` pairs.  For ``{1,99,2,45,3,78,4}``,
+  ``stride_2 = 4`` (pages 1, 2, 3, 4).  Eq. 1 weighs them into the
+  spatial locality score ``S``.
+* An *outstanding* stride-``d`` stream is a forward pair whose endpoint
+  lies within ``d`` of the window's end; its *prefetch pivot* is the page
+  after the endpoint.  The score uses absolute distance, so a descending
+  sweep still shows locality; streams are forward pairs only, because a
+  pivot extrapolates forward progress.
+
+The paper runs this analysis on *every* page fault, so its cost is the
+algorithmic overhead figure 11 measures.  Rescanning the window per fault
+is O(l·dmax) work; :class:`IncrementalWindow` maintains the quantities as
+persistent state updated in O(dmax) amortized work per window push/evict:
 
 * ``_occ`` — the page-position index (page value → ascending absolute
   window positions), updated by appending on push and popping on evict;
@@ -28,9 +42,9 @@ forces ``q >= l - dmax``), so it reads the index instead of scanning.
 
 Float discipline: every derived quantity (:meth:`locality_score`,
 :meth:`paging_rate`, :meth:`mean_cpu`) performs the *identical sequence of
-floating-point operations* as the naive reference — same summation order,
-same clamps — so runs are bit-identical, which the golden traces and the
-:class:`repro.check.DifferentialOracle` both verify.
+floating-point operations* as the brute-force references of
+:mod:`repro.check.oracle` — same summation order, same clamps — so the
+:class:`repro.check.DifferentialOracle` compares them exactly.
 """
 
 from __future__ import annotations
@@ -38,21 +52,32 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .stride import OutstandingStream
 
 _FLOAT_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True, slots=True)
+class OutstandingStream:
+    """A stride-``d`` stream still active at the window's end."""
+
+    stride: int
+    #: Window position (0-based) of the stream's endpoint ``r_{p+d}``.
+    end_index: int
+    #: The page to start prefetching from: ``r_{p+d} + 1``.
+    pivot: int
 
 
 class IncrementalWindow:
     """Lookback window ``W``/``T``/``C`` with incremental stride state.
 
-    Drop-in superset of :class:`repro.core.window.LookbackWindow`: the
-    recording API and the section-3.3 derived quantities are identical;
-    on top of those it answers :meth:`stride_counts`,
-    :meth:`locality_score` and :meth:`outstanding_streams` from
-    incrementally maintained state instead of per-call rebuilds.
+    Records faults and answers the section-3.3 quantities
+    (:meth:`paging_rate`, :meth:`mean_cpu`, :meth:`last_cpu`) plus
+    :meth:`stride_counts`, :meth:`locality_score` and
+    :meth:`outstanding_streams` from incrementally maintained state
+    instead of per-call rescans.
     """
 
     __slots__ = (
@@ -96,7 +121,7 @@ class IncrementalWindow:
         self._pages_cache: tuple[int, ...] | None = ()
 
     # ------------------------------------------------------------------
-    # LookbackWindow-compatible surface
+    # the recording surface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._next - self._base
@@ -154,8 +179,8 @@ class IncrementalWindow:
         return True
 
     # ------------------------------------------------------------------
-    # derived quantities of section 3.3 (identical float ops to the naive
-    # LookbackWindow implementations)
+    # derived quantities of section 3.3 (identical float ops to
+    # repro.check.oracle's ref_paging_rate and ref_cpu_ratio)
     # ------------------------------------------------------------------
     def paging_rate(self, fallback_interval: float) -> float:
         """``r = l / (T_l - T_1)``, the average paging rate over the window.
@@ -174,8 +199,8 @@ class IncrementalWindow:
     def mean_cpu(self) -> float:
         """``c = sum(C_i) / l`` — average CPU share over the window.
 
-        Summed oldest-to-newest over the deque — the same operation order
-        as the naive window, so the result is bit-identical.
+        Summed oldest-to-newest over the deque, the operation order
+        :func:`repro.check.oracle.ref_cpu_ratio` repeats.
         """
         cpus = self._cpus
         if not cpus:
@@ -308,15 +333,16 @@ class IncrementalWindow:
     def locality_score(self) -> float:
         """Eq. 1: ``S = sum_d stride_d / (l * d)``, clamped to [0, 1].
 
-        Accumulated in ascending ``d`` — the same order as the naive
-        ``sum()`` over the counts dict — for bit-identical results.
+        Accumulated in ascending ``d`` — the order of
+        :func:`repro.check.oracle.ref_spatial_locality_score`'s ``sum()``
+        over its counts dict — for bit-identical results.
         """
         l = self._next - self._base
         if l == 0:
             return 0.0
         contrib = self._contrib
         # Explicit loop: same left-to-right accumulation as ``sum()`` over
-        # the naive counts (0.0 + a + b + ...), without the generator.
+        # a counts dict (0.0 + a + b + ...), without the generator.
         score = 0.0
         for d in range(1, self.dmax + 1):
             score += len(contrib[d]) / (l * d)
@@ -325,7 +351,7 @@ class IncrementalWindow:
     def outstanding_streams(self) -> list[OutstandingStream]:
         """Section 3.4's outstanding stride streams, newest-``dmax`` scan.
 
-        Matches :func:`repro.core.stride.find_outstanding_streams` on the
+        Matches :func:`repro.check.oracle.ref_outstanding_streams` on the
         current window exactly, including the per-pivot keep-latest rule
         and the (end_index, stride) output order.
         """
@@ -355,7 +381,7 @@ class IncrementalWindow:
             q_idx = q - base
             # Valid starts p satisfy: prev_u < p < q, stride d = q - p
             # within dmax, and the outstanding condition q_idx >= n - d,
-            # i.e. p <= q - (n - q_idx).  The naive scan visits starts in
+            # i.e. p <= q - (n - q_idx).  A full scan visits starts in
             # ascending p and only ever *keeps* the first one per endpoint
             # (later starts have strictly smaller strides and the same
             # end_index, which never displaces the kept stream).
@@ -380,7 +406,7 @@ class IncrementalWindow:
             pivot, (e, d) = next(iter(by_pivot.items()))
             return [OutstandingStream(stride=d, end_index=e, pivot=pivot)]
         # end_index values are distinct (one candidate per endpoint q), so
-        # sorting the (end_index, stride, pivot) tuples matches the naive
+        # sorting the (end_index, stride, pivot) tuples matches the
         # (end_index, stride) key order exactly.
         return [
             OutstandingStream(stride=d, end_index=e, pivot=pivot)
@@ -390,4 +416,4 @@ class IncrementalWindow:
         ]
 
 
-__all__ = ["IncrementalWindow"]
+__all__ = ["IncrementalWindow", "OutstandingStream"]

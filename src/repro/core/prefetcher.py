@@ -112,11 +112,9 @@ class AMPoMPrefetcher:
                 f"available bandwidth must be positive: {conditions.available_bw_bps}"
             )
         td = self.hardware.page_size / conditions.available_bw_bps
-        # prefetch_horizon and dependent_zone_size, inlined with the same
-        # operation order and sharing its clamp (this runs once per fault;
-        # the validation the helpers perform cannot fail here — rtt/td/rate
-        # are measured non-negative and the config bounds are checked at
-        # construction).
+        # Eq. 3's horizon t = 2*t0 + td + 1/r and zone size N, clamped to
+        # the configured band (rtt/td/rate are measured non-negative and
+        # the band is checked when the config is built).
         horizon = conditions.rtt_s + td + 1.0 / rate
 
         c = window.mean_cpu()
@@ -141,6 +139,9 @@ class AMPoMPrefetcher:
                 horizon=horizon,
                 rtt_s=conditions.rtt_s,
                 page_transfer_time=td,
+                times=window.times,
+                cpus=window.cpus,
+                fallback_interval=cfg.initial_paging_interval,
                 cpu_ratio=cpu_ratio,
                 zone_size=n,
                 max_pages=cfg.max_zone_pages,

@@ -21,40 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .stride import OutstandingStream, find_outstanding_streams
-
-
-def prefetch_horizon(rtt: float, page_transfer_time: float, paging_interval: float) -> float:
-    """``t = 2*t0 + td + 1/r`` — the latency window prefetching must cover.
-
-    ``rtt`` is the measured round trip (``2 * t0``), ``page_transfer_time``
-    is ``td``, and ``paging_interval`` is ``1/r`` (time until the next
-    dependent-zone analysis).
-    """
-    if rtt < 0 or page_transfer_time < 0 or paging_interval < 0:
-        raise ValueError("horizon components must be non-negative")
-    return rtt + page_transfer_time + paging_interval
-
-
-def dependent_zone_size(
-    score: float,
-    paging_rate: float,
-    horizon: float,
-    cpu_ratio: float = 1.0,
-    max_pages: int = 256,
-    min_pages: int = 0,
-) -> int:
-    """``N = (c'/c) * S * r * t``, clamped to ``[min_pages, max_pages]``.
-
-    ``min_pages`` is the baseline read-ahead aggressiveness retained when
-    the access pattern is unclear (section 5.3; Linux 2.4 swaps in
-    ``1 << page_cluster`` pages around every major fault regardless).
-    """
-    if paging_rate < 0:
-        raise ValueError(f"paging_rate must be non-negative: {paging_rate}")
-    if not (0 <= min_pages <= max_pages):
-        raise ValueError(f"need 0 <= min_pages <= max_pages: {min_pages}, {max_pages}")
-    return clamp_zone_size(cpu_ratio * score * paging_rate * horizon, min_pages, max_pages)
+from .incremental import OutstandingStream
 
 
 def clamp_zone_size(zone: float, min_pages: int, max_pages: int) -> int:
@@ -109,26 +76,3 @@ def select_from_streams(
             vpn += 1
     return selected
 
-
-def select_dependent_pages(
-    window_pages: Sequence[int],
-    n: int,
-    dmax: int,
-    address_limit: int,
-    streams: list[OutstandingStream] | None = None,
-) -> list[int]:
-    """Identify the ``n`` pages of the dependent zone.
-
-    Returns the dependent pages in selection order.  ``address_limit`` is
-    one past the largest valid vpn; walks are truncated there (quota spent
-    on a truncated stream is not reassigned, matching a real implementation
-    that simply runs out of address space).  ``streams`` may be supplied to
-    avoid recomputing the outstanding-stream analysis.
-    """
-    if n <= 0 or not window_pages:
-        return []
-    if streams is None:
-        streams = find_outstanding_streams(window_pages, dmax)
-    if not streams:
-        return readahead_fallback(window_pages[-1], n, address_limit)
-    return select_from_streams(streams, n, address_limit)

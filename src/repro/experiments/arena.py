@@ -26,6 +26,7 @@ from pathlib import Path
 from ..config import CheckSpec, FaultSpec, NetworkSpec
 from ..errors import ConfigurationError
 from ..metrics.report import format_table
+from ..obs.slo import percentile
 
 #: Default policy line-up: the paper's system, both baselines from the
 #: ablation study, Leap, and pure demand paging as the floor.
@@ -108,15 +109,6 @@ def _run_cell(cell: ArenaCell) -> dict:
     }
 
 
-def _p99(values: list[float]) -> float:
-    """Nearest-rank p99 (same definition as the metrics registry)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(max(-(-99 * len(ordered) // 100), 1), len(ordered))
-    return ordered[rank - 1]
-
-
 def run_arena(
     policies: tuple[str, ...] = DEFAULT_POLICIES,
     kernels: tuple[str, ...] = tuple(KERNEL_SIZES),
@@ -175,7 +167,7 @@ def run_arena(
             "total_s": sum(r["total_s"] for r in mine),
             "prefetch_accuracy": useful / prefetched if prefetched else 0.0,
             "waste_fraction": wasted / prefetched if prefetched else 0.0,
-            "freeze_p99_s": _p99([r["freeze_s"] for r in mine]),
+            "freeze_p99_s": percentile([r["freeze_s"] for r in mine], 0.99),
         }
     return {
         "policies": list(policies),

@@ -1,5 +1,5 @@
-"""The differential oracle: references agree with production, and the
-oracle actually fires on a disagreement."""
+"""The differential oracle: references agree with the production engine,
+and the oracle actually fires on a disagreement."""
 
 from __future__ import annotations
 
@@ -15,35 +15,60 @@ from repro.check.oracle import (
     ref_stride_counts,
     ref_zone_size,
 )
-from repro.core.locality import spatial_locality_score
-from repro.core.stride import find_outstanding_streams, stride_counts
-from repro.core.zone import dependent_zone_size, select_dependent_pages
+from repro.core.incremental import IncrementalWindow
+from repro.core.zone import clamp_zone_size, readahead_fallback, select_from_streams
 from repro.errors import InvariantViolation
 
-windows = st.lists(st.integers(min_value=0, max_value=60), max_size=25)
+from ..core.conftest import window_of
+
+
+def _collapse(pages: list[int]) -> list[int]:
+    """Drop consecutive repeats: the reference stream a window records."""
+    return [vpn for i, vpn in enumerate(pages) if i == 0 or pages[i - 1] != vpn]
+
+
+windows = st.lists(st.integers(min_value=0, max_value=60), max_size=25).map(_collapse)
 dmaxes = st.integers(min_value=1, max_value=6)
 
 
+def _cpu_ratio(window):
+    """``c'/c`` as the prefetcher derives it from the window."""
+    c = window.mean_cpu()
+    return (window.last_cpu() / c) if c > 1e-9 else 1.0
+
+
+def _select(window, n, address_limit):
+    """Section 3.4 as the prefetcher runs it: split ``n`` over the
+    outstanding streams, or read ahead of the last page without one."""
+    if n <= 0 or not len(window):
+        return []
+    streams = window.outstanding_streams()
+    if streams:
+        return select_from_streams(streams, n, address_limit)
+    return readahead_fallback(window.last_page, n, address_limit)
+
+
 class TestReferencesMatchProduction:
-    """The naive O(l²) transcriptions and the indexed implementations are
-    two independent codings of the same paper text; they must agree on
-    every input."""
+    """The O(l²) transcriptions and the incremental engine are two
+    independent codings of the same paper text; they must agree exactly
+    on every window (tests/core/test_incremental.py compares ``r`` and
+    ``c'/c`` after every record of arbitrary fault streams)."""
 
     @given(windows, dmaxes)
     def test_stride_counts(self, pages, dmax):
-        assert ref_stride_counts(pages, dmax) == stride_counts(pages, dmax)
+        assert ref_stride_counts(pages, dmax) == window_of(pages, dmax).stride_counts()
 
     @given(windows, dmaxes)
     def test_spatial_locality_score(self, pages, dmax):
-        assert ref_spatial_locality_score(pages, dmax) == pytest.approx(
-            spatial_locality_score(pages, dmax)
+        assert ref_spatial_locality_score(pages, dmax) == (
+            window_of(pages, dmax).locality_score()
         )
 
     @given(windows, dmaxes)
     def test_outstanding_streams(self, pages, dmax):
         production = [
             (s.stride, s.end_index, s.pivot)
-            for s in find_outstanding_streams(pages, dmax)
+            for s in window_of(pages, dmax).outstanding_streams()
         ]
         assert ref_outstanding_streams(pages, dmax) == production
 
@@ -51,7 +76,7 @@ class TestReferencesMatchProduction:
     def test_dependent_page_selection(self, pages, n, dmax):
         limit = 1000
         assert ref_select_dependent_pages(pages, n, dmax, limit) == (
-            select_dependent_pages(pages, n, dmax, limit)
+            _select(window_of(pages, dmax), n, limit)
         )
 
     @given(
@@ -63,9 +88,7 @@ class TestReferencesMatchProduction:
         st.integers(min_value=64, max_value=4096),
     )
     def test_zone_size(self, s, r, t, c, lo, hi):
-        assert ref_zone_size(s, r, t, c, hi, lo) == dependent_zone_size(
-            s, r, t, cpu_ratio=c, max_pages=hi, min_pages=lo
-        )
+        assert ref_zone_size(s, r, t, c, hi, lo) == clamp_zone_size(c * s * r * t, lo, hi)
 
     @pytest.mark.parametrize("cpu_ratio", [1.0, -1.0])
     @pytest.mark.parametrize(
@@ -73,9 +96,7 @@ class TestReferencesMatchProduction:
     )
     def test_zone_size_non_finite_product(self, rate, horizon, cpu_ratio):
         assert ref_zone_size(1.0, rate, horizon, cpu_ratio, 256, 8) == (
-            dependent_zone_size(
-                1.0, rate, horizon, cpu_ratio=cpu_ratio, max_pages=256, min_pages=8
-            )
+            clamp_zone_size(cpu_ratio * 1.0 * rate * horizon, 8, 256)
         )
 
     def test_paper_worked_example(self):
@@ -86,29 +107,35 @@ class TestReferencesMatchProduction:
 
 class TestVerifyAnalysis:
     def _analysis(self, **overrides):
-        """One genuine analysis of a sequential window; overrides inject
-        a disagreement for the oracle to catch."""
-        pages = [5, 6, 7, 8]
-        dmax = 4
-        rtt, td, rate, cpu_ratio = 0.001, 0.0005, 100.0, 1.0
+        """One genuine analysis of a sequential window whose CPU share
+        rose; overrides inject a disagreement for the oracle to catch."""
+        dmax, fallback = 4, 0.002
+        window = IncrementalWindow(20, dmax)
+        for vpn, t, cpu in ((5, 0.0, 0.5), (6, 0.001, 0.5), (7, 0.002, 1.0), (8, 0.003, 1.0)):
+            window.record(vpn, t, cpu)
+        rtt, td = 0.001, 0.0005
+        rate = window.paging_rate(fallback)
+        cpu_ratio = _cpu_ratio(window)
         horizon = rtt + td + 1.0 / rate
-        score = spatial_locality_score(pages, dmax)
-        n = dependent_zone_size(score, rate, horizon, cpu_ratio=cpu_ratio, max_pages=64)
-        streams = find_outstanding_streams(pages, dmax)
+        score = window.locality_score()
+        n = clamp_zone_size(cpu_ratio * score * rate * horizon, 0, 64)
         kwargs = dict(
-            pages=pages,
+            pages=window.pages,
             dmax=dmax,
             score=score,
             paging_rate=rate,
             horizon=horizon,
             rtt_s=rtt,
             page_transfer_time=td,
+            times=window.times,
+            cpus=window.cpus,
+            fallback_interval=fallback,
             cpu_ratio=cpu_ratio,
             zone_size=n,
             max_pages=64,
             min_pages=0,
-            streams=streams,
-            dependent=select_dependent_pages(pages, n, dmax, 1000, streams=streams),
+            streams=window.outstanding_streams(),
+            dependent=_select(window, n, 1000),
             address_limit=1000,
         )
         kwargs.update(overrides)
@@ -116,7 +143,9 @@ class TestVerifyAnalysis:
 
     def test_correct_analysis_verifies(self):
         oracle = DifferentialOracle()
-        oracle.verify_analysis(**self._analysis())
+        analysis = self._analysis()
+        assert analysis["zone_size"] > 0 and analysis["cpu_ratio"] != 1.0
+        oracle.verify_analysis(**analysis)
         assert oracle.verified == 1
 
     def test_wrong_score_caught(self):
@@ -124,6 +153,20 @@ class TestVerifyAnalysis:
         with pytest.raises(InvariantViolation) as exc:
             oracle.verify_analysis(**self._analysis(score=0.5))
         assert exc.value.invariant == "oracle:eq1-score"
+
+    def test_wrong_paging_rate_caught(self):
+        oracle = DifferentialOracle()
+        rate = self._analysis()["paging_rate"]
+        with pytest.raises(InvariantViolation) as exc:
+            oracle.verify_analysis(**self._analysis(paging_rate=rate * (1 + 1e-15)))
+        assert exc.value.invariant == "oracle:eq3-paging-rate"
+
+    def test_wrong_cpu_ratio_caught(self):
+        oracle = DifferentialOracle()
+        ratio = self._analysis()["cpu_ratio"]
+        with pytest.raises(InvariantViolation) as exc:
+            oracle.verify_analysis(**self._analysis(cpu_ratio=ratio * (1 + 1e-15)))
+        assert exc.value.invariant == "oracle:eq2-cpu-ratio"
 
     def test_wrong_horizon_caught(self):
         oracle = DifferentialOracle()
@@ -173,9 +216,11 @@ class TestOracleRunsInSimulation:
             )
         )
         run.execute()
-        oracle = run.outcomes[0].policy.check_oracle
+        policy = run.outcomes[0].policy
+        oracle = policy.check_oracle
         assert oracle is not None
-        assert oracle.verified > 0
+        # One verified analysis per consulted fault.
+        assert oracle.verified == policy.analyses > 0
 
     def test_oracle_can_be_disabled_separately(self):
         from repro.cluster.session import ScenarioRuntime

@@ -14,9 +14,13 @@ from repro.sim import Simulator
 # default ``ci`` profile derives every example from the test itself and
 # keeps no example database.  ``pytest --hypothesis-profile=random`` draws
 # fresh examples instead; a failure it finds prints a reproduction blob, to
-# be pinned as an ``@example``.  Neither profile changes ``max_examples``.
+# be pinned as an ``@example``.  Both keep the default ``max_examples``.
+# ``deep`` is ``random`` with 2,000 examples per test; CI runs it on
+# tests/core/test_incremental.py and tests/check/test_oracle.py, the
+# sweep of the window engine against the oracle.
 settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 settings.register_profile("random", derandomize=False, print_blob=True)
+settings.register_profile("deep", derandomize=False, max_examples=2000, print_blob=True)
 settings.load_profile("ci")
 
 

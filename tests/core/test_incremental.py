@@ -1,13 +1,12 @@
-"""IncrementalWindow ≡ the naive window + full-window analysis.
+"""IncrementalWindow ≡ a replay of the recording rule + the oracle.
 
-The incremental sliding-window analysis is a pure optimization: after any
-sequence of records (pushes and implied evictions) every query must return
-*exactly* — bit-for-bit for the float quantities — what the naive
-:class:`repro.core.window.LookbackWindow` plus the full-window scans of
-:mod:`repro.core.stride` / :mod:`repro.core.locality` return for the same
-stream.  Hypothesis drives arbitrary streams through both and compares
-after every single record, so any divergence pins the exact prefix that
-caused it.
+After any sequence of records (pushes and implied evictions) the window
+must hold exactly what a few-line replay of section 3.1's recording rule
+holds, and every analysis query must return *exactly* — bit-for-bit for
+the float quantities — what the brute-force references of
+:mod:`repro.check.oracle` compute from those contents.  Hypothesis drives
+arbitrary streams through both and compares after every single record,
+so any divergence pins the exact prefix that caused it.
 """
 
 from __future__ import annotations
@@ -16,10 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check.oracle import (
+    ref_cpu_ratio,
+    ref_outstanding_streams,
+    ref_paging_rate,
+    ref_spatial_locality_score,
+    ref_stride_counts,
+)
 from repro.core.incremental import IncrementalWindow
-from repro.core.locality import spatial_locality_score
-from repro.core.stride import find_outstanding_streams, stride_counts
-from repro.core.window import LookbackWindow
 from repro.errors import ConfigurationError
 
 #: Small page universe so streams collide (strides, repeats, evictions).
@@ -36,40 +39,52 @@ dmaxes = st.integers(min_value=1, max_value=5)
 
 
 def _drive(stream, length, dmax):
-    """Feed the stream to both windows, comparing after every record."""
+    """Feed the stream to the window and to a list replay of the recording
+    rule; yields the window and the replayed ``(pages, times, cpus, wraps)``
+    after every record."""
     inc = IncrementalWindow(length, dmax)
-    naive = LookbackWindow(length)
+    pages, times, cpus, wraps = [], [], [], 0
     t = 0.0
     for vpn, dt, cpu in stream:
         t += dt
-        assert inc.record(vpn, t, cpu) == naive.record(vpn, t, cpu)
-        yield inc, naive
+        # A consecutive repeat of the newest page is one reference.
+        recorded = not pages or pages[-1] != vpn
+        assert inc.record(vpn, t, cpu) == recorded
+        if recorded:
+            pages.append(vpn)
+            times.append(t)
+            cpus.append(min(max(cpu, 0.0), 1.0))  # CPU shares clamp to [0, 1]
+            if len(pages) > length:  # the last l entries stay; one wrap each
+                del pages[0], times[0], cpus[0]
+                wraps += 1
+        yield inc, (pages, times, cpus, wraps)
 
 
 class TestWindowSurface:
-    """The LookbackWindow-compatible recording surface."""
+    """The recording surface against the replay."""
 
     @given(records, lengths, dmaxes)
     def test_contents_track_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.pages == naive.pages
-            assert inc.times == naive.times
-            assert inc.cpus == naive.cpus
-            assert len(inc) == len(naive)
-            assert inc.full == naive.full
-            assert inc.wraps == naive.wraps
-            assert inc.last_page == naive.last_page
+        for inc, (pages, times, cpus, wraps) in _drive(stream, length, dmax):
+            assert inc.pages == tuple(pages)
+            assert inc.times == tuple(times)
+            assert inc.cpus == tuple(cpus)
+            assert len(inc) == len(pages)
+            assert inc.full == (len(pages) == length)
+            assert inc.wraps == wraps
+            assert inc.last_page == (pages[-1] if pages else None)
 
     @given(records, lengths, dmaxes)
-    # A subnormal span, where l / span overflows: both windows saturate.
+    # A subnormal span, where l / span overflows: both sides saturate.
     @example(stream=[(0, 0.0, 1.0), (1, 5e-324, 1.0)], length=2, dmax=1)
     def test_derived_floats_bit_identical(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            # Exact equality on purpose: the incremental path promises the
-            # identical float operation sequence, not approximation.
-            assert inc.paging_rate(0.01) == naive.paging_rate(0.01)
-            assert inc.mean_cpu() == naive.mean_cpu()
-            assert inc.last_cpu() == naive.last_cpu()
+        for inc, (_, times, cpus, _) in _drive(stream, length, dmax):
+            # Exact equality on purpose: the window promises the identical
+            # float operation sequence, not an approximation.
+            assert inc.paging_rate(0.01) == ref_paging_rate(times, 0.01)
+            # c'/c as the prefetcher derives it from the window.
+            c = inc.mean_cpu()
+            assert ((inc.last_cpu() / c) if c > 1e-9 else 1.0) == ref_cpu_ratio(cpus)
 
     def test_rejects_decreasing_times(self):
         inc = IncrementalWindow(4, 2)
@@ -86,26 +101,23 @@ class TestWindowSurface:
 
 
 class TestAnalysisQueries:
-    """The per-fault analysis vs the full-window reference scans."""
+    """The per-fault analysis vs the oracle's brute-force scans."""
 
     @given(records, lengths, dmaxes)
     def test_stride_counts_match_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.stride_counts() == stride_counts(naive.pages, dmax)
+        for inc, (pages, *_) in _drive(stream, length, dmax):
+            assert inc.stride_counts() == ref_stride_counts(pages, dmax)
 
     @given(records, lengths, dmaxes)
     def test_locality_score_bit_identical(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.locality_score() == spatial_locality_score(
-                naive.pages, dmax
-            )
+        for inc, (pages, *_) in _drive(stream, length, dmax):
+            assert inc.locality_score() == ref_spatial_locality_score(pages, dmax)
 
     @given(records, lengths, dmaxes)
     def test_outstanding_streams_match_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.outstanding_streams() == find_outstanding_streams(
-                naive.pages, dmax
-            )
+        for inc, (pages, *_) in _drive(stream, length, dmax):
+            got = [(s.stride, s.end_index, s.pivot) for s in inc.outstanding_streams()]
+            assert got == ref_outstanding_streams(pages, dmax)
 
     @settings(max_examples=25)
     @given(
@@ -115,15 +127,15 @@ class TestAnalysisQueries:
     def test_long_sequential_stream(self, start, n):
         """Many evictions on the best case for strides (pure sequential)."""
         inc = IncrementalWindow(8, 4)
-        naive = LookbackWindow(8)
         for i in range(n):
             inc.record(start + i, float(i), 1.0)
-            naive.record(start + i, float(i), 1.0)
-        assert inc.stride_counts() == stride_counts(naive.pages, 4)
+        pages = list(range(start + n - 8, start + n))
+        assert inc.pages == tuple(pages)
+        assert inc.stride_counts() == ref_stride_counts(pages, 4)
         assert inc.locality_score() == 1.0
-        assert inc.outstanding_streams() == find_outstanding_streams(
-            naive.pages, 4
-        )
+        assert [
+            (s.stride, s.end_index, s.pivot) for s in inc.outstanding_streams()
+        ] == ref_outstanding_streams(pages, 4)
 
     def test_paper_example_score(self):
         """The paper's worked example {10,99,11,34,12,85} scores 0.25."""

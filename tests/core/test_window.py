@@ -1,4 +1,4 @@
-"""Unit tests for the lookback window (W, T, C arrays)."""
+"""Unit tests for the lookback window (W, T, C arrays) of IncrementalWindow."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.window import LookbackWindow
+from repro.core.incremental import IncrementalWindow
 from repro.errors import ConfigurationError
 
 
 def test_records_in_order():
-    w = LookbackWindow(5)
+    w = IncrementalWindow(5, 4)
     for i, vpn in enumerate([10, 20, 30]):
         assert w.record(vpn, time=float(i), cpu=1.0)
     assert w.pages == (10, 20, 30)
@@ -21,7 +21,7 @@ def test_records_in_order():
 
 
 def test_window_wraps_discarding_oldest():
-    w = LookbackWindow(3)
+    w = IncrementalWindow(3, 4)
     for i in range(5):
         w.record(i, time=float(i), cpu=1.0)
     assert w.pages == (2, 3, 4)
@@ -31,7 +31,7 @@ def test_window_wraps_discarding_oldest():
 
 def test_consecutive_repeats_are_single_reference():
     """Paper section 3.1: r_p != r_{p+1} — temporal locality, one entry."""
-    w = LookbackWindow(5)
+    w = IncrementalWindow(5, 4)
     assert w.record(7, 0.0, 1.0)
     assert not w.record(7, 1.0, 1.0)
     assert w.record(8, 2.0, 1.0)
@@ -40,7 +40,7 @@ def test_consecutive_repeats_are_single_reference():
 
 
 def test_time_must_be_non_decreasing():
-    w = LookbackWindow(5)
+    w = IncrementalWindow(5, 4)
     w.record(1, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         w.record(2, 0.5, 1.0)
@@ -48,11 +48,11 @@ def test_time_must_be_non_decreasing():
 
 def test_length_validation():
     with pytest.raises(ConfigurationError):
-        LookbackWindow(1)
+        IncrementalWindow(1, 4)
 
 
 def test_paging_rate():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     for i in range(5):
         w.record(i, time=i * 0.1, cpu=1.0)
     # r = l / (T_l - T_1) = 5 / 0.4
@@ -60,21 +60,21 @@ def test_paging_rate():
 
 
 def test_paging_rate_fallback_before_two_samples():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     assert w.paging_rate(fallback_interval=0.002) == pytest.approx(500.0)
     w.record(1, 5.0, 1.0)
     assert w.paging_rate(fallback_interval=0.002) == pytest.approx(500.0)
 
 
 def test_paging_rate_zero_span_uses_fallback():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     w.record(1, 5.0, 1.0)
     w.record(2, 5.0, 1.0)
     assert w.paging_rate(fallback_interval=0.001) == pytest.approx(1000.0)
 
 
 def test_paging_rate_saturates_on_subnormal_span():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     w.record(1, 0.0, 1.0)
     w.record(2, 5e-324, 1.0)
     # 2 / 5e-324 overflows; the rate saturates instead of becoming inf.
@@ -82,7 +82,7 @@ def test_paging_rate_saturates_on_subnormal_span():
 
 
 def test_cpu_statistics():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     w.record(1, 0.0, 0.2)
     w.record(2, 1.0, 0.6)
     assert w.mean_cpu() == pytest.approx(0.4)
@@ -90,13 +90,13 @@ def test_cpu_statistics():
 
 
 def test_cpu_defaults_when_empty():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     assert w.mean_cpu() == 1.0
     assert w.last_cpu() == 1.0
 
 
 def test_cpu_samples_clamped():
-    w = LookbackWindow(10)
+    w = IncrementalWindow(10, 4)
     w.record(1, 0.0, 2.5)
     w.record(2, 1.0, -1.0)
     assert w.cpus == (1.0, 0.0)
@@ -104,7 +104,7 @@ def test_cpu_samples_clamped():
 
 @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=60))
 def test_window_never_exceeds_capacity(pages):
-    w = LookbackWindow(7)
+    w = IncrementalWindow(7, 4)
     for i, vpn in enumerate(pages):
         w.record(vpn, time=float(i), cpu=1.0)
     assert len(w) <= 7

@@ -1,4 +1,11 @@
-"""Unit and property tests for dependent-zone sizing and selection."""
+"""Unit and property tests for dependent-zone sizing and selection.
+
+Eq. 3's horizon is read from the prefetcher, the zone size from
+``clamp_zone_size`` on eq. 3's product, and the section-3.4 selection
+from ``select_from_streams`` and ``readahead_fallback`` on the streams of
+an :class:`IncrementalWindow` — the calls the prefetcher makes.  Laws over
+arbitrary page lists run on the oracle's selection.
+"""
 
 from __future__ import annotations
 
@@ -6,39 +13,56 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.zone import (
-    dependent_zone_size,
-    prefetch_horizon,
-    select_dependent_pages,
-)
+from repro.check.oracle import ref_select_dependent_pages
+from repro.config import AMPoMConfig, HardwareSpec
+from repro.core.incremental import IncrementalWindow
+from repro.core.policy import LinkConditions
+from repro.core.prefetcher import AMPoMPrefetcher
+from repro.core.zone import clamp_zone_size, readahead_fallback, select_from_streams
+from repro.mem.residency import ResidencyTracker
+
+from .conftest import window_of
+
+
+def zone_size(score, rate, horizon, cpu_ratio=1.0, max_pages=256, min_pages=0):
+    """Eq. 3's ``N = (c'/c) * S * r * t``, clamped as the prefetcher does."""
+    return clamp_zone_size(cpu_ratio * score * rate * horizon, min_pages, max_pages)
+
+
+def streams_of(pages):
+    return window_of(pages, dmax=4).outstanding_streams()
 
 
 class TestHorizon:
     def test_formula(self):
         """t = 2*t0 + td + 1/r (eq. 3 / figure 3)."""
-        assert prefetch_horizon(0.004, 0.0005, 0.001) == pytest.approx(0.0055)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            prefetch_horizon(-1, 0, 0)
+        hardware = HardwareSpec()
+        pf = AMPoMPrefetcher(AMPoMConfig(), hardware, address_limit=1000)
+        # td = one page at this bandwidth = 0.0005 s.
+        cond = LinkConditions(rtt_s=0.004, available_bw_bps=hardware.page_size / 0.0005)
+        res = ResidencyTracker(remote_pages=range(1000), mapped_pages=())
+        # Two faults 2 ms apart: r = 2 / 0.002, so 1/r = 0.001 s.
+        for now, vpn in ((0.0, 10), (0.002, 11)):
+            pf.on_fault(vpn, now=now, cpu_share=1.0, residency=res, conditions=cond)
+        assert pf.last_trace.horizon == pytest.approx(0.0055)
 
 
 class TestZoneSize:
     def test_formula(self):
         # N = (c'/c) * S * r * t
-        assert dependent_zone_size(0.5, 1000.0, 0.02, cpu_ratio=1.0) == 10
+        assert zone_size(0.5, 1000.0, 0.02, cpu_ratio=1.0) == 10
 
     def test_cpu_ratio_scales(self):
-        assert dependent_zone_size(0.5, 1000.0, 0.02, cpu_ratio=2.0) == 20
+        assert zone_size(0.5, 1000.0, 0.02, cpu_ratio=2.0) == 20
 
     def test_clamped_to_max(self):
-        assert dependent_zone_size(1.0, 1e6, 1.0, max_pages=256) == 256
+        assert zone_size(1.0, 1e6, 1.0, max_pages=256) == 256
 
     def test_floor_applies_when_pattern_unclear(self):
-        assert dependent_zone_size(0.0, 1000.0, 0.02, min_pages=8) == 8
+        assert zone_size(0.0, 1000.0, 0.02, min_pages=8) == 8
 
     def test_no_floor_by_default(self):
-        assert dependent_zone_size(0.0, 1000.0, 0.02) == 0
+        assert zone_size(0.0, 1000.0, 0.02) == 0
 
     @pytest.mark.parametrize(
         "rate, horizon, expected",
@@ -47,13 +71,7 @@ class TestZoneSize:
     )
     def test_non_finite_product_clamps(self, rate, horizon, expected):
         # +inf clamps to max_pages; NaN (inf * 0) falls back to min_pages.
-        assert dependent_zone_size(1.0, rate, horizon, max_pages=256, min_pages=8) == expected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dependent_zone_size(0.5, -1.0, 0.02)
-        with pytest.raises(ValueError):
-            dependent_zone_size(0.5, 1.0, 0.02, min_pages=10, max_pages=5)
+        assert zone_size(1.0, rate, horizon, max_pages=256, min_pages=8) == expected
 
     @given(
         st.floats(min_value=0, max_value=1),
@@ -64,7 +82,7 @@ class TestZoneSize:
         st.integers(min_value=64, max_value=512),
     )
     def test_always_in_bounds(self, s, r, t, c, lo, hi):
-        n = dependent_zone_size(s, r, t, cpu_ratio=c, max_pages=hi, min_pages=lo)
+        n = zone_size(s, r, t, cpu_ratio=c, max_pages=hi, min_pages=lo)
         assert lo <= n <= hi
 
 
@@ -72,7 +90,7 @@ class TestSelection:
     def test_paper_pivots_receive_quota(self):
         """Pivots 16, 5, 6 from the section-3.4 example split N = 6 evenly."""
         pages = [13, 27, 7, 8, 14, 8, 3, 15, 4, 5]
-        selected = select_dependent_pages(pages, n=6, dmax=4, address_limit=1000)
+        selected = select_from_streams(streams_of(pages), 6, address_limit=1000)
         assert len(selected) == 6
         # Each pivot contributes its quota of 2 consecutive pages.
         assert {16, 17, 5, 7, 6, 8} >= set(selected)
@@ -80,44 +98,45 @@ class TestSelection:
 
     def test_saved_quota_extends_walk(self):
         """A page claimed by an earlier stream costs no quota (section 3.4)."""
-        # Two streams with pivots 6 and 7 (overlapping forward walks).
-        pages = [5, 0, 6, 0, 0, 0, 0, 0, 5, 6]
-        # pivots: both pairs end in 6 -> single pivot 7?  Build a clearer case:
         pages = [10, 20, 11, 21, 12, 22]  # pivots 13 (stride 2) and 23 (stride 2)
-        selected = select_dependent_pages(pages, n=4, dmax=4, address_limit=1000)
+        selected = select_from_streams(streams_of(pages), 4, address_limit=1000)
         assert set(selected) == {13, 14, 23, 24}
 
     def test_overlapping_pivot_regions_use_saved_quota(self):
-        # Pivot A = 13, pivot B = 14: B's walk skips 14 if A claimed it.
-        pages = [99, 12, 98, 13, 97, 12, 13, 14]
-        # streams ending near the end: {12,13} d=?, {13,14} d=1 -> pivots 14, 15
-        selected = select_dependent_pages(pages, n=4, dmax=4, address_limit=1000)
-        assert len(set(selected)) == len(selected) == 4
+        # Pivot A = 13 ({11, 12}), pivot B = 14 ({12, 13}): B's walk skips
+        # 14 once A claimed it and still collects its two pages.
+        streams = streams_of([11, 90, 12, 13])
+        assert [s.pivot for s in streams] == [13, 14]
+        selected = select_from_streams(streams, 4, address_limit=1000)
+        assert selected == [13, 14, 15, 16]
 
     def test_fallback_read_ahead_after_last_reference(self):
         """No outstanding stream: the N pages after r_l are dependent."""
-        pages = [50, 10, 90, 30]
-        selected = select_dependent_pages(pages, n=3, dmax=4, address_limit=1000)
-        assert selected == [31, 32, 33]
+        window = window_of([50, 10, 90, 30])
+        assert window.outstanding_streams() == []
+        assert readahead_fallback(window.last_page, 3, address_limit=1000) == [31, 32, 33]
 
     def test_fallback_respects_address_limit(self):
-        pages = [50, 10, 90, 30]
-        assert select_dependent_pages(pages, n=5, dmax=4, address_limit=32) == [31]
+        assert readahead_fallback(30, 5, address_limit=32) == [31]
 
     def test_stream_walk_respects_address_limit(self):
-        selected = select_dependent_pages([1, 2, 3], n=10, dmax=4, address_limit=6)
+        selected = select_from_streams(streams_of([1, 2, 3]), 10, address_limit=6)
         assert selected == [4, 5]
 
     def test_zero_n_selects_nothing(self):
-        assert select_dependent_pages([1, 2, 3], n=0, dmax=4, address_limit=100) == []
+        assert select_from_streams(streams_of([1, 2, 3]), 0, address_limit=100) == []
+        assert readahead_fallback(3, 0, address_limit=100) == []
 
     def test_empty_window_selects_nothing(self):
-        assert select_dependent_pages([], n=5, dmax=4, address_limit=100) == []
+        # No stream to split a quota over and no last page to read ahead of.
+        window = IncrementalWindow(4, 4)
+        assert window.outstanding_streams() == []
+        assert window.last_page is None
 
     def test_remainder_distributed_to_first_streams(self):
         pages = [10, 20, 11, 21, 12, 22]  # two pivots: 13, 23
-        selected = select_dependent_pages(pages, n=5, dmax=4, address_limit=1000)
-        assert len(selected) == 5
+        selected = select_from_streams(streams_of(pages), 5, address_limit=1000)
+        assert selected == [13, 14, 15, 23, 24]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=20),
@@ -125,13 +144,14 @@ class TestSelection:
     )
     def test_selection_invariants(self, pages, n):
         limit = 1000
-        selected = select_dependent_pages(pages, n=n, dmax=4, address_limit=limit)
+        selected = ref_select_dependent_pages(pages, n, dmax=4, address_limit=limit)
         assert len(selected) <= n
         assert len(set(selected)) == len(selected)  # no duplicates
         assert all(0 <= p < limit for p in selected)
 
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=20))
     def test_selection_deterministic(self, pages):
-        a = select_dependent_pages(pages, n=16, dmax=4, address_limit=1000)
-        b = select_dependent_pages(pages, n=16, dmax=4, address_limit=1000)
+        a, b = streams_of(pages), streams_of(pages)
         assert a == b
+        if a:
+            assert select_from_streams(a, 16, 1000) == select_from_streams(b, 16, 1000)

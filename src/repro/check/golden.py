@@ -205,8 +205,6 @@ def _scenario_config(scenario: GoldenScenario) -> SimulationConfig:
     config = figures.scaled_config(scenario.scale, seed=scenario.seed)
     if scenario.faults.active:
         config = config.with_(faults=scenario.faults)
-    if scenario.prefetch_policy:
-        config = config.with_(prefetch_policy=scenario.prefetch_policy)
     if scenario.node_faults.active:
         config = config.with_(node_faults=scenario.node_faults)
     # Golden runs double as an invariant/oracle sweep; checks never alter
@@ -240,7 +238,7 @@ def run_scenario(scenario: GoldenScenario, obs=None) -> list[str]:
 
     fault_log = FaultLog()
     workload = hpcc_workload(scenario.kernel, scenario.memory_mb, scale=scenario.scale)
-    strategy = make_strategy(scenario.scheme)
+    strategy = make_strategy(scenario.scheme, scenario.prefetch_policy or None)
     path = scenario.path or (HOME, DEST)
     nodes = list(path)
     if _wants_file_server(strategy):

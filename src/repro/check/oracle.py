@@ -198,11 +198,11 @@ class DifferentialOracle:
         :class:`repro.core.incremental.OutstandingStream` objects and
         ``dependent`` the production page selection (before residency
         filtering, which is the executor's concern, not the equations').
-        ``r`` and ``c'/c`` must match exactly: the references perform the
-        same float operations in the same order.
+        ``S``, ``r``, ``t`` and ``c'/c`` must match exactly: the references
+        perform the same float operations in the same order.
         """
         ref_score = ref_spatial_locality_score(pages, dmax)
-        if abs(ref_score - score) > _EPS:
+        if ref_score != score:
             self._mismatch(
                 "eq1-score",
                 f"S={score!r} but the reference computes {ref_score!r} "
@@ -219,7 +219,7 @@ class DifferentialOracle:
 
         paging_interval = 1.0 / paging_rate
         ref_horizon = rtt_s + page_transfer_time + paging_interval
-        if abs(ref_horizon - horizon) > _EPS * max(1.0, abs(ref_horizon)):
+        if ref_horizon != horizon:
             self._mismatch(
                 "eq3-horizon",
                 f"t={horizon!r} but 2*t0 + td + 1/r = {ref_horizon!r} "

@@ -6,6 +6,7 @@ Examples
 
     python -m repro run --kernel DGEMM --mb 115 --scheme AMPoM
     python -m repro run --kernel STREAM --mb 230 --scheme NoPrefetch --broadband
+    python -m repro run --case three_hop --trace trace.json
     python -m repro freeze --kernel DGEMM --mb 575 --scheme openMosix
     python -m repro figure 5
     python -m repro figure 10 --scale 0.125
@@ -22,7 +23,7 @@ from typing import Sequence
 from .config import FaultSpec, NetworkSpec, RetrySpec
 from .cluster.session import ScenarioRuntime
 from .cluster.topology import make_strategy, two_node_spec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MigrationError
 from .experiments import figures, tables
 from .metrics.report import format_table
 from .workloads.hpcc import hpcc_workload
@@ -30,6 +31,25 @@ from .workloads.hpcc import hpcc_workload
 KERNEL_CHOICES = figures.KERNELS
 SCHEME_CHOICES = figures.SCHEMES
 TRACE_FORMATS = ("perfetto", "jsonl", "flame")
+
+#: `run` flags that shape a --kernel/--mb/--scheme cell, with the value
+#: each takes when not given; a --case run fixes its own cell and
+#: rejects them all.
+_CELL_FLAGS = {
+    "prefetch_policy": None,
+    "scale": figures.DEFAULT_SCALE,
+    "seed": 0,
+    "broadband": False,
+    "capacity_pages": None,
+    "loss_rate": 0.0,
+    "dup_rate": 0.0,
+    "delay_rate": 0.0,
+    "delay_ms": 5.0,
+    "link_down": None,
+    "deputy_crash": None,
+    "retry_timeout_ms": None,
+    "max_retries": None,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,11 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "memory prefetching in openMosix (IPDPS 2008)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from .experiments.bench import CASES as _BENCH_CASES
+    from .experiments.bench import TRACE_CASES as _TRACE_CASES
 
-    run = sub.add_parser("run", help="run one migration experiment")
-    run.add_argument("--kernel", choices=KERNEL_CHOICES, required=True)
-    run.add_argument("--mb", type=float, required=True, help="program size in paper MB")
-    run.add_argument("--scheme", choices=SCHEME_CHOICES, required=True)
+    run = sub.add_parser(
+        "run",
+        help="run one migration experiment",
+        description="Run one (kernel, mb, scheme) cell, or one single-migrant "
+        "`repro bench` case, and print its summary.  Give either --case or "
+        "all of --kernel, --mb and --scheme.",
+    )
+    run.add_argument(
+        "--case",
+        choices=_TRACE_CASES,
+        default=None,
+        help="a single-migrant `repro bench` case (alternative to "
+        "--kernel/--mb/--scheme; takes no cell-shaping flag)",
+    )
+    run.add_argument("--kernel", choices=KERNEL_CHOICES, default=None)
+    run.add_argument("--mb", type=float, default=None, help="program size in paper MB")
+    run.add_argument("--scheme", choices=SCHEME_CHOICES, default=None)
     run.add_argument(
         "--prefetch-policy",
         default=None,
@@ -52,11 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "linux-readahead, readahead-<k>, noprefetch; see docs/POLICIES.md)",
     )
     run.add_argument(
-        "--scale", type=float, default=figures.DEFAULT_SCALE, help="size scale factor"
+        "--scale",
+        type=float,
+        default=None,
+        help=f"size scale factor (default {figures.DEFAULT_SCALE:g})",
     )
     run.add_argument(
         "--broadband",
         action="store_true",
+        default=None,
         help="use the section-5.5 broadband network (6 Mb/s, 2 ms)",
     )
     run.add_argument(
@@ -65,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="destination RAM limit (enables the LRU memory-pressure model)",
     )
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=None, help="seed (default 0)")
     run.add_argument(
         "--json", action="store_true", help="emit the result as a JSON object"
     )
@@ -100,16 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "fault injection", "seeded network/node faults (see docs/FAULTS.md)"
     )
     faults.add_argument(
-        "--loss-rate", type=float, default=0.0, help="message loss probability"
+        "--loss-rate", type=float, default=None, help="message loss probability"
     )
     faults.add_argument(
-        "--dup-rate", type=float, default=0.0, help="message duplication probability"
+        "--dup-rate", type=float, default=None, help="message duplication probability"
     )
     faults.add_argument(
-        "--delay-rate", type=float, default=0.0, help="message delay probability"
+        "--delay-rate", type=float, default=None, help="message delay probability"
     )
     faults.add_argument(
-        "--delay-ms", type=float, default=5.0, help="extra delay per delayed message"
+        "--delay-ms",
+        type=float,
+        default=None,
+        help="extra delay per delayed message (default 5)",
     )
     faults.add_argument(
         "--link-down",
@@ -220,6 +262,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="migration trigger policy for sustained-load scenarios "
         "(cluster_32/cluster_300 presets or a spec with a 'sustained' "
         "section; default from the spec)",
+    )
+    crun.add_argument(
+        "--slo",
+        action="append",
+        default=None,
+        metavar="EXPR",
+        help="SLO for sustained-load scenarios, like 'utilization_imbalance<=8' "
+        "or 'journey_wall_s_p99<=5' (repeatable): arms fleet telemetry and "
+        "journeys, evaluates online and at the makespan, and exits 1 on any "
+        "breach or journey mismatch",
     )
     crun.add_argument(
         "--json", action="store_true", help="emit per-migrant results as JSON"
@@ -352,66 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'mean_detection_latency_s<=2' (repeatable; any breach exits 1)",
     )
 
-    obs = sub.add_parser(
-        "obs",
-        help="fleet observability runs (see docs/OBSERVABILITY.md)",
-        description="Observability-first entry points over the sustained "
-        "cluster runs: armed fleet telemetry, journey traces, and online "
-        "SLO monitoring with an exit-code gate.",
-    )
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    oslo = obs_sub.add_parser(
-        "slo",
-        help="run a sustained preset under online SLO monitoring",
-        description="Execute one sustained-load preset with fleet "
-        "telemetry and journey traces armed, evaluate --slo thresholds "
-        "online on every sampling tick and once more against the "
-        "end-of-run journey summary, and exit 1 on any breach.",
-    )
-    oslo.add_argument(
-        "--preset",
-        choices=("cluster_32", "cluster_300"),
-        default="cluster_32",
-        help="sustained-load preset to run",
-    )
-    oslo.add_argument(
-        "--policy",
-        choices=tuple(_POLICIES),
-        default=None,
-        help="migration trigger policy override (default from the preset)",
-    )
-    oslo.add_argument("--scale", type=float, default=1 / 16)
-    oslo.add_argument("--seed", type=int, default=0)
-    oslo.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="EXPR",
-        help="threshold like 'utilization_imbalance<=8' or "
-        "'p99_freeze_s<=0.5' (repeatable; any breach exits 1)",
-    )
-    oslo.add_argument(
-        "--telemetry",
-        metavar="PATH",
-        default=None,
-        help="write per-node fleet time series as JSONL to PATH",
-    )
-    oslo.add_argument(
-        "--journeys",
-        metavar="PATH",
-        default=None,
-        help="write per-migrant journey traces as JSONL to PATH",
-    )
-    oslo.add_argument(
-        "--prom",
-        metavar="PATH",
-        default=None,
-        help="write an OpenMetrics/Prometheus text snapshot to PATH",
-    )
-    oslo.add_argument(
-        "--json", action="store_true", help="emit the SLO report as JSON"
-    )
-
     check = sub.add_parser(
         "check",
         help="golden-trace regression harness (see docs/CHECKS.md)",
@@ -451,9 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="worker processes for the scenario matrix (count or 'auto')",
     )
-
-    from .experiments.bench import CASES as _BENCH_CASES
-    from .experiments.bench import TRACE_CASES as _TRACE_CASES
 
     bench = sub.add_parser(
         "bench",
@@ -555,45 +544,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="span-traced runs with Perfetto/JSONL/flame export",
-        description="Run an experiment with the repro.obs span tracer armed "
-        "and export the trace (load Perfetto JSON at ui.perfetto.dev).  "
+        help="traced golden runs gated for bit-identity",
+        description="Run a golden scenario with the repro.obs span tracer "
+        "armed and export the trace (load Perfetto JSON at ui.perfetto.dev).  "
         "Tracing is a pure observer: traced runs are float-identical to "
-        "untraced ones, and `trace golden` gates exactly that.  See "
-        "docs/OBSERVABILITY.md.",
+        "untraced ones, and `trace golden` gates exactly that.  To trace any "
+        "other run, use `repro run --trace`.  See docs/OBSERVABILITY.md.",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trun = trace_sub.add_parser(
-        "run", help="run one bench case or (kernel, mb, scheme) cell traced"
-    )
-    trun.add_argument(
-        "--case",
-        choices=_TRACE_CASES,
-        default=None,
-        help="a single-migrant `repro bench` case to trace "
-        "(alternative to --kernel/--mb/--scheme)",
-    )
-    trun.add_argument("--kernel", choices=KERNEL_CHOICES, default=None)
-    trun.add_argument("--mb", type=float, default=None, help="program size in paper MB")
-    trun.add_argument("--scheme", choices=SCHEME_CHOICES, default=None)
-    trun.add_argument("--scale", type=float, default=figures.DEFAULT_SCALE)
-    trun.add_argument("--seed", type=int, default=0)
-    trun.add_argument(
-        "--out",
-        default=None,
-        help="output path (default: trace.json / trace.jsonl; flame prints to stdout)",
-    )
-    trun.add_argument("--format", choices=TRACE_FORMATS, default="perfetto")
-    trun.add_argument(
-        "--metrics", action="store_true", help="also print the metrics report"
-    )
-    trun.add_argument(
-        "--inspect",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="echo live run snapshots every SECONDS of simulated time",
-    )
     tgolden = trace_sub.add_parser(
         "golden",
         help="run one golden scenario traced and gate bit-identity vs the recording",
@@ -643,51 +601,56 @@ def _retry_spec_from_args(args: argparse.Namespace, retry: RetrySpec) -> RetrySp
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = figures.scaled_config(args.scale, seed=args.seed)
-    if args.prefetch_policy is not None:
-        if args.scheme == "openMosix":
-            print(
-                "run: --prefetch-policy does not apply to openMosix (it copies "
-                "the whole address space at freeze and performs no remote paging)"
-            )
-            return 2
-        from .core.policy import parse_policy_name
-
+    cell = (args.kernel, args.mb, args.scheme)
+    if args.case is not None and any(v is not None for v in cell):
+        print("run: use either --case or --kernel/--mb/--scheme, not both")
+        return 2
+    if args.case is None and any(v is None for v in cell):
+        print("run: need --case, or all of --kernel, --mb and --scheme")
+        return 2
+    given = [flag for flag in _CELL_FLAGS if getattr(args, flag) is not None]
+    if args.case is not None and given:
+        flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
+        print(f"run: a --case run fixes its own cell; drop {flags}")
+        return 2
+    for flag, default in _CELL_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    config = None
+    if args.case is None:
+        config = figures.scaled_config(args.scale, seed=args.seed)
+        if args.broadband:
+            config = config.with_network(NetworkSpec.broadband())
+        # A bad policy, fault or retry flag is a usage error, even when no
+        # fault is armed to use it.
         try:
-            parse_policy_name(args.prefetch_policy)
-        except Exception as exc:
+            strategy = make_strategy(args.scheme, args.prefetch_policy)
+            fault_spec = _fault_spec_from_args(args)
+            retry = _retry_spec_from_args(args, config.retry)
+        except ConfigurationError as exc:
             print(f"run: {exc}")
             return 2
-        config = config.with_(prefetch_policy=args.prefetch_policy)
-    if args.broadband:
-        config = config.with_network(NetworkSpec.broadband())
-    # A bad fault or retry flag is a usage error, even when no fault is
-    # armed to use it.
-    try:
-        fault_spec = _fault_spec_from_args(args)
-        retry = _retry_spec_from_args(args, config.retry)
-    except ConfigurationError as exc:
-        print(f"run: {exc}")
-        return 2
-    if fault_spec.active:
-        config = config.with_(faults=fault_spec, retry=retry)
-    workload = hpcc_workload(args.kernel, args.mb, scale=args.scale)
+        if fault_spec.active:
+            config = config.with_(faults=fault_spec, retry=retry)
     try:
         obs = _make_obs(args)
     except ConfigurationError as exc:
         print(f"run: --inspect: {exc}")
         return 2
-    spec = two_node_spec(
-        workload,
-        make_strategy(args.scheme),
-        config=config,
-        capacity_pages=args.capacity_pages,
-    )
-    result = ScenarioRuntime(spec, obs=obs).execute()[0]
+    if config is None:
+        from .experiments import bench
+
+        result = bench.CASES[args.case](obs=obs)
+    else:
+        workload = hpcc_workload(args.kernel, args.mb, scale=args.scale)
+        spec = two_node_spec(
+            workload, strategy, config=config, capacity_pages=args.capacity_pages
+        )
+        result = ScenarioRuntime(spec, obs=obs).execute()[0]
     if obs is not None and obs.tracer is not None:
         obs.tracer.verify_budget(result.budget)
         written = _write_trace(obs.tracer, args.trace_format, args.trace, result.budget)
-        if written is not None and not args.json:
+        if not args.json:
             print(f"wrote {written}")
     if args.json:
         import json
@@ -698,8 +661,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     c = result.counters
-    print(f"kernel          : {args.kernel} ({args.mb:g} paper-MB x {args.scale:g})")
-    print(f"scheme          : {args.scheme}")
+    if config is None:
+        print(f"case            : {args.case}")
+    else:
+        print(f"kernel          : {args.kernel} ({args.mb:g} paper-MB x {args.scale:g})")
+    print(f"scheme          : {result.strategy}")
     if result.prefetch_policy:
         print(f"prefetch policy : {result.prefetch_policy}")
     print(f"freeze time     : {result.freeze_time:.4f} s")
@@ -708,7 +674,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"fault requests  : {c.page_fault_requests}")
     print(f"pages prefetched: {c.pages_prefetched}")
     print(f"pages evicted   : {c.pages_evicted}")
-    if config.faults.active:
+    # Every --case runs on a clean network.
+    if config is not None and config.faults.active:
         print(f"drops           : {c.messages_dropped}")
         print(f"timeouts        : {c.request_timeouts}")
         print(f"retransmits     : {c.retransmits}")
@@ -723,7 +690,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# observability plumbing (repro trace / repro run --trace)
+# observability plumbing (repro run --trace / repro trace golden)
 # ----------------------------------------------------------------------
 def _make_obs(args: argparse.Namespace):
     """Build the Observability bundle an argparse namespace asks for, or
@@ -743,22 +710,15 @@ def _make_obs(args: argparse.Namespace):
     )
 
 
-def _write_trace(tracer, fmt: str, out: str | None, budget=None) -> str | None:
-    """Export a recorded trace; returns the path written (None = stdout)."""
+def _write_trace(tracer, fmt: str, out: str, budget=None) -> str:
+    """Export a recorded trace to ``out``; returns the path written."""
     from .obs import flame_summary, write_perfetto, write_spans_jsonl
 
     if fmt == "flame":
-        text = flame_summary(tracer, budget)
-        if out is None:
-            print(text)
-            return None
         from pathlib import Path
 
-        Path(out).write_text(text + "\n")
-        return out
-    if out is None:
-        out = "trace.json" if fmt == "perfetto" else "trace.jsonl"
-    if fmt == "perfetto":
+        Path(out).write_text(flame_summary(tracer, budget) + "\n")
+    elif fmt == "perfetto":
         write_perfetto(tracer, out)
     else:
         write_spans_jsonl(tracer, out)
@@ -766,62 +726,7 @@ def _write_trace(tracer, fmt: str, out: str | None, budget=None) -> str | None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import Observability
-
-    if args.trace_command == "golden":
-        return _cmd_trace_golden(args)
-
-    custom = (args.kernel, args.mb, args.scheme)
-    if args.case is not None and any(v is not None for v in custom):
-        print("trace run: use either --case or --kernel/--mb/--scheme, not both")
-        return 2
-    if args.case is None and any(v is None for v in custom):
-        print("trace run: need --case, or all of --kernel, --mb and --scheme")
-        return 2
-
-    try:
-        obs = Observability.enabled(
-            trace=True,
-            metrics=args.metrics,
-            inspect_interval_s=args.inspect,
-            echo=print if args.inspect is not None else None,
-        )
-    except ConfigurationError as exc:
-        print(f"trace run: --inspect: {exc}")
-        return 2
-    if args.case is not None:
-        from .experiments import bench
-
-        result = bench.CASES[args.case](obs=obs)
-        label = f"case {args.case}"
-    else:
-        result = figures.run_one(
-            args.kernel,
-            args.mb,
-            args.scheme,
-            scale=args.scale,
-            config=figures.scaled_config(args.scale, seed=args.seed),
-            obs=obs,
-        )
-        label = f"{args.kernel} {args.mb:g}MB {args.scheme}"
-    tracer = obs.tracer
-    tracer.verify_budget(result.budget)
-    print(
-        f"{label}: {len(tracer.spans)} spans / {len(tracer.instants)} instants "
-        f"on {len(tracer.tracks())} tracks, every budget bucket span-exact"
-    )
-    written = _write_trace(tracer, args.format, args.out, result.budget)
-    if written is not None:
-        print(f"wrote {written}")
-        if args.format == "perfetto":
-            print("open it at https://ui.perfetto.dev (Open trace file)")
-    if args.metrics:
-        print()
-        print(obs.metrics.render())
-    return 0
-
-
-def _cmd_trace_golden(args: argparse.Namespace) -> int:
+    """`repro trace golden`: one golden scenario, traced and gated."""
     import json
     from pathlib import Path
 
@@ -1010,21 +915,29 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             if getattr(args, opt) is not None:
                 print(f"cluster run: --{opt} applies to --preset runs only")
                 return 2
-        spec = load_scenario(args.spec)
-        label = args.spec
-    else:
-        spec = build_preset(
-            args.preset,
-            scheme=args.scheme if args.scheme is not None else "AMPoM",
-            scale=args.scale if args.scale is not None else 1 / 16,
-            seed=args.seed if args.seed is not None else 0,
-        )
-        label = f"preset {args.preset}"
+    # A spec that cannot be built is a usage error; errors raised while
+    # the run executes propagate.
+    try:
+        if args.spec is not None:
+            spec = load_scenario(args.spec)
+            label = args.spec
+        else:
+            spec = build_preset(
+                args.preset,
+                scheme=args.scheme if args.scheme is not None else "AMPoM",
+                scale=args.scale if args.scale is not None else 1 / 16,
+                seed=args.seed if args.seed is not None else 0,
+            )
+            label = f"preset {args.preset}"
+    except (ConfigurationError, MigrationError) as exc:
+        print(f"cluster run: {exc}")
+        return 2
     if spec.sustained is not None:
         return _run_sustained_cli(spec, label, args)
-    if args.policy is not None:
-        print("cluster run: --policy applies to sustained-load scenarios only")
-        return 2
+    for opt in ("policy", "slo"):
+        if getattr(args, opt) is not None:
+            print(f"cluster run: --{opt} applies to sustained-load scenarios only")
+            return 2
     runtime = ScenarioRuntime(spec, obs=_cluster_obs(args))
     results = runtime.execute()
     _write_cluster_obs(runtime.obs, args)
@@ -1095,9 +1008,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cluster_obs(args: argparse.Namespace):
-    """Observability bundle for `cluster run` exports (None when unarmed)."""
-    fleet = args.telemetry is not None or args.prom is not None
-    journeys = args.journeys is not None
+    """Observability bundle for `cluster run` exports and SLOs (None when
+    unarmed)."""
+    slo = args.slo is not None
+    fleet = slo or args.telemetry is not None or args.prom is not None
+    journeys = slo or args.journeys is not None
     if not fleet and not journeys:
         return None
     from .obs import Observability
@@ -1130,23 +1045,53 @@ def _write_cluster_obs(obs, args: argparse.Namespace) -> None:
 
 def _run_sustained_cli(spec, label: str, args: argparse.Namespace) -> int:
     """`cluster run` on a sustained-load scenario: arrival stream in,
-    decentralized policy decisions out, executed as real migrations."""
+    decentralized policy decisions out, executed as real migrations.
+    With ``--slo`` the run is armed, SLO-gated and reconciled."""
     import dataclasses
 
     from .cluster.sustained import SustainedLoadDriver
+    from .obs.slo import SLOMonitor, journey_summary_metrics
 
     sustained = spec.sustained
     if args.policy is not None:
         sustained = dataclasses.replace(sustained, policy=args.policy)
-    driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
+    monitor = None
+    if args.slo is not None:
+        try:
+            monitor = SLOMonitor.parse(args.slo)
+        except ConfigurationError as exc:
+            print(f"cluster run: --slo: {exc}")
+            return 2
+    try:
+        driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
+    except (ConfigurationError, MigrationError) as exc:
+        print(f"cluster run: {exc}")
+        return 2
+    driver.slo_monitor = monitor
     res = driver.execute(obs=_cluster_obs(args))
     report = res.report
+    runtime = driver.runtime
+    mismatches: list[str] = []
+    if monitor is not None:
+        journeys = driver.obs.journeys
+        stats = runtime.node_stats if runtime is not None else None
+        summary = journey_summary_metrics(journeys, stats=stats)
+        # The online passes saw the live series; this final pass adds the
+        # end-of-run journey/reliability metrics at t = makespan.
+        monitor.evaluate(report.makespan, summary)
+        mismatches = journeys.reconcile(report=report, stats=stats)
     _write_cluster_obs(driver.obs, args)
+    failed = monitor is not None and (bool(mismatches) or not monitor.ok)
     if args.json:
         import json
 
-        print(json.dumps(res.to_dict(), indent=2, sort_keys=True))
-        return 0
+        payload = res.to_dict()
+        if monitor is not None:
+            payload["summary_metrics"] = summary
+            payload["reconcile_mismatches"] = mismatches
+            payload["slo"] = monitor.report()
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 1 if failed else 0
     print(
         f"{label} [sustained]: {report.nodes} worker nodes, "
         f"policy {report.policy}, scheme {report.scheme}, seed {report.seed}"
@@ -1167,13 +1112,22 @@ def _run_sustained_cli(spec, label: str, args: argparse.Namespace) -> int:
             f"at t={peak.time:.1f} s, "
             f"final cumulative migrations {report.utilization[-1].migrations}"
         )
-    runtime = driver.runtime
     if runtime is not None:
         checkers = [c for c in runtime.checkers if c is not None]
         if checkers:
             audits = sum(c.deep_audits for c in checkers)
             print(f"invariant checker: on ({audits} deep audits, no violations)")
-    return 0
+    if monitor is not None:
+        print("journeys: " + ", ".join(f"{k}={v:g}" for k, v in sorted(summary.items())))
+        for line in mismatches:
+            print(f"RECONCILE MISMATCH: {line}")
+        if not mismatches:
+            print(
+                f"reconcile: {len(journeys.journeys)} journeys match "
+                "the independent counters exactly"
+            )
+        print(monitor.describe())
+    return 1 if failed else 0
 
 
 def _cmd_cluster_figure(args: argparse.Namespace) -> int:
@@ -1368,82 +1322,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "slo":
-        return _cmd_obs_slo(args)
-    raise AssertionError(f"unknown obs command: {args.obs_command}")
-
-
-def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    """`repro obs slo`: one sustained run, fully armed, SLO-gated exit."""
-    import dataclasses
-    import json
-
-    from .cluster.sustained import SustainedLoadDriver
-    from .cluster.topology import build_preset
-    from .obs import Observability
-    from .obs.slo import SLOMonitor, journey_summary_metrics
-
-    spec = build_preset(args.preset, scale=args.scale, seed=args.seed)
-    sustained = spec.sustained
-    if args.policy is not None:
-        sustained = dataclasses.replace(sustained, policy=args.policy)
-    monitor = SLOMonitor.parse(args.slo or [])
-    obs = Observability.enabled(
-        trace=False, metrics=False, fleet=True, journeys=True
-    )
-    driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
-    driver.slo_monitor = monitor
-    res = driver.execute(obs=obs)
-    report = res.report
-    stats = driver.runtime.node_stats if driver.runtime is not None else None
-    summary = journey_summary_metrics(obs.journeys, stats=stats)
-    # The online passes saw the live series; this final pass adds the
-    # end-of-run journey/reliability metrics at t = makespan.
-    monitor.evaluate(report.makespan, summary)
-    mismatches = obs.journeys.reconcile(report=report, stats=stats)
-    _write_cluster_obs(obs, args)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "preset": args.preset,
-                    "policy": report.policy,
-                    "seed": report.seed,
-                    "makespan": report.makespan,
-                    "migrations": report.migrations,
-                    "summary_metrics": summary,
-                    "reconcile_mismatches": mismatches,
-                    "slo": monitor.report(),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(
-            f"{args.preset} [obs slo]: policy {report.policy}, "
-            f"seed {report.seed}, makespan {report.makespan:.4f} s, "
-            f"{report.migrations} migrations"
-        )
-        print(
-            "journeys: "
-            + ", ".join(f"{k}={v:g}" for k, v in sorted(summary.items()))
-        )
-        if mismatches:
-            for line in mismatches:
-                print(f"RECONCILE MISMATCH: {line}")
-        else:
-            print(
-                f"reconcile: {len(obs.journeys.journeys)} journeys match "
-                "the independent counters exactly"
-            )
-        print(monitor.describe())
-    if mismatches:
-        return 1
-    return 0 if monitor.ok else 1
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
     from .experiments.export import export_figures_csv
 
@@ -1463,7 +1341,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "chaos": _cmd_chaos,
     "cluster": _cmd_cluster,
-    "obs": _cmd_obs,
     "bench": _cmd_bench,
     "arena": _cmd_arena,
 }

@@ -45,7 +45,7 @@ from ..sim import Simulator, Timeout
 from ..sim.rng import child_rng
 from .cluster import Cluster
 from .loadgen import BackgroundLoad
-from .topology import FILE_SERVER, MigrantSpec, ScenarioSpec, resolve_strategy
+from .topology import FILE_SERVER, MigrantSpec, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
@@ -353,7 +353,7 @@ class ScenarioRuntime:
         if self._executed or self.outcomes[index] is not None:
             raise MigrationError("ScenarioRuntime objects are single-use")
         migrant = self.spec.migrants[index]
-        strategy = resolve_strategy(migrant.strategy)
+        strategy = migrant.strategy
         space = migrant.workload.setup()
         ctx = self._context(
             migrant,
@@ -419,11 +419,6 @@ class ScenarioRuntime:
             file_server=file_server,
             fault_plan=self.fault_plan,
             home=migrant.path[0],
-            prefetch_policy=(
-                migrant.prefetch_policy
-                if migrant.prefetch_policy is not None
-                else self.config.prefetch_policy
-            ),
         )
 
     def _infod_for(self, dst: str, home: str) -> InfoDaemon:
@@ -492,7 +487,7 @@ class ScenarioRuntime:
         if jlog is not None:
             jlog.record(jname, "exec_start", sim.now, route=list(route))
 
-        strategy = resolve_strategy(migrant.strategy)
+        strategy = migrant.strategy
         space = migrant.workload.setup()
         premigration = migrant.workload.premigration_pages()
 

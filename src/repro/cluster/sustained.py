@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
@@ -43,7 +42,6 @@ from .topology import (
     NodeGraph,
     ScenarioSpec,
     SustainedSpec,
-    make_strategy,
 )
 
 
@@ -150,11 +148,6 @@ class SustainedLoadDriver:
         from ..workloads.synthetic import SequentialWorkload
 
         cfg = config if config is not None else SimulationConfig()
-        if sustained.prefetch_policy is not None:
-            # The spec-level name wins over (and lands in) the config, so
-            # every migration the driver decides resolves the same policy
-            # through ScenarioRuntime's context threading.
-            cfg = cfg.with_(prefetch_policy=sustained.prefetch_policy)
         worker_nodes = tuple(n for n in graph.nodes if n != FILE_SERVER)
         if len(worker_nodes) < 2:
             raise ConfigurationError(
@@ -234,6 +227,7 @@ class SustainedLoadDriver:
                 interval=sustained.gossip_interval_s,
                 seed=cfg.seed,
                 node_plan=node_plan,
+                suspect_staleness_s=cfg.node_faults.suspect_staleness_s,
             )
             if sustained.policy == "threshold":
                 # Honor the spec-level gap knob rather than the class default.
@@ -396,11 +390,12 @@ class SustainedLoadDriver:
         Consecutive moves of one task chain into a multi-hop path; the
         chain is cut at the first revisit (the runtime's deputy model
         does not re-absorb a node already holding a transit deputy).
-        Each hop waits at least one balancer time slice."""
+        Each hop waits at least one balancer time slice.  Every migrant
+        shares the spec's one :attr:`SustainedSpec.strategy`."""
         by_task: dict[str, list[MigrationDecision]] = {}
         for decision in decisions:
             by_task.setdefault(decision.task, []).append(decision)
-        strategy = partial(make_strategy, self.sustained.scheme)
+        strategy = self.sustained.strategy
         specs = []
         for i, (arrival, workload) in enumerate(zip(self.arrivals, self.workloads)):
             moves = by_task.get(f"task-{i}", [])

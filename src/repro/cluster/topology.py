@@ -38,32 +38,11 @@ DEST = "dest"
 FILE_SERVER = "fs"
 
 
-def _wants_file_server(strategy) -> bool:
-    """True when ``strategy`` (instance, class, or factory) is FFA."""
+def _wants_file_server(strategy: "MigrationStrategy") -> bool:
+    """True when ``strategy`` is FFA, which pages from a file server."""
     from ..migration.ffa import FfaMigration
 
-    if isinstance(strategy, FfaMigration):
-        return True
-    return isinstance(strategy, type) and issubclass(strategy, FfaMigration)
-
-
-def resolve_strategy(strategy) -> "MigrationStrategy":
-    """Resolve a :class:`MigrantSpec.strategy` field to an instance.
-
-    The field accepts either a ready strategy instance or a zero-argument
-    factory (class or callable), so multi-migrant specs can hand every
-    migrant its own strategy object.
-    """
-    from ..migration.base import MigrationStrategy
-
-    if isinstance(strategy, MigrationStrategy):
-        return strategy
-    made = strategy()
-    if not isinstance(made, MigrationStrategy):
-        raise MigrationError(
-            f"strategy factory returned {type(made).__name__}, not a MigrationStrategy"
-        )
-    return made
+    return isinstance(strategy, FfaMigration)
 
 
 @dataclass(frozen=True)
@@ -154,16 +133,18 @@ class NodeGraph:
 class MigrantSpec:
     """One migrating process: workload, strategy, and migration path.
 
-    ``path`` lists the nodes the process visits in order; the first entry
-    is its home node (where the deputy stays), subsequent entries are
-    migration destinations.  ``hop_delays[i]`` is how long the process
-    runs on ``path[i + 1]`` before re-migrating to ``path[i + 2]`` —
-    required for every hop except the last (the process runs to
-    completion on the final node).
+    ``strategy`` is a :class:`MigrationStrategy` instance, the one place
+    that names the migration's scheme and prefetch policy; migrants may
+    share one.  ``path`` lists the nodes the process visits in order; the
+    first entry is its home node (where the deputy stays), subsequent
+    entries are migration destinations.  ``hop_delays[i]`` is how long
+    the process runs on ``path[i + 1]`` before re-migrating to
+    ``path[i + 2]`` — required for every hop except the last (the process
+    runs to completion on the final node).
     """
 
     workload: "Workload"
-    strategy: object
+    strategy: "MigrationStrategy"
     path: tuple[str, ...] = (HOME, DEST)
     start_s: float = 0.0
     hop_delays: tuple[float, ...] = ()
@@ -171,18 +152,16 @@ class MigrantSpec:
     capacity_pages: int | None = None
     fault_log: "FaultLog | None" = None
     name: str | None = None
-    #: Prefetch-policy name (:data:`repro.core.policy.POLICIES`) this
-    #: migrant resolves, overriding ``config.prefetch_policy`` but not a
-    #: name set on the strategy instance itself.
-    prefetch_policy: str | None = None
 
     def __post_init__(self) -> None:
+        from ..migration.base import MigrationStrategy
+
         self.path = tuple(self.path)
         self.hop_delays = tuple(self.hop_delays)
-        if self.prefetch_policy is not None:
-            from ..core.policy import parse_policy_name
-
-            parse_policy_name(self.prefetch_policy)  # fail fast on typos
+        if not isinstance(self.strategy, MigrationStrategy):
+            raise MigrationError(
+                f"strategy must be a MigrationStrategy instance, got {self.strategy!r}"
+            )
         if len(self.path) < 2:
             raise MigrationError(f"a migration path needs at least two nodes: {self.path}")
         if len(set(self.path)) != len(self.path):
@@ -238,10 +217,14 @@ class SustainedSpec:
     load_gap_threshold: int = 2
     #: Cadence of the utilization/migration-count samples in the report.
     sample_interval_s: float = 0.5
-    #: Prefetch-policy name every executed migration resolves (``None``
-    #: = the scheme's default; see :data:`repro.core.policy.POLICIES` —
-    #: distinct from ``policy``, the migration *trigger* policy above).
+    #: Prefetch-policy name of every executed migration (``None`` = the
+    #: scheme's default; see :data:`repro.core.policy.POLICIES` — distinct
+    #: from ``policy``, the migration *trigger* policy above).  With
+    #: ``scheme`` it is the recipe for :attr:`strategy`.
     prefetch_policy: str | None = None
+    #: The one strategy every executed migration shares, built from
+    #: ``scheme`` and ``prefetch_policy`` at construction.
+    strategy: "MigrationStrategy" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -253,10 +236,8 @@ class SustainedSpec:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; pick one of {sorted(_SCHEMES)}"
             )
-        if self.prefetch_policy is not None:
-            from ..core.policy import parse_policy_name
-
-            parse_policy_name(self.prefetch_policy)
+        # Fail fast: the strategy checks the pairing, not phase 2.
+        object.__setattr__(self, "strategy", make_strategy(self.scheme, self.prefetch_policy))
         for label, value in (
             ("balance_interval_s", self.balance_interval_s),
             ("gossip_interval_s", self.gossip_interval_s),
@@ -295,6 +276,11 @@ class ScenarioSpec:
             )
         names = set(self.graph.nodes)
         if self.sustained is not None:
+            if _wants_file_server(self.sustained.strategy) and FILE_SERVER not in names:
+                raise MigrationError(
+                    f"the sustained section uses the FFA scheme but the graph "
+                    f"has no {FILE_SERVER!r} node"
+                )
             for node in self.sustained.arrivals.hotspot:
                 if node not in names:
                     raise MigrationError(
@@ -321,10 +307,6 @@ class ScenarioSpec:
             if node not in names:
                 raise MigrationError(f"background load on unknown node {node!r}")
         cfg = self.config if self.config is not None else SimulationConfig()
-        if cfg.prefetch_policy is not None:
-            from ..core.policy import parse_policy_name
-
-            parse_policy_name(cfg.prefetch_policy)
         if cfg.faults.active:
             for i, migrant in enumerate(self.migrants):
                 if _wants_file_server(migrant.strategy):
@@ -365,7 +347,7 @@ class ScenarioSpec:
 
 def two_node_spec(
     workload: "Workload",
-    strategy,
+    strategy: "MigrationStrategy",
     config: SimulationConfig | None = None,
     with_infod: bool = True,
     shaped_bandwidth_bps: float | None = None,
@@ -421,8 +403,8 @@ def make_strategy(scheme: str, prefetch_policy: str | None = None) -> "Migration
     """Instantiate a migration strategy from its scheme name.
 
     ``prefetch_policy`` names a :data:`repro.core.policy.POLICIES` entry
-    to pin on the instance (schemes that perform no remote paging reject
-    it at ``perform`` time)."""
+    to pin on the instance (openMosix, which performs no remote paging,
+    rejects any name)."""
     from .. import migration
 
     try:
@@ -605,9 +587,18 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
          "node_faults": {"crash_windows": [["n1", 0.5, 0.9]],
                          "suspect_staleness_s": 3.0},
          "migrants": [{"kernel": "dgemm", "memory_mb": 115, "scale": 0.0625,
-                       "scheme": "AMPoM", "path": ["home", "n1", "n2"],
+                       "scheme": "AMPoM", "prefetch_policy": "leap",
+                       "path": ["home", "n1", "n2"],
                        "start_s": 0.0, "hop_delays": [0.25]}]}
+
+    A prefetch policy is named per migrant (or in the ``sustained``
+    section); a top-level ``"prefetch_policy"`` is rejected.
     """
+    if "prefetch_policy" in d:
+        raise MigrationError(
+            "a top-level 'prefetch_policy' is not supported; name the policy "
+            "per migrant or in the 'sustained' section"
+        )
     try:
         nodes = tuple(d["nodes"])
         if "sustained" in d:
@@ -660,18 +651,16 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
         seed=int(d.get("seed", 0)),
         faults=FaultSpec(**d.get("faults", {})),
         node_faults=node_fault_spec,
-        prefetch_policy=d.get("prefetch_policy"),
     )
     migrants = tuple(
         MigrantSpec(
             workload=_workload_from_dict(md),
-            strategy=make_strategy(md.get("scheme", "AMPoM")),
+            strategy=make_strategy(md.get("scheme", "AMPoM"), md.get("prefetch_policy")),
             path=tuple(md.get("path", (HOME, DEST))),
             start_s=float(md.get("start_s", 0.0)),
             hop_delays=tuple(md.get("hop_delays", ())),
             with_infod=bool(md.get("with_infod", True)),
             name=md.get("name"),
-            prefetch_policy=md.get("prefetch_policy"),
         )
         for md in migrant_dicts
     )
@@ -709,7 +698,6 @@ __all__ = [
     "build_preset",
     "load_scenario",
     "make_strategy",
-    "resolve_strategy",
     "scenario_from_dict",
     "two_node_spec",
 ]

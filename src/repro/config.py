@@ -443,10 +443,6 @@ class SimulationConfig:
     node_faults: NodeFaultSpec = field(default_factory=NodeFaultSpec)
     retry: RetrySpec = field(default_factory=RetrySpec)
     checks: CheckSpec = field(default_factory=CheckSpec.from_env)
-    #: Run-wide prefetch-policy override: a :data:`repro.core.policy.
-    #: POLICIES` name every paging migration resolves unless its migrant
-    #: spec or strategy names one itself (``None`` = scheme defaults).
-    prefetch_policy: str | None = None
     seed: int = 0
 
     def with_network(self, network: NetworkSpec) -> "SimulationConfig":

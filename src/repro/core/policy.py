@@ -17,10 +17,9 @@ detector (PAPERS.md).
 Policies are named: the :data:`POLICIES` registry maps a policy name to
 a factory taking a :class:`repro.migration.base.MigrationContext`, and
 :func:`make_prefetch_policy` is the one resolution point every
-migration strategy goes through.  ``prefetch_policy=`` on a strategy, a
-:class:`~repro.cluster.topology.MigrantSpec`, or the
-:class:`~repro.config.SimulationConfig` all name entries here, which is
-what makes scheme x policy an orthogonal grid (see docs/POLICIES.md).
+migration strategy goes through.  ``prefetch_policy=`` on a migration
+strategy names an entry here, which is what makes scheme x policy an
+orthogonal grid (see docs/POLICIES.md).
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def _run_cell(cell: ArenaCell) -> dict:
     from . import figures
 
     config = figures.scaled_config(cell.scale, seed=cell.seed).with_(
-        checks=CheckSpec(enabled=True), prefetch_policy=cell.policy
+        checks=CheckSpec(enabled=True)
     )
     network = PROFILES[cell.profile]
     if network is not None:
@@ -85,7 +85,7 @@ def _run_cell(cell: ArenaCell) -> dict:
     if faults.active:
         config = config.with_(faults=faults)
     workload = hpcc_workload(cell.kernel, KERNEL_SIZES[cell.kernel], scale=cell.scale)
-    spec = two_node_spec(workload, AmpomMigration(), config=config)
+    spec = two_node_spec(workload, AmpomMigration(prefetch_policy=cell.policy), config=config)
     result = ScenarioRuntime(spec).execute()[0]
 
     c = result.counters
@@ -126,10 +126,10 @@ def run_arena(
     mean), and the nearest-rank p99 of the per-cell freeze times.
     """
     from ..cluster.parallel import parallel_map
-    from ..core.policy import parse_policy_name
+    from ..migration.ampom import AmpomMigration
 
     for name in policies:
-        parse_policy_name(name)  # fail fast, before any simulation
+        AmpomMigration(prefetch_policy=name)  # fail fast, before any simulation
     for kernel in kernels:
         if kernel not in KERNEL_SIZES:
             raise ConfigurationError(

@@ -209,8 +209,8 @@ CASES: dict[str, Callable[..., object]] = {
 }
 
 #: The cases that run one migrant with the given Observability bundle and
-#: return its ExecutionResult — the ones ``repro trace run --case`` can
-#: trace.  The rest return reports and ignore or replace the bundle.
+#: return its ExecutionResult — the ones ``repro run --case`` can run
+#: (and trace).  The rest return reports and ignore or replace the bundle.
 TRACE_CASES = (
     "local_fast",
     "demand_paging",

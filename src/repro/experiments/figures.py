@@ -333,37 +333,6 @@ def figure11(matrix: FigureMatrix) -> dict[str, list[tuple[int, float]]]:
     }
 
 
-# ----------------------------------------------------------------------
-# multi-hop re-migration (section 3.2; not a paper figure)
-# ----------------------------------------------------------------------
-def three_hop_comparison(
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-    schemes: tuple[str, ...] = SCHEMES,
-) -> dict[str, dict[str, float]]:
-    """``{scheme: {freeze_s, run_s, total_s, hops}}`` on the three-hop
-    preset (home -> n1 -> n2, re-migrating after a fixed run interval).
-
-    The two freezes are summed into ``freeze_s``, so the table shows how
-    each scheme pays for *re*-migration: openMosix re-ships the whole
-    resident set on every hop, AMPoM freezes only the second MPT transfer
-    and re-fetches the rest through the n1 transit deputy.
-    """
-    from ..cluster.topology import build_preset
-
-    out: dict[str, dict[str, float]] = {}
-    for scheme in schemes:
-        spec = build_preset("three-hop", scheme=scheme, scale=scale, seed=seed)
-        result = ScenarioRuntime(spec).execute()[0]
-        out[scheme] = {
-            "freeze_s": result.freeze_time,
-            "run_s": result.run_time,
-            "total_s": result.total_time,
-            "hops": result.extra.get("hops", 1.0),
-        }
-    return out
-
-
 def cluster_sustained_figure(
     preset: str = "cluster_32",
     policies: tuple[str, ...] = ("threshold", "balanced"),

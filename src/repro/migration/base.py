@@ -115,10 +115,11 @@ class DeputyPageService:
     the home node — the home dependency does not move.  ``move_to``
     rebinds every route when the process hops again.
 
-    Every request may carry a sequence ID (``seq``).  Fresh requests are
-    assigned one implicitly; the executor passes an explicit ``seq`` when
-    retransmitting so the deputy can recognise the duplicate and replay
-    pages it has already released.
+    Every request may carry a sequence ID (``seq``); one sent with
+    ``seq=None`` carries none.  Under fault injection the executor takes
+    a fresh ID from :meth:`next_seq` for every request and passes the
+    same ``seq`` again when retransmitting, so the deputy can recognise
+    the duplicate and replay pages it has already released.
     """
 
     def __init__(self, network: Network, home: str, dst: str, deputy: Deputy) -> None:
@@ -283,10 +284,6 @@ class MigrationContext:
     #: The migrant's home node (where the deputy stays).  ``None`` means
     #: ``src`` *is* the home node — true for every first migration.
     home: str | None = None
-    #: Prefetch-policy name requested by the migrant spec or the
-    #: simulation config (``None`` = the strategy's own default).  A name
-    #: set directly on the strategy instance wins over this field.
-    prefetch_policy: str | None = None
 
     def existing_pages(self) -> Collection[int]:
         """Every page that exists at migration time (read-only)."""
@@ -329,20 +326,25 @@ class MigrationOutcome:
 class MigrationStrategy(abc.ABC):
     """Base class for migration mechanisms.
 
-    ``prefetch_policy`` names an entry of
-    :data:`repro.core.policy.POLICIES` and overrides the scheme's
+    The strategy instance is the one place that says what a migration
+    runs: its class is the scheme and ``prefetch_policy`` names the
+    :data:`repro.core.policy.POLICIES` entry that replaces the scheme's
     default remote-paging policy, making scheme x policy an orthogonal
-    grid.  Strategies that perform no remote paging (openMosix) reject
-    it.
+    grid.  The name is checked here, at construction.  A strategy keeps
+    no per-migration state, so migrants may share one instance.
     """
 
     #: Scheme name as used in the paper's figures.
     name: str = "strategy"
     #: Class-level default so subclasses with bespoke ``__init__``s that
-    #: predate the policy parameter still expose the attribute.
+    #: take no policy still expose the attribute.
     prefetch_policy: str | None = None
 
     def __init__(self, prefetch_policy: str | None = None) -> None:
+        if prefetch_policy is not None:
+            from ..core.policy import parse_policy_name
+
+            parse_policy_name(prefetch_policy)  # fail fast on typos
         self.prefetch_policy = prefetch_policy
 
     @abc.abstractmethod
@@ -351,13 +353,11 @@ class MigrationStrategy(abc.ABC):
 
     def _resolve_policy(self, ctx: MigrationContext, default: str):
         """The policy this migration runs: the strategy's own
-        ``prefetch_policy`` if set, else the context's (migrant spec or
-        config), else the scheme ``default`` — resolved through the
-        policy registry."""
+        ``prefetch_policy`` if set, else the scheme ``default`` — resolved
+        through the policy registry."""
         from ..core.policy import make_prefetch_policy
 
-        name = self.prefetch_policy or ctx.prefetch_policy or default
-        return make_prefetch_policy(name, ctx)
+        return make_prefetch_policy(self.prefetch_policy or default, ctx)
 
     def rehop(self, ctx: MigrationContext, outcome: MigrationOutcome) -> None:
         """Re-migrate an already-migrated (and quiesced) process from

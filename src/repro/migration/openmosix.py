@@ -11,6 +11,7 @@ chase — at the price of figure 5's tens-of-seconds freezes.
 
 from __future__ import annotations
 
+from ..errors import ConfigurationError
 from ..mem.page_table import MasterPageTable
 from ..mem.residency import ResidencyTracker
 from .base import MigrationContext, MigrationOutcome, MigrationStrategy
@@ -19,14 +20,15 @@ from .base import MigrationContext, MigrationOutcome, MigrationStrategy
 class OpenMosixMigration(MigrationStrategy):
     name = "openMosix"
 
-    def perform(self, ctx: MigrationContext) -> MigrationOutcome:
-        if self.prefetch_policy is not None:
-            from ..errors import ConfigurationError
-
+    def __init__(self, prefetch_policy: str | None = None) -> None:
+        if prefetch_policy is not None:
             raise ConfigurationError(
                 "openMosix copies the whole address space at freeze and "
                 "performs no remote paging; prefetch_policy does not apply"
             )
+        super().__init__()
+
+    def perform(self, ctx: MigrationContext) -> MigrationOutcome:
         hw = ctx.hardware
         existing = ctx.existing_pages()
         n_dirty = ctx.dirty_flags().count(1)

@@ -9,7 +9,7 @@ backlog of identical samples.
 * :class:`RunInspector` snapshots the simulated time, the events fired so
   far and every registered probe (a named zero-argument callable reading
   live state: counters, budget buckets, queue depths).  Snapshots are
-  kept in memory and optionally echoed live (``repro trace run --inspect
+  kept in memory and optionally echoed live (``repro run --inspect
   SECONDS``), so a long sweep can be watched while it runs instead of
   post-mortem.
 * :class:`GaugeSet` samples ``(fn, sink)`` entries on one shared

@@ -2,8 +2,8 @@
 
 An :class:`SLOSpec` is one threshold over a named metric —
 ``"p99_freeze_s<=0.5"``, ``"utilization_imbalance<=8"``,
-``"mean_detection_latency_s<=2"`` — parsed from the CLI (``repro obs slo
---slo EXPR``, ``repro chaos --slo EXPR``) or built in code.  The
+``"mean_detection_latency_s<=2"`` — parsed from the CLI (``repro cluster
+run --slo EXPR``, ``repro chaos --slo EXPR``) or built in code.  The
 :class:`SLOMonitor` evaluates a set of specs against metric mappings: on
 every shared-cadence telemetry tick during a sustained run (*online*
 breaches carry the simulated time they first occurred) and once more

@@ -9,11 +9,10 @@ migration engines) is built on top of it.
 
 from .events import Event, EventQueue
 from .kernel import Simulator
-from .process import Completion, SimProcess, Timeout
+from .process import SimProcess, Timeout
 from .rng import child_rng, make_rng
 
 __all__ = [
-    "Completion",
     "Event",
     "EventQueue",
     "SimProcess",

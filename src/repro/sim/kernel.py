@@ -137,9 +137,9 @@ class Simulator:
     ) -> "SimProcess":
         """Start a cooperative process from a generator.
 
-        The generator may ``yield`` :class:`repro.sim.process.Timeout` or
-        :class:`repro.sim.process.Completion` instances; the kernel resumes
-        it when the awaited condition is satisfied.  The kernel holds no
+        The generator may ``yield`` a :class:`repro.sim.process.Timeout` or
+        another :class:`repro.sim.process.SimProcess` to join; the kernel
+        resumes it when the awaited condition is satisfied.  The kernel holds no
         reference to the process once spawned — finished processes are
         reclaimed by ordinary garbage collection instead of accumulating
         for the lifetime of the simulator.

@@ -5,10 +5,6 @@ A process is a Python generator that ``yield``\\ s *wait conditions*:
 ``Timeout(dt)``
     Resume the generator ``dt`` simulated seconds later.
 
-``Completion``
-    A one-shot condition another actor triggers via
-    :meth:`Completion.succeed`; any number of processes may wait on it.
-
 ``SimProcess``
     Yielding another process waits for it to finish; the joined process's
     result becomes the value of the ``yield`` expression.
@@ -44,47 +40,6 @@ class Timeout:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay!r})"
-
-
-class Completion:
-    """A one-shot event that wakes every process waiting on it.
-
-    The value passed to :meth:`succeed` is delivered as the result of the
-    ``yield`` in each waiter.
-    """
-
-    __slots__ = ("sim", "_done", "_value", "_waiters")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._done = False
-        self._value: object = None
-        self._waiters: list["SimProcess"] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._done
-
-    @property
-    def value(self) -> object:
-        return self._value
-
-    def succeed(self, value: object = None) -> None:
-        """Trigger the completion, waking all waiters at the current time."""
-        if self._done:
-            raise SimulationError("Completion.succeed() called twice")
-        self._done = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            # Wake at the current instant; determinism comes from heap order.
-            self.sim.schedule(0.0, lambda p=proc: p._resume(value))
-
-    def _add_waiter(self, proc: "SimProcess") -> None:
-        if self._done:
-            proc.sim.schedule(0.0, lambda: proc._resume(self._value))
-        else:
-            self._waiters.append(proc)
 
 
 class SimProcess:
@@ -124,7 +79,7 @@ class SimProcess:
             self._finish(None, exc)
             return
         # Dispatch ordered by frequency: Timeout is the hot wait condition
-        # (one per compute/stall slice), joins and completions are rare.
+        # (one per compute/stall slice), joins are rare.
         # The wake-up goes straight onto the event heap as a bare callback:
         # Timeout.__init__ already rejected negative and non-finite delays,
         # the wake-up is fired exactly once (never cancelled), and the
@@ -137,9 +92,7 @@ class SimProcess:
             self._wait_on(condition)
 
     def _wait_on(self, condition: object) -> None:
-        if isinstance(condition, Completion):
-            condition._add_waiter(self)
-        elif isinstance(condition, SimProcess):
+        if isinstance(condition, SimProcess):
             condition._add_joiner(self)
         else:
             self._finish(

@@ -174,6 +174,23 @@ class TestVerifyAnalysis:
             oracle.verify_analysis(**self._analysis(horizon=42.0))
         assert exc.value.invariant in ("oracle:eq3-horizon", "oracle:eq2-zone-size")
 
+    def test_score_off_by_less_than_1e9_caught(self):
+        oracle = DifferentialOracle()
+        score = self._analysis()["score"]
+        with pytest.raises(InvariantViolation) as exc:
+            oracle.verify_analysis(**self._analysis(score=score - 5e-10))
+        assert exc.value.invariant == "oracle:eq1-score"
+
+    def test_horizon_off_by_two_ulps_caught(self):
+        import math
+
+        oracle = DifferentialOracle()
+        horizon = self._analysis()["horizon"]
+        bumped = math.nextafter(math.nextafter(horizon, math.inf), math.inf)
+        with pytest.raises(InvariantViolation) as exc:
+            oracle.verify_analysis(**self._analysis(horizon=bumped))
+        assert exc.value.invariant == "oracle:eq3-horizon"
+
     def test_wrong_zone_size_caught(self):
         oracle = DifferentialOracle()
         with pytest.raises(InvariantViolation) as exc:

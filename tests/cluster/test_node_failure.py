@@ -290,7 +290,7 @@ def test_sustained_driver_installs_retarget_under_node_faults():
     graph = NodeGraph(("a", "b", "c", FILE_SERVER))
     migrants = (
         MigrantSpec(
-            workload=SequentialWorkload(mib(1)), strategy=AmpomMigration, path=("a", "b")
+            workload=SequentialWorkload(mib(1)), strategy=AmpomMigration(), path=("a", "b")
         ),
     )
     config = SimulationConfig(
@@ -421,3 +421,25 @@ def test_chaos_mini_sweep_holds_invariants():
     assert not report.violations
     counts = report.counts()
     assert sum(counts.values()) == 2
+
+
+def test_plan_gossip_honours_suspect_staleness():
+    """``NodeFaultSpec.suspect_staleness_s`` reaches the plan's gossip map:
+    how soon survivors suspect a peer changes what the balancer decides."""
+    import dataclasses
+
+    from repro.cluster.sustained import SustainedLoadDriver
+    from repro.cluster.topology import build_preset
+
+    spec = build_preset("cluster_32", seed=7)
+    counts = []
+    for staleness in (0.5, 10.0):
+        faults = NodeFaultSpec(
+            crash_rate_hz=0.05, mean_downtime_s=2.0, horizon_s=8.0,
+            suspect_staleness_s=staleness,
+        )
+        config = dataclasses.replace(spec.config, node_faults=faults)
+        driver = SustainedLoadDriver(spec.graph, spec.sustained, config=config)
+        _report, decisions = driver.plan()
+        counts.append(len(decisions))
+    assert counts[0] != counts[1]

@@ -1,12 +1,15 @@
-"""Threading the named prefetch policy through config, spec, and metrics.
+"""The named prefetch policy lives on the migration strategy alone.
 
-The resolution precedence is: strategy ``prefetch_policy=`` >
-``MigrantSpec.prefetch_policy`` > ``SimulationConfig.prefetch_policy`` >
-the scheme's own default.  These tests pin each hop of that chain plus
-the per-policy labeled metrics the registry emits.
+A :class:`MigrationStrategy` instance is the one place that says what a
+migration runs: its class is the scheme and its ``prefetch_policy`` the
+policy (``None`` = the scheme's default).  These tests pin that home,
+the forms that build it (spec files, sustained specs) and the
+per-policy labeled metrics the registry emits.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -18,27 +21,23 @@ from repro.cluster.topology import (
     NodeGraph,
     ScenarioSpec,
     SustainedSpec,
+    make_strategy,
+    scenario_from_dict,
     two_node_spec,
 )
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MigrationError
 from repro.migration.ampom import AmpomMigration
+from repro.migration.base import MigrationContext
 from repro.units import mib
 from repro.workloads.synthetic import SequentialWorkload
 
 
-def two_node_run(config=None, migrant_policy=None, strategy=None):
-    spec = ScenarioSpec(
-        graph=NodeGraph((HOME, "dest")),
-        migrants=(
-            MigrantSpec(
-                workload=SequentialWorkload(mib(1), sweeps=2),
-                strategy=strategy if strategy is not None else AmpomMigration(),
-                path=(HOME, "dest"),
-                prefetch_policy=migrant_policy,
-            ),
-        ),
-        config=config if config is not None else SimulationConfig(),
+def two_node_run(strategy=None):
+    spec = two_node_spec(
+        SequentialWorkload(mib(1), sweeps=2),
+        strategy if strategy is not None else AmpomMigration(),
+        config=SimulationConfig(),
     )
     return ScenarioRuntime(spec).execute()[0]
 
@@ -49,47 +48,23 @@ def test_default_resolves_scheme_policy():
     assert result.to_dict()["prefetch_policy"] == "ampom"
 
 
-def test_config_policy_reaches_the_executor():
-    config = SimulationConfig().with_(prefetch_policy="leap")
-    result = two_node_run(config=config)
+def test_strategy_policy_reaches_the_executor():
+    result = two_node_run(AmpomMigration(prefetch_policy="leap"))
     assert result.prefetch_policy == "leap"
 
 
-def test_migrant_spec_policy_wins_over_config():
-    config = SimulationConfig().with_(prefetch_policy="leap")
-    result = two_node_run(config=config, migrant_policy="readahead-4")
-    assert result.prefetch_policy == "readahead-4"
-
-
-def test_strategy_policy_wins_over_spec_and_config():
-    config = SimulationConfig().with_(prefetch_policy="leap")
-    result = two_node_run(
-        config=config,
-        migrant_policy="readahead-4",
-        strategy=AmpomMigration(prefetch_policy="noprefetch"),
-    )
-    assert result.prefetch_policy == "noprefetch"
-
-
-def test_migration_run_threads_config_policy():
-    config = SimulationConfig().with_(prefetch_policy="readahead-4")
-    result = ScenarioRuntime(
-        two_node_spec(SequentialWorkload(mib(1), sweeps=2), AmpomMigration(), config=config)
-    ).execute()[0]
-    assert result.prefetch_policy == "readahead-4"
+def test_only_the_strategy_names_a_policy():
+    names = {f.name for f in dataclasses.fields(SimulationConfig)}
+    names |= {f.name for f in dataclasses.fields(MigrantSpec)}
+    names |= {f.name for f in dataclasses.fields(MigrationContext)}
+    assert "prefetch_policy" not in names
+    with pytest.raises(MigrationError, match="MigrationStrategy instance"):
+        MigrantSpec(workload=SequentialWorkload(mib(1)), strategy=AmpomMigration)
 
 
 def test_policy_changes_behavior_but_not_interface():
-    base = ScenarioRuntime(
-        two_node_spec(SequentialWorkload(mib(1), sweeps=2), AmpomMigration())
-    ).execute()[0]
-    noprefetch = ScenarioRuntime(
-        two_node_spec(
-            SequentialWorkload(mib(1), sweeps=2),
-            AmpomMigration(),
-            config=SimulationConfig().with_(prefetch_policy="noprefetch"),
-        )
-    ).execute()[0]
+    base = two_node_run()
+    noprefetch = two_node_run(AmpomMigration(prefetch_policy="noprefetch"))
     assert base.counters.pages_prefetched > 0
     assert noprefetch.counters.pages_prefetched == 0
     assert set(base.to_dict()) == set(noprefetch.to_dict())
@@ -97,29 +72,48 @@ def test_policy_changes_behavior_but_not_interface():
 
 def test_invalid_names_rejected_at_spec_construction():
     with pytest.raises(ConfigurationError, match="prefetch policy"):
-        MigrantSpec(
-            workload=SequentialWorkload(mib(1)),
-            strategy=AmpomMigration(),
-            path=(HOME, "dest"),
-            prefetch_policy="bogus",
-        )
+        AmpomMigration(prefetch_policy="bogus")
     with pytest.raises(ConfigurationError, match="prefetch policy"):
         SustainedSpec(
             arrivals=ArrivalSpec(rate_hz=1.0, horizon_s=1.0),
             prefetch_policy="bogus",
         )
-    with pytest.raises(ConfigurationError, match="prefetch policy"):
-        ScenarioSpec(
-            graph=NodeGraph((HOME, "dest")),
-            migrants=(
-                MigrantSpec(
-                    workload=SequentialWorkload(mib(1)),
-                    strategy=AmpomMigration(),
-                    path=(HOME, "dest"),
-                ),
-            ),
-            config=SimulationConfig().with_(prefetch_policy="bogus"),
+    with pytest.raises(ConfigurationError, match="prefetch_policy does not apply"):
+        SustainedSpec(
+            arrivals=ArrivalSpec(rate_hz=1.0, horizon_s=1.0),
+            scheme="openMosix",
+            prefetch_policy="leap",
         )
+    with pytest.raises(ConfigurationError, match="prefetch policy"):
+        scenario_from_dict(
+            {"nodes": ["home", "dest"], "migrants": [{"prefetch_policy": "bogus"}]}
+        )
+
+
+def test_spec_files_name_the_policy_per_migrant():
+    spec = scenario_from_dict(
+        {"nodes": ["home", "dest"], "migrants": [{"prefetch_policy": "leap"}]}
+    )
+    assert spec.migrants[0].strategy.prefetch_policy == "leap"
+    with pytest.raises(MigrationError, match="top-level 'prefetch_policy'"):
+        scenario_from_dict(
+            {"nodes": ["home", "dest"], "prefetch_policy": "leap", "migrants": [{}]}
+        )
+
+
+def test_sustained_policy_reaches_every_migrant():
+    from repro.cluster.sustained import SustainedLoadDriver
+    from repro.cluster.topology import build_preset
+
+    spec = build_preset("cluster_32", seed=7)
+    sustained = dataclasses.replace(spec.sustained, prefetch_policy="leap")
+    driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
+    _report, decisions = driver.plan()
+    migrants = driver.migrant_specs(decisions)
+    assert migrants
+    assert all(m.strategy is sustained.strategy for m in migrants)
+    assert sustained.strategy.prefetch_policy == "leap"
+    assert make_strategy("AMPoM").prefetch_policy is None
 
 
 def test_labeled_metrics_name_the_policy():
@@ -131,9 +125,8 @@ def test_labeled_metrics_name_the_policy():
         migrants=(
             MigrantSpec(
                 workload=SequentialWorkload(mib(1), sweeps=2),
-                strategy=AmpomMigration(),
+                strategy=AmpomMigration(prefetch_policy="leap"),
                 path=(HOME, "dest"),
-                prefetch_policy="leap",
             ),
         ),
         config=SimulationConfig(),

@@ -33,7 +33,6 @@ def make_ctx(n_pages=256):
         ampom=CONFIG.ampom,
         hardware=CONFIG.hardware,
         address_space=SimpleNamespace(total_pages=n_pages),
-        prefetch_policy=None,
     )
 
 

@@ -39,12 +39,12 @@ class TestOpenMosix:
         setup = config.hardware.migration_setup_time
         assert (large - setup) / (small - setup) > 8
 
-    def test_rejects_prefetch_policy(self, sim, config):
+    def test_rejects_prefetch_policy(self):
+        """At construction, before any run starts."""
         from repro.errors import ConfigurationError
 
-        ctx, _ = make_context(sim, config)
         with pytest.raises(ConfigurationError, match="prefetch_policy"):
-            OpenMosixMigration(prefetch_policy="leap").perform(ctx)
+            OpenMosixMigration(prefetch_policy="leap")
 
     def test_bytes_cover_dirty_pages(self, sim, config):
         ctx, _ = make_context(sim, config, n_pages=64)
@@ -108,18 +108,6 @@ class TestAmpom:
         ctx, _ = make_context(sim, config)
         outcome = AmpomMigration(prefetch_policy="leap").perform(ctx)
         assert isinstance(outcome.policy, LeapPrefetcher)
-
-    def test_context_policy_used_when_strategy_has_none(self, sim, config):
-        ctx, _ = make_context(sim, config)
-        ctx.prefetch_policy = "noprefetch"
-        outcome = AmpomMigration().perform(ctx)
-        assert isinstance(outcome.policy, NoPrefetchPolicy)
-
-    def test_strategy_policy_wins_over_context(self, sim, config):
-        ctx, _ = make_context(sim, config)
-        ctx.prefetch_policy = "noprefetch"
-        outcome = AmpomMigration(prefetch_policy="ampom").perform(ctx)
-        assert isinstance(outcome.policy, AMPoMPrefetcher)
 
     def test_default_resolves_to_real_prefetcher(self, sim, config):
         ctx, _ = make_context(sim, config)

@@ -93,7 +93,7 @@ class TestMultiMigrantRun:
         obs = Observability.enabled(trace=False, metrics=False, inspect_interval_s=0.005)
         inspector = obs.inspector
         migrants = tuple(
-            MigrantSpec(SequentialWorkload(mib(2), sweeps=1), AmpomMigration)
+            MigrantSpec(SequentialWorkload(mib(2), sweeps=1), AmpomMigration())
             for _ in range(3)
         )
         run = ScenarioRuntime(ScenarioSpec(NodeGraph((HOME, DEST)), migrants), obs=obs)

@@ -91,14 +91,14 @@ def test_run_until_complete_returns_process_result(sim):
 
 
 def test_run_until_complete_detects_deadlock(sim):
-    from repro.sim import Completion
+    procs = {}
 
-    cond = Completion(sim)
+    def proc(other):
+        yield procs[other]  # each joins the other: neither can finish
 
-    def proc():
-        yield cond  # never triggered
-
-    p = sim.spawn(proc())
+    procs["a"] = sim.spawn(proc("b"))
+    procs["b"] = sim.spawn(proc("a"))
+    p = procs["a"]
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_complete(p)
 

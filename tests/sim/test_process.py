@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Completion, Simulator, Timeout
+from repro.sim import Timeout
 
 
 def test_timeout_resumes_later(sim):
@@ -53,42 +53,6 @@ def test_exception_captured(sim):
     sim.run()
     assert p.finished
     assert isinstance(p.error, RuntimeError)
-
-
-def test_completion_wakes_waiters(sim):
-    cond = Completion(sim)
-    woken = []
-
-    def waiter(name):
-        value = yield cond
-        woken.append((name, value, sim.now))
-
-    sim.spawn(waiter("a"))
-    sim.spawn(waiter("b"))
-    sim.schedule(5.0, lambda: cond.succeed("payload"))
-    sim.run()
-    assert woken == [("a", "payload", 5.0), ("b", "payload", 5.0)]
-
-
-def test_completion_succeed_twice_raises(sim):
-    cond = Completion(sim)
-    cond.succeed()
-    with pytest.raises(SimulationError):
-        cond.succeed()
-
-
-def test_waiting_on_already_triggered_completion(sim):
-    cond = Completion(sim)
-    cond.succeed("early")
-    got = []
-
-    def waiter():
-        value = yield cond
-        got.append(value)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == ["early"]
 
 
 def test_join_another_process(sim):

@@ -214,10 +214,11 @@ def test_trace_run_case(tmp_path, capsys):
     import json
 
     out = tmp_path / "trace.json"
-    rc = main(["trace", "run", "--case", "ampom_pipeline", "--out", str(out)])
+    rc = main(["run", "--case", "ampom_pipeline", "--trace", str(out)])
     text = capsys.readouterr().out
     assert rc == 0
-    assert "span-exact" in text
+    assert "case            : ampom_pipeline" in text
+    assert f"wrote {out}" in text
     doc = json.loads(out.read_text())
     assert doc["displayTimeUnit"] == "ms"
 
@@ -228,9 +229,9 @@ def test_trace_run_case(tmp_path, capsys):
 )
 def test_trace_run_rejects_cases_without_one_result(case, capsys):
     """Only the single-migrant bench cases return one ExecutionResult to
-    trace; argparse rejects the others before anything runs."""
+    run; argparse rejects the others before anything runs."""
     with pytest.raises(SystemExit) as exc:
-        main(["trace", "run", "--case", case])
+        main(["run", "--case", case])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
@@ -240,18 +241,18 @@ def test_trace_run_multi_hop_case(tmp_path, capsys):
 
     out = tmp_path / "trace.jsonl"
     rc = main(
-        ["trace", "run", "--case", "three_hop", "--format", "jsonl", "--out", str(out)]
+        ["run", "--case", "three_hop", "--trace-format", "jsonl", "--trace", str(out)]
     )
     assert rc == 0
-    assert "span-exact" in capsys.readouterr().out
+    assert "case            : three_hop" in capsys.readouterr().out
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert sum(1 for r in rows if r["name"] == "freeze") == 2  # one per hop
 
 
-def test_trace_run_custom_cell_flame(capsys):
+def test_trace_run_custom_cell_flame(tmp_path, capsys):
+    out = tmp_path / "flame.txt"
     rc = main(
         [
-            "trace",
             "run",
             "--kernel",
             "STREAM",
@@ -261,21 +262,23 @@ def test_trace_run_custom_cell_flame(capsys):
             "AMPoM",
             "--scale",
             SMALL,
-            "--format",
+            "--trace-format",
             "flame",
+            "--trace",
+            str(out),
             "--metrics",
         ]
     )
-    text = capsys.readouterr().out
     assert rc == 0
+    assert "stall_s" in capsys.readouterr().out  # metrics report printed
+    text = out.read_text()
     assert "wall %" in text
     assert "dest/migrant" in text
 
 
-def test_trace_run_inspect_echoes_snapshots(capsys):
+def test_trace_run_inspect_echoes_snapshots(tmp_path, capsys):
     rc = main(
         [
-            "trace",
             "run",
             "--kernel",
             "STREAM",
@@ -285,8 +288,10 @@ def test_trace_run_inspect_echoes_snapshots(capsys):
             "AMPoM",
             "--scale",
             SMALL,
-            "--format",
+            "--trace-format",
             "flame",
+            "--trace",
+            str(tmp_path / "flame.txt"),
             "--inspect",
             "0.05",
         ]
@@ -297,15 +302,18 @@ def test_trace_run_inspect_echoes_snapshots(capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "trace run"])
-def test_bad_inspect_interval_exits_2_with_the_message(command, capsys):
+def test_bad_inspect_interval_exits_2_with_the_message(command, tmp_path, capsys):
     """A NaN sampling interval would snapshot on every simulator event;
-    ``run`` and ``trace run`` reject it before running anything."""
+    a plain and a traced ``run`` reject it before running anything."""
     cell = ["--kernel", "STREAM", "--mb", "115", "--scheme", "AMPoM", "--scale", SMALL]
-    rc = main([*command.split(), *cell, "--inspect", "nan"])
+    trace = tmp_path / "trace.json"
+    traced = ["--trace", str(trace)] if command == "trace run" else []
+    rc = main(["run", *cell, *traced, "--inspect", "nan"])
     out = capsys.readouterr().out
     assert rc == 2
     assert "sampling interval must be positive and finite: nan" in out
     assert "[inspect]" not in out
+    assert not trace.exists()
 
 
 _CELL = ["--kernel", "STREAM", "--mb", "115", "--scheme", "AMPoM", "--scale", SMALL]
@@ -370,13 +378,60 @@ def test_trace_golden_sustained_scenarios(scenario, capsys):
 
 
 def test_trace_run_rejects_mixed_selectors(capsys):
-    rc = main(["trace", "run", "--case", "ampom_pipeline", "--kernel", "STREAM"])
+    rc = main(["run", "--case", "ampom_pipeline", "--kernel", "STREAM"])
     assert rc == 2
+    assert capsys.readouterr().out == (
+        "run: use either --case or --kernel/--mb/--scheme, not both\n"
+    )
 
 
 def test_trace_run_rejects_incomplete_cell(capsys):
-    rc = main(["trace", "run", "--kernel", "STREAM", "--mb", "115"])
+    rc = main(["run", "--kernel", "STREAM", "--mb", "115"])
     assert rc == 2
+    assert capsys.readouterr().out == (
+        "run: need --case, or all of --kernel, --mb and --scheme\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--prefetch-policy", "leap"],
+        ["--scale", SMALL],
+        ["--seed", "0"],
+        ["--broadband"],
+        ["--capacity-pages", "64"],
+        ["--loss-rate", "0.0"],
+        ["--delay-ms", "5"],
+        ["--link-down", "0", "1"],
+        ["--deputy-crash", "0", "1"],
+        ["--retry-timeout-ms", "20"],
+        ["--max-retries", "3"],
+    ],
+)
+def test_run_case_rejects_cell_shaping_flags(flags, capsys):
+    rc = main(["run", "--case", "three_hop", *flags])
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        f"run: a --case run fixes its own cell; drop {flags[0]}\n"
+    )
+
+
+def test_run_case_json_is_the_result(capsys):
+    import json
+
+    rc = main(["run", "--case", "local_fast", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["strategy"] == "openMosix"
+
+
+def test_run_prefetch_policy_on_openmosix_exits_2(capsys):
+    rc = main(["run", *_CELL[:5], "openMosix", "--prefetch-policy", "leap"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith("run: openMosix copies the whole address space")
+    assert out.count("\n") == 1
 
 
 def test_freeze_command(capsys):
@@ -542,3 +597,46 @@ def test_cluster_run_spec_rejects_preset_options(tmp_path, capsys):
     rc = main(["cluster", "run", "--spec", str(spec), "--scheme", "FFA"])
     assert rc == 2
     assert "--preset runs only" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--preset", "three-hop-lossy", "--scheme", "FFA"], "fault injection requires"),
+        (["--preset", "cluster_32", "--scheme", "FFA"], "has no 'fs' node"),
+        (["--preset", "pair", "--slo", "kills<=1"], "--slo applies to sustained"),
+        (["--preset", "cluster_32", "--slo", "bogus"], "--slo: SLO must look like"),
+    ],
+)
+def test_cluster_run_build_errors_exit_2_with_one_line(args, message, capsys):
+    rc = main(["cluster", "run", *args])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith("cluster run: ") and message in out
+    assert out.count("\n") == 1
+
+
+def test_cluster_run_spec_naming_an_unknown_node_exits_2(tmp_path, capsys):
+    spec = tmp_path / "scenario.json"
+    spec.write_text('{"nodes": ["home", "n1"], "migrants": [{"path": ["home", "nX"]}]}')
+    rc = main(["cluster", "run", "--spec", str(spec)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith("cluster run: migrant 0 path") and out.count("\n") == 1
+
+
+def test_cluster_run_slo_gates_the_exit_code(capsys):
+    import json
+
+    ok = ["cluster", "run", "--preset", "cluster_32", "--scale", SMALL, "--seed", "7"]
+    rc = main([*ok, "--slo", "kills<=1000"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "journeys match the independent counters exactly" in out
+    assert "SLO ok: 1 spec(s)" in out
+    rc = main([*ok, "--slo", "mean_load<=-1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert payload["slo"]["ok"] is False
+    assert payload["reconcile_mismatches"] == []
+    assert {"report", "executed_migrants", "summary_metrics"} <= set(payload)

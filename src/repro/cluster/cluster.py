@@ -42,9 +42,7 @@ class Cluster:
             raise ConfigurationError(f"duplicate node names: {node_names}")
         self.sim = sim
         self.config = config
-        self.network = Network(
-            sim, node_names, spec=config.network, link_specs=link_specs
-        )
+        self.network = Network(node_names, spec=config.network, link_specs=link_specs)
         self.nodes: dict[str, Node] = {
             name: Node(name, config.hardware) for name in node_names
         }

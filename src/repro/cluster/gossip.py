@@ -8,7 +8,7 @@ node therefore holds a bounded, slightly stale load vector, and migration
 decisions are taken locally against that partial view.
 
 :class:`GossipLoadMap` reproduces the protocol on the simulated network
-(the load updates are real messages on the links), and
+(each load update is a real transfer on the sender's link), and
 :class:`repro.cluster.scheduler.ClusterScheduler` can balance from these
 decentralized views instead of its omniscient default.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigurationError
-from ..net.message import Message, MessageKind
 from ..sim import Simulator, Timeout
 from ..sim.rng import child_rng
 from .cluster import Cluster
@@ -122,22 +121,17 @@ class GossipLoadMap:
                 node, entry = known[int(i)]
                 if node != target:
                     payload[node] = entry
-        message = Message(
-            kind=MessageKind.LOAD_UPDATE,
-            src=sender,
-            dst=target,
-            payload_bytes=self.UPDATE_BYTES,
-            body=payload,
-        )
-        self.cluster.network.send(message, self._deliver)
+        channel = self.cluster.network.direction(sender, target)
+        arrival = channel.transfer(self.UPDATE_BYTES, self.sim.now)
+        self.sim.schedule_at(arrival, lambda: self._deliver(target, payload, arrival))
         self.updates_sent += 1
 
-    def _deliver(self, message: Message, _arrival: float) -> None:
-        if self.node_plan is not None and self.node_plan.down(message.dst, _arrival):
+    def _deliver(self, receiver: str, payload: dict[str, LoadEntry], arrival: float) -> None:
+        if self.node_plan is not None and self.node_plan.down(receiver, arrival):
             return  # the receiver is dark: the update is lost
-        view = self.views[message.dst]
-        for node, entry in message.body.items():
-            if node == message.dst:
+        view = self.views[receiver]
+        for node, entry in payload.items():
+            if node == receiver:
                 continue
             current = view.get(node)
             if current is None or entry.sampled_at > current.sampled_at:
@@ -175,7 +169,7 @@ class GossipLoadMap:
                     self.stats.suspicions += 1
                     if plan.down(other, now):
                         self.stats.record_detection(
-                            now - self._crash_start(other, now), node=other, at=now
+                            now - plan.crash_start(other, now), node=other, at=now
                         )
                     else:
                         self.stats.false_suspicions += 1
@@ -190,14 +184,6 @@ class GossipLoadMap:
                     )
                 if self.stats is not None:
                     self.stats.unsuspicions += 1
-
-    def _crash_start(self, node: str, t: float) -> float:
-        """Start of ``node``'s crash window containing ``t``."""
-        assert self.node_plan is not None
-        for start, end in self.node_plan.windows_for(node):
-            if start <= t < end:
-                return start
-        raise AssertionError(f"node {node!r} is not down at t={t}")
 
     def suspects(self, node: str) -> frozenset[str]:
         """Peers ``node`` currently believes are dead."""

@@ -244,13 +244,10 @@ class ScenarioRuntime:
 
     def _node_boundary(self, node: str, time: float, is_crash: bool):
         def fire() -> None:
-            n = self.cluster.node(node)
             if is_crash:
-                n.crashes += 1
                 self.node_stats.crashes += 1
                 kind = FaultEventKind.NODE_CRASH
             else:
-                n.restarts += 1
                 self.node_stats.restarts += 1
                 kind = FaultEventKind.NODE_RESTART
             if self.injection_log is not None:

@@ -565,13 +565,52 @@ def build_preset(
     return builder(scheme, scale, seed)
 
 
-def _workload_from_dict(d: Mapping) -> "Workload":
+def _number(d: Mapping, key: str, default: float, where: str) -> float:
+    """``float(d[key])`` (or ``default``); a value that is not a number is a
+    :class:`MigrationError` naming ``where`` and the key."""
+    value = d.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise MigrationError(f"{where}: {key!r} must be a number, got {value!r}")
+
+
+def _workload_from_dict(d: Mapping, where: str) -> "Workload":
     from ..workloads.hpcc import hpcc_workload
 
     kernel = d.get("kernel", "DGEMM")
-    memory_mb = float(d.get("memory_mb", 115))
-    scale = float(d.get("scale", 1 / 16))
+    memory_mb = _number(d, "memory_mb", 115, where)
+    scale = _number(d, "scale", 1 / 16, where)
     return hpcc_workload(kernel, memory_mb, scale=scale)
+
+
+def _link_from_dict(i: int, ld: Mapping) -> LinkSpec:
+    try:
+        a, b = ld["a"], ld["b"]
+    except KeyError as exc:
+        raise MigrationError(f"link {i} is missing required key {exc}")
+    try:
+        network = NetworkSpec(**ld["network"]) if "network" in ld else None
+    except TypeError as exc:
+        raise MigrationError(f"bad network of link {i}: {exc}")
+    return LinkSpec(
+        a=a,
+        b=b,
+        network=network,
+        shaped_bandwidth_bps=ld.get("shaped_bandwidth_bps"),
+        shaped_latency_s=ld.get("shaped_latency_s"),
+        lossy=ld.get("lossy"),
+    )
+
+
+def _crash_window(w: object) -> tuple[str, float, float]:
+    try:
+        node, start, end = w
+        return str(node), float(start), float(end)
+    except (TypeError, ValueError):
+        raise MigrationError(
+            f"bad node_faults section: crash window {w!r} must be [node, start_s, end_s]"
+        )
 
 
 def scenario_from_dict(d: Mapping) -> ScenarioSpec:
@@ -600,13 +639,15 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
             "per migrant or in the 'sustained' section"
         )
     try:
-        nodes = tuple(d["nodes"])
+        nodes = d["nodes"]
         if "sustained" in d:
             migrant_dicts = list(d.get("migrants", ()))
         else:
             migrant_dicts = list(d["migrants"])
     except KeyError as exc:
         raise MigrationError(f"scenario spec is missing required key {exc}")
+    if not isinstance(nodes, list):
+        raise MigrationError(f"'nodes' must be a list of node names, got {nodes!r}")
     sustained = None
     if "sustained" in d:
         sd = dict(d["sustained"])
@@ -624,22 +665,11 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
             sustained = SustainedSpec(arrivals=ArrivalSpec(**ad), **sd)
         except TypeError as exc:
             raise MigrationError(f"bad sustained section: {exc}")
-    links = tuple(
-        LinkSpec(
-            a=ld["a"],
-            b=ld["b"],
-            network=NetworkSpec(**ld["network"]) if "network" in ld else None,
-            shaped_bandwidth_bps=ld.get("shaped_bandwidth_bps"),
-            shaped_latency_s=ld.get("shaped_latency_s"),
-            lossy=ld.get("lossy"),
-        )
-        for ld in d.get("links", ())
-    )
+    links = tuple(_link_from_dict(i, ld) for i, ld in enumerate(d.get("links", ())))
     node_faults = dict(d.get("node_faults", {}))
     if "crash_windows" in node_faults:
         node_faults["crash_windows"] = tuple(
-            (str(w[0]), float(w[1]), float(w[2]))
-            for w in node_faults["crash_windows"]
+            _crash_window(w) for w in node_faults["crash_windows"]
         )
     if "nodes" in node_faults:
         node_faults["nodes"] = tuple(node_faults["nodes"])
@@ -647,25 +677,29 @@ def scenario_from_dict(d: Mapping) -> ScenarioSpec:
         node_fault_spec = NodeFaultSpec(**node_faults)
     except TypeError as exc:
         raise MigrationError(f"bad node_faults section: {exc}")
+    try:
+        faults = FaultSpec(**d.get("faults", {}))
+    except TypeError as exc:
+        raise MigrationError(f"bad faults section: {exc}")
     config = SimulationConfig(
         seed=int(d.get("seed", 0)),
-        faults=FaultSpec(**d.get("faults", {})),
+        faults=faults,
         node_faults=node_fault_spec,
     )
     migrants = tuple(
         MigrantSpec(
-            workload=_workload_from_dict(md),
+            workload=_workload_from_dict(md, f"migrant {i}"),
             strategy=make_strategy(md.get("scheme", "AMPoM"), md.get("prefetch_policy")),
             path=tuple(md.get("path", (HOME, DEST))),
-            start_s=float(md.get("start_s", 0.0)),
+            start_s=_number(md, "start_s", 0.0, f"migrant {i}"),
             hop_delays=tuple(md.get("hop_delays", ())),
             with_infod=bool(md.get("with_infod", True)),
             name=md.get("name"),
         )
-        for md in migrant_dicts
+        for i, md in enumerate(migrant_dicts)
     )
     return ScenarioSpec(
-        graph=NodeGraph(nodes, links),
+        graph=NodeGraph(tuple(nodes), links),
         migrants=migrants,
         config=config,
         max_events=d.get("max_events"),

@@ -141,16 +141,6 @@ class FaultPlan:
         """True if the deputy is crashed at simulated time ``t``."""
         return _window_contains(self.spec.deputy_crash_windows, t)
 
-    def deputy_restart_time(self, t: float) -> float:
-        """End of the crash window containing ``t``.
-
-        Raises :class:`FaultInjectionError` if the deputy is up at ``t``.
-        """
-        for start, end in self.spec.deputy_crash_windows:
-            if start <= t < end:
-                return end
-        raise FaultInjectionError(f"deputy is not crashed at t={t}")
-
 
 # ----------------------------------------------------------------------
 # whole-node failure schedules
@@ -333,14 +323,24 @@ class NodeFaultPlan:
         """
         return self.first_crash_in(node, t0, t1) is not None
 
+    def crash_start(self, node: str, t: float) -> float:
+        """Start of ``node``'s crash window containing ``t``.
+
+        Raises :class:`FaultInjectionError` if the node is up at ``t``.
+        """
+        return self._window_at(node, t)[0]
+
     def restart_time(self, node: str, t: float) -> float:
         """End of the crash window containing ``t``.
 
         Raises :class:`FaultInjectionError` if the node is up at ``t``.
         """
+        return self._window_at(node, t)[1]
+
+    def _window_at(self, node: str, t: float) -> tuple[float, float]:
         for start, end in self._windows.get(node, ()):
             if start <= t < end:
-                return end
+                return start, end
         raise FaultInjectionError(f"node {node!r} is not crashed at t={t}")
 
     def boundaries(self) -> list[tuple[float, str, bool]]:

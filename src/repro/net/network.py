@@ -1,14 +1,12 @@
-"""Network registry: nodes, links, and DES-integrated message delivery."""
+"""Network registry: named nodes and the links between them."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..config import NetworkSpec
 from ..errors import NetworkError
-from ..sim import Simulator
 from .link import Direction, Link
-from .message import Message
 
 
 class Network:
@@ -32,12 +30,10 @@ class Network:
 
     def __init__(
         self,
-        sim: Simulator,
         nodes: Sequence[str] = (),
         spec: NetworkSpec | None = None,
         link_specs: Mapping[tuple[str, str], NetworkSpec] | None = None,
     ) -> None:
-        self.sim = sim
         self._nodes: set[str] = set(nodes)
         self._links: dict[tuple[str, str], Link] = {}
         #: Lazy-mesh members -> position in ``nodes`` (override precedence).
@@ -48,9 +44,6 @@ class Network:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def add_node(self, name: str) -> None:
-        self._nodes.add(name)
-
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._nodes)
@@ -85,30 +78,3 @@ class Network:
     def direction(self, src: str, dst: str) -> Direction:
         """The one-way channel for ``src`` -> ``dst`` traffic."""
         return self.link_between(src, dst).direction(src, dst)
-
-    # ------------------------------------------------------------------
-    # transfers
-    # ------------------------------------------------------------------
-    def transfer(self, src: str, dst: str, payload_bytes: int) -> float:
-        """Submit a payload now; return its simulated arrival time."""
-        return self.direction(src, dst).transfer(payload_bytes, self.sim.now)
-
-    def send(self, message: Message, on_delivery: Callable[[Message, float], None]) -> float:
-        """Submit ``message`` now and schedule ``on_delivery(message, t)`` at
-        its arrival time ``t``.  Returns the arrival time."""
-        arrival = self.transfer(message.src, message.dst, message.payload_bytes)
-        self.sim.schedule_at(arrival, lambda: on_delivery(message, arrival))
-        return arrival
-
-    def round_trip_time(self, a: str, b: str, payload_bytes: int = 0) -> float:
-        """Unloaded round-trip estimate (pure latency + serialization of a
-        minimal message), without occupying the link."""
-        fwd = self.direction(a, b)
-        bwd = self.direction(b, a)
-        size = payload_bytes + fwd.per_message_overhead_bytes
-        return (
-            fwd.latency_s
-            + bwd.latency_s
-            + size / fwd.bandwidth_bps
-            + size / bwd.bandwidth_bps
-        )

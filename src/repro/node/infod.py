@@ -83,7 +83,6 @@ class InfoDaemon:
         self.probes_missed = 0
         self.suspected = False
         self._consecutive_misses = 0
-        self._suspicions_recorded = 0
         self.rtt = RttEstimator(
             smoothing=config.smoothing,
             initial=self._instant_rtt(),
@@ -135,12 +134,10 @@ class InfoDaemon:
             self.probes_sent += 1
             if not self.suspected and self._consecutive_misses >= self.suspect_after:
                 self.suspected = True
-                self._suspicions_recorded += 1
                 if self.stats is not None:
                     self.stats.suspicions += 1
-                    self.stats.record_detection(
-                        now - self._crash_start(now), node=self.home, at=now
-                    )
+                    crashed_at = self.node_plan.crash_start(self.home, now)
+                    self.stats.record_detection(now - crashed_at, node=self.home, at=now)
             return
         if self.suspected:
             self.suspected = False
@@ -150,14 +147,6 @@ class InfoDaemon:
         self.rtt.observe(self._instant_rtt())
         self.bandwidth.observe(now)
         self.probes_sent += 1
-
-    def _crash_start(self, t: float) -> float:
-        """Start of the home's crash window containing ``t``."""
-        assert self.node_plan is not None and self.home is not None
-        for start, end in self.node_plan.windows_for(self.home):
-            if start <= t < end:
-                return start
-        raise AssertionError(f"home {self.home!r} is not down at t={t}")
 
     def on_window_wrap(self) -> None:
         """Bandwidth re-sample triggered by a lookback-window wrap

@@ -12,39 +12,19 @@ class Node:
 
     Nodes are intentionally thin: the interesting state lives in the CPU
     model (load/utilization) and in per-process structures (address space,
-    residency).  ``capacity_pages`` backs the optional LRU model.
+    residency).
     """
 
     def __init__(self, name: str, hardware: HardwareSpec) -> None:
         if not name:
             raise ConfigurationError("node name must be non-empty")
         self.name = name
-        self.hardware = hardware
         self.cpu = CpuModel(hardware.cpu_hz)
-        self.processes: list[object] = []
-        #: Whole-node failure counters (bumped by the scenario runtime when
-        #: a :class:`repro.faults.NodeFaultPlan` window starts/ends here).
-        self.crashes = 0
-        self.restarts = 0
-
-    @property
-    def capacity_pages(self) -> int:
-        """RAM capacity expressed in pages."""
-        return self.hardware.ram_bytes // self.hardware.page_size
 
     @property
     def load(self) -> int:
         """openMosix-style load metric: runnable process count."""
         return self.cpu.runnable
-
-    def attach(self, process: object) -> None:
-        self.processes.append(process)
-
-    def detach(self, process: object) -> None:
-        try:
-            self.processes.remove(process)
-        except ValueError:
-            raise ConfigurationError(f"process not on node {self.name!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.name} load={self.load}>"

@@ -4,11 +4,11 @@ Events are ordered by ``(time, sequence)``: ties in simulated time are
 broken by insertion order, which keeps runs fully deterministic for a given
 seed and schedule order.
 
-Hot-path layout: the heap stores plain ``(time, seq, event)`` tuples so
+Hot-path layout: the heap stores plain ``(time, seq, callback)`` tuples so
 ordering comparisons run on CPython's C tuple compare instead of a
-Python-level ``__lt__``; the :class:`Event` handle carries the callback and
-the cancellation flag.  This kernel fires one event per simulated fault
-step, so both the per-push allocation and the per-pop comparison count.
+Python-level ``__lt__``, and a push allocates nothing but its tuple.  This
+kernel fires one event per simulated fault step, so both the per-push
+allocation and the per-pop comparison count.
 """
 
 from __future__ import annotations
@@ -16,100 +16,39 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from ..errors import SimulationError
-
-
-class Event:
-    """A scheduled callback.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulated time at which the callback fires.
-    seq:
-        Monotone tie-breaker assigned by the queue.
-    callback:
-        Zero-argument callable invoked when the event fires.
-    cancelled:
-        Cancelled events stay in the heap but are skipped when popped.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time!r} seq={self.seq}{state}>"
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when it is popped."""
-        self.cancelled = True
-
 
 class EventQueue:
     """A deterministic min-heap of scheduled callbacks.
 
-    Heap entries are ``(time, seq, payload)`` tuples where the payload is
-    either an :class:`Event` handle (cancellable, returned by
-    :meth:`push`) or a bare zero-argument callable (:meth:`push_callback`
-    — no handle, never cancelled).  The bare form exists for the hottest
-    event in every run, the process Timeout wake-up, which is fired
-    exactly once: skipping the Event allocation there saves one object
-    per simulated event.  Both forms share the one ``seq`` counter, so
-    the deterministic firing order is unaffected by which is used.
+    Heap entries are ``(time, seq, callback)`` tuples; nothing is ever
+    cancelled, so every entry fires once when popped.  The kernel's run
+    loop and :meth:`Simulator.step` pop the heap directly.
+
+    :meth:`push` and :meth:`push_callback` are two names for one
+    operation: ``benchmarks/e2e/layers.py`` resolves each name to its
+    code object to count ``sim.events``, so they are two functions rather
+    than an alias, which would count every push twice.
     """
 
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        #: Heap entries are ``(time, seq, payload)`` tuples; exposed to
-        #: the kernel's run loop, which pops inline.  Treat as private
-        #: elsewhere.
-        self._heap: list[tuple[float, int, "Event | Callable[[], None]"]] = []
+        #: Heap entries are ``(time, seq, callback)`` tuples; exposed to
+        #: the kernel, which pops inline.  Treat as private elsewhere.
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute ``time`` and return its event."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
-
-    def push_callback(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at ``time`` with no cancellation handle."""
+    def push(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute ``time``."""
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, callback))
 
-    def pop(self) -> Event | Callable[[], None]:
-        """Remove and return the earliest live payload (an :class:`Event`
-        or a bare callback).
-
-        Raises :class:`SimulationError` when no live event remains.
-        """
-        heap = self._heap
-        while heap:
-            payload = heapq.heappop(heap)[2]
-            if payload.__class__ is not Event or not payload.cancelled:
-                return payload
-        raise SimulationError("pop from an empty event queue")
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap:
-            payload = heap[0][2]
-            if payload.__class__ is Event and payload.cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0][0]
-        return None
+    def push_callback(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute ``time`` (same as :meth:`push`)."""
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, callback))

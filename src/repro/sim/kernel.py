@@ -2,11 +2,12 @@
 
 The run loop is the innermost loop of every experiment — one iteration per
 simulated event — so it is written against the heap's raw ``(time, seq,
-event)`` tuples with hoisted method lookups, and the observer dispatch is
-skipped entirely while no observer is registered (the common case; only
-``REPRO_CHECKS=1`` runs attach one).  ``step()`` keeps the readable
-one-event-at-a-time form for tests and interactive use; both paths fire
-events in the identical deterministic order.
+callback)`` tuples with hoisted method lookups, and the observer dispatch
+is skipped entirely while no observer is registered (the common case; only
+``REPRO_CHECKS=1`` runs attach one).  :meth:`Simulator.run` and
+:meth:`Simulator.run_until_complete` share that one loop; ``step()`` fires
+one event at a time for tests and interactive use, in the identical
+deterministic order.
 
 *Inline advances.*  A process that is about to wait ``dt`` may call
 :meth:`Simulator.try_advance` first.  When its wake-up at ``now + dt``
@@ -26,7 +27,7 @@ import heapq
 from typing import TYPE_CHECKING, Callable, Generator
 
 from ..errors import SimulationError
-from .events import Event, EventQueue
+from .events import EventQueue
 
 _INF = float("inf")
 _NEG_INF = -_INF
@@ -47,7 +48,7 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(2.5, lambda: fired.append(sim.now))
+    >>> sim.schedule(2.5, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [2.5]
@@ -95,7 +96,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
+        """Number of events still in the heap."""
         return len(self._queue)
 
     def close(self) -> None:
@@ -118,17 +119,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback)
+        self._queue.push(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
-        return self._queue.push(time, callback)
+        self._queue.push(time, callback)
 
     def spawn(
         self,
@@ -157,17 +158,14 @@ class Simulator:
         """Fire the earliest event.  Returns ``False`` if none remained."""
         if self._closed:
             raise SimulationError("simulator is closed")
-        time = self._queue.peek_time()
-        if time is None:
+        heap = self._queue._heap
+        if not heap:
             return False
-        payload = self._queue.pop()
+        time, _seq, callback = heapq.heappop(heap)
         if time < self._now:
             raise SimulationError("event heap yielded an event from the past")
         self._now = time
-        if payload.__class__ is Event:
-            payload.callback()
-        else:
-            payload()
+        callback()
         if self._observers:
             for observer in self._observers:
                 observer(time)
@@ -187,8 +185,8 @@ class Simulator:
 
         Refuses outside a run loop, past the loop's ``until`` bound, once
         the ``max_events`` budget is spent, and whenever the earliest heap
-        entry — cancelled or not — is due at or before ``now + delay``: on
-        a tie that entry holds the smaller ``seq`` and fires first.
+        entry is due at or before ``now + delay``: on a tie that entry
+        holds the smaller ``seq`` and fires first.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(
@@ -207,22 +205,6 @@ class Simulator:
         self._budget -= 1
         return True
 
-    def _enter_loop(self, until: float | None, max_events: int | None) -> None:
-        """Claim the simulator for one run loop; nesting loops is an error
-        because the inline-advance bound and budget belong to one loop."""
-        if self._running:
-            raise SimulationError("simulator is already running (nested run loop)")
-        if self._closed:
-            raise SimulationError("simulator is closed")
-        self._running = True
-        self._horizon = _INF if until is None else until
-        self._budget = _INF if max_events is None else max_events
-
-    def _exit_loop(self) -> None:
-        self._running = False
-        self._horizon = _NEG_INF
-        self._budget = 0
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
@@ -231,38 +213,7 @@ class Simulator:
         ``max_events`` is a safety valve for tests; it counts fired events
         and inline advances alike.
         """
-        self._enter_loop(until, max_events)
-        heap = self._queue._heap
-        heappop = heapq.heappop
-        observers = self._observers
-        try:
-            while heap:
-                time, _seq, payload = heap[0]
-                is_event = payload.__class__ is Event
-                if is_event and payload.cancelled:
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
-                    break
-                if self._budget <= 0:
-                    raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
-                heappop(heap)
-                if time < self._now:
-                    raise SimulationError("event heap yielded an event from the past")
-                self._now = time
-                # Counted before the callback runs: inline advances made
-                # inside it must see the budget this event already used.
-                self._budget -= 1
-                if is_event:
-                    payload.callback()
-                else:
-                    payload()
-                if observers:
-                    now = self._now
-                    for observer in observers:
-                        observer(now)
-        finally:
-            self._exit_loop()
+        self._loop(None, until, max_events)
         if until is not None and self._now < until:
             self._now = until
 
@@ -275,40 +226,55 @@ class Simulator:
         :meth:`SimProcess.take_error`).  ``max_events`` counts fired events
         and inline advances alike.
         """
-        self._enter_loop(None, max_events)
+        self._loop(proc, None, max_events)
+        if not proc.finished:
+            raise SimulationError(
+                f"event queue drained but process {proc.name!r} never finished (deadlock)"
+            )
+        if proc.error is not None:
+            raise proc.take_error()
+        return proc.result
+
+    def _loop(
+        self, proc: "SimProcess | None", until: float | None, max_events: int | None
+    ) -> None:
+        """Fire events in order until ``proc`` (if any) finishes, the heap
+        drains or the next event lies past ``until``; raise once more than
+        ``max_events`` events would fire."""
+        # Loops do not nest: the inline-advance bound and budget belong to
+        # one loop.
+        if self._running:
+            raise SimulationError("simulator is already running (nested run loop)")
+        if self._closed:
+            raise SimulationError("simulator is closed")
+        self._running = True
+        horizon = self._horizon = _INF if until is None else until
+        self._budget = _INF if max_events is None else max_events
         heap = self._queue._heap
         heappop = heapq.heappop
         observers = self._observers
         try:
-            while not proc.finished:
+            while heap:
+                if proc is not None and proc.finished:
+                    break
+                time, _seq, callback = heap[0]
+                if time > horizon:
+                    break
                 if self._budget <= 0:
                     raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
-                while heap:
-                    time, _seq, payload = heap[0]
-                    is_event = payload.__class__ is Event
-                    if is_event and payload.cancelled:
-                        heappop(heap)
-                        continue
-                    break
-                else:
-                    raise SimulationError(
-                        f"event queue drained but process {proc.name!r} never finished (deadlock)"
-                    )
                 heappop(heap)
                 if time < self._now:
                     raise SimulationError("event heap yielded an event from the past")
                 self._now = time
+                # Counted before the callback runs: inline advances made
+                # inside it must see the budget this event already used.
                 self._budget -= 1
-                if is_event:
-                    payload.callback()
-                else:
-                    payload()
+                callback()
                 if observers:
                     now = self._now
                     for observer in observers:
                         observer(now)
         finally:
-            self._exit_loop()
-        if proc.error is not None:
-            raise proc.take_error()
-        return proc.result
+            self._running = False
+            self._horizon = _NEG_INF
+            self._budget = 0

@@ -80,11 +80,10 @@ class SimProcess:
             return
         # Dispatch ordered by frequency: Timeout is the hot wait condition
         # (one per compute/stall slice), joins are rare.
-        # The wake-up goes straight onto the event heap as a bare callback:
+        # The wake-up goes straight onto the event heap:
         # Timeout.__init__ already rejected negative and non-finite delays,
-        # the wake-up is fired exactly once (never cancelled), and the
-        # bound ``_resume`` itself is the callback — ``value`` defaults to
-        # None.
+        # and the bound ``_resume`` itself is the callback — ``value``
+        # defaults to None.
         if type(condition) is Timeout:
             sim = self.sim
             sim._queue.push_callback(sim._now + condition.delay, self._resume)

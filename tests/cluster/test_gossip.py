@@ -9,6 +9,7 @@ from repro.cluster.gossip import GossipLoadMap
 from repro.cluster.scheduler import ClusterScheduler, Task
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
+from repro.net.link import Direction
 from repro.sim import Simulator
 from repro.units import mib
 
@@ -115,7 +116,7 @@ class _ChosenDraw:
 
 
 @pytest.mark.parametrize("n_nodes", [2, 3, 300])
-def test_peer_pick_matches_peer_list(n_nodes):
+def test_peer_pick_matches_peer_list(n_nodes, monkeypatch):
     """Draw ``k`` selects ``peers[k]`` of the sorted names minus the
     sender, for every sender and every ``k``, from one ``integers(0,
     n - 1)`` draw — the peer list is never built."""
@@ -125,13 +126,18 @@ def test_peer_pick_matches_peer_list(n_nodes):
     gossip = GossipLoadMap(sim, cluster, load_of=lambda n: 0)
     draw = gossip._rng = _ChosenDraw()
     targets = []
-    cluster.network.send = lambda message, _deliver: targets.append(message.dst)
+
+    def transfer(channel, payload_bytes, now):
+        targets.append(channel.name)
+        return now
+
+    monkeypatch.setattr(Direction, "transfer", transfer)
     for sender in names:
         peers = [n for n in names if n != sender]
         for k, peer in enumerate(peers):
             draw.k = k
             gossip._send_update(sender)
-            assert targets[-1] == peer
+            assert targets[-1] == f"{sender}->{peer}"
     assert len(targets) == n_nodes * (n_nodes - 1)
     assert draw.bounds == {(0, n_nodes - 1)}
 

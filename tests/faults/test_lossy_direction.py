@@ -18,7 +18,6 @@ from repro.faults import (
 from repro.net.link import Direction
 from repro.net.network import Network
 from repro.net.shaper import TrafficShaper
-from repro.sim import Simulator
 
 
 def make(spec_kwargs, seed=0, log=None):
@@ -89,7 +88,7 @@ def test_events_are_logged():
 
 
 def test_install_lossy_link_replaces_both_directions():
-    net = Network(Simulator())
+    net = Network()
     net.connect("home", "dest", NetworkSpec())
     plan = FaultPlan(FaultSpec(loss_rate=1.0), seed=0)
     install_lossy_link(net, "home", "dest", plan)
@@ -101,7 +100,7 @@ def test_install_lossy_link_replaces_both_directions():
 def test_install_lossy_link_keeps_the_link_shape():
     # The wrapper is built from the link's spec; it used to come out at
     # the native 12.5e6 B/s and 0.15 ms, dropping an applied shape.
-    net = Network(Simulator())
+    net = Network()
     net.connect("home", "dest", NetworkSpec())
     shaper = TrafficShaper(net.link_between("home", "dest"))
     shaper.apply(1e5, 0.01)
@@ -120,7 +119,7 @@ def test_install_lossy_link_keeps_the_link_shape():
 
 
 def test_install_refuses_a_used_link():
-    net = Network(Simulator())
+    net = Network()
     net.connect("home", "dest", NetworkSpec())
     net.direction("home", "dest").transfer(100, 0.0)
     plan = FaultPlan(FaultSpec(loss_rate=1.0), seed=0)

@@ -110,6 +110,15 @@ def test_restart_time():
         plan.restart_time("dest", 0.5)
 
 
+def test_crash_start():
+    plan = make_plan([("dest", 1.0, 2.0), ("dest", 3.0, 4.0)])
+    assert plan.crash_start("dest", 1.0) == 1.0
+    assert plan.crash_start("dest", 3.5) == 3.0
+    for node, t in (("dest", 2.0), ("home", 1.5)):
+        with pytest.raises(FaultInjectionError):
+            plan.crash_start(node, t)
+
+
 def test_boundaries_sorted():
     plan = make_plan([("dest", 1.0, 2.0), ("home", 0.5, 0.8)])
     bounds = plan.boundaries()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import FaultSpec
-from repro.errors import ConfigurationError, FaultInjectionError
+from repro.errors import ConfigurationError
 from repro.faults import CLEAN, FaultInjectionLog, FaultPlan
 from repro.sim.rng import child_rng
 
@@ -133,9 +133,6 @@ def test_deputy_windows_are_absolute():
     # not wait for the resume-time activation.
     assert plan.deputy_down(2.5)
     assert not plan.deputy_down(3.0)
-    assert plan.deputy_restart_time(2.5) == 3.0
-    with pytest.raises(FaultInjectionError):
-        plan.deputy_restart_time(10.0)
 
 
 def test_draw_records_nothing_but_log_collects_events():

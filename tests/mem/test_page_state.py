@@ -320,7 +320,7 @@ def test_paper_scale_page_state_costs_under_a_megabyte():
     config = SimulationConfig()
     workload = hpcc_workload("STREAM", 575, scale=1.0)
     sim = Simulator()
-    network = Network(sim)
+    network = Network()
     network.connect("home", "dest", config.network)
     gc.collect()
     tracemalloc.start()

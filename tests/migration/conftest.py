@@ -27,7 +27,7 @@ def make_context(
     if workload is None:
         workload = SequentialWorkload(config.hardware.page_size * n_pages)
     space = workload.setup()
-    net = Network(sim)
+    net = Network()
     net.connect("home", "dest", config.network)
     if with_fs:
         net.connect("home", "fs", config.network)

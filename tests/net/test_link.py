@@ -232,16 +232,16 @@ def test_batched_compaction_keeps_every_reading_after_the_cutoff(seed, horizon):
 # lean links: directions on first lookup, logs on first message
 # ----------------------------------------------------------------------
 class TestLeanLinks:
-    def test_one_message_builds_one_direction(self, sim, connects, directions):
-        net = Network(sim, [f"n{i}" for i in range(300)], spec=NetworkSpec())
-        net.transfer("n0", "n1", 512)
+    def test_one_message_builds_one_direction(self, connects, directions):
+        net = Network([f"n{i}" for i in range(300)], spec=NetworkSpec())
+        net.direction("n0", "n1").transfer(512, 0.0)
         assert len(connects) == 1
         assert [d.name for d in directions] == ["n0->n1"]
         assert directions[0].total_messages == 1
 
-    def test_shape_before_the_directions_exist(self, sim, directions):
+    def test_shape_before_the_directions_exist(self, directions):
         native = NetworkSpec(bandwidth_bps=1e6, latency_s=0.01)
-        net = Network(sim, ("a", "b", "c"), spec=native)
+        net = Network(("a", "b", "c"), spec=native)
         shaper = TrafficShaper(net.link_between("c", "a"))
         shaper.apply(0.5e6, 0.002)
         assert directions == []
@@ -253,16 +253,16 @@ class TestLeanLinks:
         assert (bwd.bandwidth_bps, bwd.latency_s) == (1e6, 0.01)
         assert len(directions) == 2
 
-    def test_lossy_install_on_an_untouched_lazy_link(self, sim, directions):
-        net = Network(sim, [f"n{i}" for i in range(300)], spec=NetworkSpec())
+    def test_lossy_install_on_an_untouched_lazy_link(self, directions):
+        net = Network([f"n{i}" for i in range(300)], spec=NetworkSpec())
         plan = FaultPlan(FaultSpec(loss_rate=1.0), seed=0)
         install_lossy_link(net, "n7", "n3", plan)
         for src, dst in (("n3", "n7"), ("n7", "n3")):
             channel = net.direction(src, dst)
             assert isinstance(channel, LossyDirection)
             assert channel.name == f"{src}->{dst}"
-        assert math.isinf(net.transfer("n3", "n7", 100))
-        net.transfer("n1", "n2", 100)
+        assert math.isinf(net.direction("n3", "n7").transfer(100, 0.0))
+        net.direction("n1", "n2").transfer(100, 0.0)
         with pytest.raises(FaultInjectionError):
             install_lossy_link(net, "n2", "n1", plan)
 

@@ -13,7 +13,7 @@ from repro.sim import Simulator
 
 def make(sim, infod_config=None, spec=None):
     spec = spec or NetworkSpec()
-    net = Network(sim)
+    net = Network()
     net.connect("home", "dest", spec)
     node = Node("dest", HardwareSpec())
     daemon = InfoDaemon(

@@ -9,27 +9,11 @@ from repro.errors import ConfigurationError
 from repro.node.node import Node
 
 
-def test_capacity_pages():
-    node = Node("n1", HardwareSpec())
-    assert node.capacity_pages == HardwareSpec().ram_bytes // HardwareSpec().page_size
-
-
 def test_load_tracks_runnable():
     node = Node("n1", HardwareSpec())
     assert node.load == 0
     node.cpu.acquire()
     assert node.load == 1
-
-
-def test_attach_detach():
-    node = Node("n1", HardwareSpec())
-    proc = object()
-    node.attach(proc)
-    assert proc in node.processes
-    node.detach(proc)
-    assert proc not in node.processes
-    with pytest.raises(ConfigurationError):
-        node.detach(proc)
 
 
 def test_empty_name_rejected():

@@ -1,99 +1,55 @@
-"""Unit tests for the event heap."""
+"""Unit tests for the event heap: entries fire in ``(time, seq)`` order."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.sim import Simulator
 from repro.sim.events import EventQueue
 
 
+def _firing_times(times) -> list[float]:
+    """Push one callback per time and return the clock at each firing."""
+    sim = Simulator()
+    fired: list[float] = []
+    for t in times:
+        sim._queue.push(t, lambda: fired.append(sim.now))
+    sim.run()
+    return fired
+
+
 def test_push_pop_single():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(1.0, lambda: fired.append("a"))
-    event = q.pop()
-    assert event.time == 1.0
-    event.callback()
-    assert fired == ["a"]
+    sim._queue.push(1.0, lambda: fired.append(("a", sim.now)))
+    sim.run()
+    assert fired == [("a", 1.0)]
+    assert sim.pending_events == 0
 
 
 def test_pop_orders_by_time():
-    q = EventQueue()
-    q.push(3.0, lambda: None)
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert [q.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
+    assert _firing_times([3.0, 1.0, 2.0]) == [1.0, 2.0, 3.0]
 
 
 def test_ties_break_by_insertion_order():
-    q = EventQueue()
+    sim = Simulator()
     order = []
-    q.push(1.0, lambda: order.append("first"))
-    q.push(1.0, lambda: order.append("second"))
-    for _ in range(2):
-        q.pop().callback()
-    assert order == ["first", "second"]
-
-
-def test_pop_empty_raises():
-    q = EventQueue()
-    with pytest.raises(SimulationError):
-        q.pop()
-
-
-def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    e1.cancel()
-    assert q.pop().time == 2.0
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    assert q.peek_time() == 1.0
-    e1.cancel()
-    assert q.peek_time() == 5.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
+    sim._queue.push(1.0, lambda: order.append("first"))
+    sim._queue.push_callback(1.0, lambda: order.append("second"))
+    sim._queue.push(1.0, lambda: order.append("third"))
+    sim.run()
+    assert order == ["first", "second", "third"]
 
 
 def test_len_counts_entries():
     q = EventQueue()
     assert len(q) == 0
     q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
+    q.push_callback(2.0, lambda: None)
     assert len(q) == 2
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 def test_pop_order_is_sorted(times):
-    q = EventQueue()
-    for t in times:
-        q.push(t, lambda: None)
-    popped = [q.pop().time for _ in range(len(times))]
-    assert popped == sorted(times)
-
-
-@given(
-    st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=30),
-    st.data(),
-)
-def test_cancellation_preserves_order_of_rest(times, data):
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
-    to_cancel = data.draw(
-        st.sets(st.integers(min_value=0, max_value=len(times) - 1), max_size=len(times) - 1)
-    )
-    for i in to_cancel:
-        events[i].cancel()
-    survivors = sorted(t for i, t in enumerate(times) if i not in to_cancel)
-    popped = [q.pop().time for _ in range(len(survivors))]
-    assert popped == survivors
+    assert _firing_times(times) == sorted(times)

@@ -67,6 +67,22 @@ def test_events_scheduled_during_run_fire(sim):
     assert sim.now == 2.0
 
 
+def test_max_events_allows_exactly_that_many_events(sim):
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda: fired.append(sim.now))
+    sim.run(max_events=3)
+    assert fired == [1.0, 2.0, 3.0]
+
+    def proc():
+        yield Timeout(1.0)
+        yield Timeout(1.0)
+        return "done"
+
+    # A start and two wake-ups: three events.
+    assert sim.run_until_complete(sim.spawn(proc()), max_events=3) == "done"
+
+
 def test_max_events_guard(sim):
     def reschedule():
         sim.schedule(1.0, reschedule)
@@ -101,6 +117,20 @@ def test_run_until_complete_detects_deadlock(sim):
     p = procs["a"]
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_complete(p)
+
+
+def test_a_spent_budget_on_a_drained_heap_reports_the_deadlock(sim):
+    procs = {}
+
+    def proc(other):
+        yield procs[other]
+
+    procs["a"] = sim.spawn(proc("b"))
+    procs["b"] = sim.spawn(proc("a"))
+    # The two starts spend the budget and drain the heap together: the
+    # process can never finish, which is the error to report.
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_complete(procs["a"], max_events=2)
 
 
 def test_run_until_complete_propagates_errors(sim):
@@ -182,16 +212,23 @@ def test_try_advance_refuses_on_tie_and_earlier_entry(sim):
     assert seen == [False, False, 0.0, True, 0.5]
 
 
-def test_try_advance_refuses_on_cancelled_entry(sim):
+def test_try_advance_refuses_on_a_stale_wake_up(sim):
     seen = []
 
+    def sleeper():
+        yield Timeout(1.0)
+
     def proc():
-        sim.schedule(1.0, lambda: None).cancel()
+        victim = sim.spawn(sleeper())
+        yield Timeout(0.0)  # the victim starts and waits: a wake-up at 1.0
+        victim.interrupt()  # its wake-up stays on the heap, stale
         seen.append(sim.try_advance(1.5))
         yield Timeout(0.0)
 
     sim.run_until_complete(sim.spawn(proc()))
     assert seen == [False]
+    sim.run()  # the stale wake-up fires and resumes nothing
+    assert sim.now == 1.0
 
 
 def test_try_advance_refuses_outside_run_loop(sim):

@@ -625,6 +625,44 @@ def test_cluster_run_spec_naming_an_unknown_node_exits_2(tmp_path, capsys):
     assert out.startswith("cluster run: migrant 0 path") and out.count("\n") == 1
 
 
+_PAIR = {"nodes": ["home", "n1"], "migrants": [{"path": ["home", "n1"]}]}
+
+
+@pytest.mark.parametrize(
+    "override, section, entry",
+    [
+        ({"faults": {"bogus": 1}}, "bad faults section: ", "'bogus'"),
+        (
+            {"links": [{"a": "home", "b": "n1", "network": {"bogus": 1}}]},
+            "bad network of link 0: ",
+            "'bogus'",
+        ),
+        ({"links": [{"b": "n1"}]}, "link 0 is missing required key", "'a'"),
+        ({"links": [{"a": "home"}]}, "link 0 is missing required key", "'b'"),
+        ({"migrants": [{"path": ["home", "n1"], "start_s": "soon"}]}, "migrant 0: ", "'soon'"),
+        (
+            {"node_faults": {"crash_windows": [["n1", 0.5]]}},
+            "bad node_faults section: ",
+            "['n1', 0.5]",
+        ),
+        ({"nodes": "home"}, "'nodes' must be a list", "'home'"),
+    ],
+    ids=["faults-key", "network-key", "link-no-a", "link-no-b", "start_s", "window", "nodes"],
+)
+def test_cluster_run_malformed_spec_exits_2_with_one_line(
+    override, section, entry, tmp_path, capsys
+):
+    import json
+
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps({**_PAIR, **override}))
+    rc = main(["cluster", "run", "--spec", str(spec)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith(f"cluster run: {section}") and entry in out
+    assert out.count("\n") == 1
+
+
 def test_cluster_run_slo_gates_the_exit_code(capsys):
     import json
 
